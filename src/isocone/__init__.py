@@ -41,7 +41,6 @@ from .envelope import (
     contact_data,
     k_envelope,
     restricted_conjugate,
-    support_function,
 )
 from .pde import (
     AnisotropicProblem,

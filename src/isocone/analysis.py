@@ -19,8 +19,10 @@ from .cone_weight import Cone, HomWeight
 from .geometry import (
     GridSet,
     StarSet,
+    boundary_element,
     boundary_weighted_integral,
     deficit,
+    deficit_value,
     symdiff_with_ball,
     unit_ball_volume,
     weighted_volume,
@@ -397,12 +399,8 @@ def _cheeger_ratio_1d(F_endpoints, E: IntervalSet, alpha: float):
 def _cheeger_1d(E: IntervalSet, alpha: float, n_grid: int = 48,
                 max_components: int = 2, refine: int = 2):
     """Brute force over interval subsets with endpoints on per-interval grids."""
-    p = alpha + 1.0
     wE = E.measure(alpha)
     half = wE / 2.0
-
-    def grid_for(a, b, n):
-        return np.linspace(a, b, n)
 
     def evaluate(candidates):
         best = (math.inf, None)
@@ -419,7 +417,7 @@ def _cheeger_1d(E: IntervalSet, alpha: float, n_grid: int = 48,
 
     atoms = []
     for a, b in E.intervals:
-        g = grid_for(a, b, n_grid)
+        g = np.linspace(a, b, n_grid)
         for i in range(len(g)):
             for j in range(i + 1, len(g)):
                 atoms.append(((g[i], g[j]),))
@@ -462,7 +460,6 @@ def _cheeger_1d(E: IntervalSet, alpha: float, n_grid: int = 48,
         r2, b2 = evaluate(inside)
         if r2 < best_ratio:
             best_ratio, best = r2, b2
-    _ = p
     return CheegerResult(best_ratio, best, best_ratio - 1.0)
 
 
@@ -672,11 +669,9 @@ def _partial_quadrature(star: StarSet, weight: HomWeight, mask):
     sub_qw = np.gradient(thetas)
     sub_qw[0] = (thetas[1] - thetas[0]) / 2.0
     sub_qw[-1] = (thetas[-1] - thetas[-2]) / 2.0
-    r = star.radii[mask]
-    dr = star.radial_derivative()[mask]
     wv = weight.arc_values(thetas)
-    vol = float(sub_qw @ (r ** weight.D * wv)) / weight.D
-    outer = float(sub_qw @ (r ** (weight.D - 1.0) * np.sqrt(1.0 + (dr / r) ** 2) * wv))
+    vol = float(sub_qw @ (star.radii[mask] ** weight.D * wv)) / weight.D
+    outer = float(sub_qw @ boundary_element(star, weight)[mask])
     return vol, outer
 
 
@@ -730,9 +725,7 @@ def removal_lemma_check(star: StarSet, weight: HomWeight, theta_a: float,
 
     deficit_ok = None
     if delta_E <= k:
-        w1 = unit_ball_volume(star, weight)
-        c_star = D * w1 ** (1.0 / D)
-        delta_rest = per_rest / (c_star * vol_rest ** ((D - 1.0) / D)) - 1.0
+        delta_rest = deficit_value(per_rest, vol_rest, unit_ball_volume(star, weight), D)
         deficit_ok = delta_rest <= (3.0 / k) * delta_E + 1e-12
         details["delta_E_minus_F"] = delta_rest
     return RemovalReport(True, hyp_margin, volume_ok, perimeter_ok, deficit_ok, details)

@@ -132,7 +132,6 @@ def write_manifest(out_dir, config, verb, seed, outputs) -> None:
         "version": __version__,
         "verb": verb,
         "seed": seed,
-        "threads": os.environ.get("ISOCONE_THREADS", "1"),
         "outputs": sorted(outputs),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:

@@ -283,11 +283,8 @@ class HomWeight:
             raise InadmissibleWeightError("weight is negative inside the cone")
         if np.all(base <= 0):
             raise InadmissibleWeightError("weight vanishes identically")
-        for t in (0.5, 2.0, 7.0):
-            scaled = self(t * pts)
-            ref = t ** self.alpha * base
-            if np.max(np.abs(scaled - ref)) > 1e-12 * max(1.0, np.max(np.abs(ref))):
-                raise InadmissibleWeightError("weight is not alpha-homogeneous")
+        if any(err > 1e-12 * max(1.0, ref) for err, ref in _homogeneity_probe(self, pts, base)):
+            raise InadmissibleWeightError("weight is not alpha-homogeneous")
         x = self._interior_samples(ADMISSION_PAIRS, rng)
         z = self._interior_samples(ADMISSION_PAIRS, rng)
         wx = self(x)
@@ -309,6 +306,16 @@ class HomWeight:
         thetas = self.cone.arc_grid(n_theta)
         vals = self.arc_values(thetas) ** (1.0 / self.alpha)
         return ConcaveHomFn(self.cone, thetas, vals)
+
+
+def _homogeneity_probe(weight: HomWeight, pts, base):
+    """(max |w(t x) - t^alpha w(x)|, max |t^alpha w(x)|) for t in 0.5, 2, 7.
+
+    ``base`` holds w(pts); callers compare the residual with their own scale.
+    """
+    for t in (0.5, 2.0, 7.0):
+        ref = t ** weight.alpha * base
+        yield float(np.max(np.abs(weight(t * pts) - ref))), float(np.max(np.abs(ref)))
 
 
 def _safe_pow(base, expo):
@@ -397,11 +404,9 @@ def decompose_subspaces(cone: Cone, weight: HomWeight) -> SubspaceBases:
     rng = np.random.default_rng(1)
     pts = weight._interior_samples(128, rng)
     base = weight(pts)
-    for t in (0.5, 2.0, 7.0):
-        if np.max(np.abs(weight(t * pts) - t ** weight.alpha * base)) > 1e-12 * max(
-            1.0, float(np.max(np.abs(base)))
-        ):
-            raise InadmissibleWeightError("weight is not alpha-homogeneous")
+    scale = max(1.0, float(np.max(np.abs(base))))
+    if any(err > 1e-12 * scale for err, _ref in _homogeneity_probe(weight, pts, base)):
+        raise InadmissibleWeightError("weight is not alpha-homogeneous")
 
     basis_L = cone.basis_L()
     grads = weight.grad(pts)

@@ -30,7 +30,7 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .cone_weight import HomWeight
 from .envelope import EnvelopeField, SlopeBody, k_envelope, restricted_conjugate
-from .geometry import StarSet, deficit, unit_ball_volume
+from .geometry import StarSet, deficit, deficit_value, unit_ball_volume
 from .pde import (
     AnisotropicProblem,
     NodalField,
@@ -70,6 +70,14 @@ class Resolutions:
     hess_window: int = 5
     min_angle_deg: float = 20.0
     boundary_band: float | None = None  # defaults to eval_h
+
+    def __post_init__(self):
+        if not (self.mesh_h > 0 and self.eval_h > 0):
+            raise ValueError("mesh_h and eval_h must be positive")
+        if len(self.n_slope) != 2 or min(self.n_slope) < 2:
+            raise ValueError("n_slope needs two counts, each at least 2")
+        if self.hess_window % 2 == 0 or self.hess_window < 3:
+            raise ValueError("hess_window must be odd and at least 3")
 
     @property
     def band(self) -> float:
@@ -127,9 +135,7 @@ def star_area(star: StarSet) -> float:
 
 def anisotropic_deficit(star: StarSet, body: SlopeBody) -> float:
     """Per_K(E) / (n |K|^(1/n) |E|^((n-1)/n)) - 1 in the plane (n = 2)."""
-    per = anisotropic_perimeter(star, body)
-    area = star_area(star)
-    return per / (2.0 * math.sqrt(body.area()) * math.sqrt(area)) - 1.0
+    return deficit_value(anisotropic_perimeter(star, body), star_area(star), body.area(), 2.0)
 
 
 def _positive_part_eigen(H):
@@ -209,9 +215,8 @@ def build_coupling(star: StarSet | None, mode, res: Resolutions | None = None,
 
     u = solve_neumann(mesh, problem)
     if not weighted and delta is None:
-        per_mesh = u.b_E * float(mesh.areas().sum())
         area = float(mesh.areas().sum())
-        delta = per_mesh / (2.0 * math.sqrt(body.area()) * math.sqrt(area)) - 1.0
+        delta = deficit_value(u.b_E * area, area, body.area(), 2.0)
 
     conj = restricted_conjugate(mesh.vertices, u.values, body)
     vmin = mesh.vertices.min(axis=0)
@@ -254,8 +259,7 @@ def build_coupling(star: StarSet | None, mode, res: Resolutions | None = None,
         else -math.inf
 
     # L1 Hessian defect over E by mesh quadrature; envelope data interpolated
-    mids = mesh.edge_midpoints().reshape(-1, 2)
-    areas3 = np.repeat(mesh.areas() / 3.0, 3)
+    mids, areas3 = mesh.midpoint_rule()
     H_mid = field.interp_hessian(hess, mids)
     dev = H_mid - np.eye(2)[None, :, :]
     frob = np.sqrt(np.einsum("ijk,ijk->i", dev, dev))
@@ -267,24 +271,12 @@ def build_coupling(star: StarSet | None, mode, res: Resolutions | None = None,
 
     boundary_term = 0.0
     if weighted:
-        pa = mesh.vertices[mesh.free_edges[:, 0]]
-        pb = mesh.vertices[mesh.free_edges[:, 1]]
-        lengths = np.linalg.norm(pb - pa, axis=1)
-        t_lo = 0.5 - 0.5 / math.sqrt(3.0)
-        gauss = np.vstack([pa + t_lo * (pb - pa), pa + (1.0 - t_lo) * (pb - pa)])
+        gauss, half_len, _t = mesh.free_edge_gauss()
         _phi_g, xi_g, _idx_g = conj.envelope_at(gauss)
-        w_g = weight(gauss)
         boundary_term = float(np.sum(
-            0.5 * np.tile(lengths, 2) * w_g * (1.0 - np.linalg.norm(xi_g, axis=1))))
+            half_len * weight(gauss) * (1.0 - np.linalg.norm(xi_g, axis=1))))
 
-    cloud = np.unique(xi_nodes[in_E], axis=0)
-    tree = cKDTree(cloud)
-    d, _ = tree.query(body.samples)
-    grad_range_hausdorff = float(d.max())
-
-    dxi_x = np.linalg.norm(np.diff(field.xi, axis=1), axis=2) / field.h
-    dxi_y = np.linalg.norm(np.diff(field.xi, axis=0), axis=2) / field.h
-    lip = float(max(dxi_x.max(), dxi_y.max()))
+    grad_range_hausdorff, _n_slopes = field.range_hausdorff(in_E)
 
     return CouplingReport(
         mode="weighted" if weighted else "anisotropic",
@@ -292,7 +284,7 @@ def build_coupling(star: StarSet | None, mode, res: Resolutions | None = None,
         hessians=hess, delta=float(delta), b_E=u.b_E,
         sup_violation=sup_violation, sup_violation_band=sup_violation_band,
         hessian_l1=hessian_l1, boundary_term=boundary_term,
-        grad_range_hausdorff=grad_range_hausdorff, lip_grad=lip,
+        grad_range_hausdorff=grad_range_hausdorff, lip_grad=field.lip_grad(),
         convexity_violation=field.convexity_violation(),
         slope_spacing=body.spacing, resolutions=res, reference_volume=ref_volume,
     )
@@ -307,9 +299,7 @@ def weight_shift_term(report: CouplingReport, Q) -> float:
     corners = np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]])
     if float(np.min(weight.cone.boundary_distance(corners))) <= 0:
         raise ValueError("Q must be compactly inside the cone")
-    mesh = report.mesh
-    mids = mesh.edge_midpoints().reshape(-1, 2)
-    areas3 = np.repeat(mesh.areas() / 3.0, 3)
+    mids, areas3 = report.mesh.midpoint_rule()
     inside = ((mids[:, 0] >= x0) & (mids[:, 0] <= x1)
               & (mids[:, 1] >= y0) & (mids[:, 1] <= y1))
     if not inside.any():
@@ -379,10 +369,8 @@ def abp_chain_check(report: CouplingReport, chain_constant: float = 4.0) -> Chai
     alpha = weight.alpha
     D = weight.D
     res = report.resolutions
-    mesh = report.mesh
 
-    mids = mesh.edge_midpoints().reshape(-1, 2)
-    areas3 = np.repeat(mesh.areas() / 3.0, 3)
+    mids, areas3 = report.mesh.midpoint_rule()
     band_ok = weight.cone.boundary_distance(mids) > res.band
     mids_b = mids[band_ok]
     areas_b = areas3[band_ok]

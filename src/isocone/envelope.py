@@ -9,7 +9,16 @@ intercept
 
 and the envelope is phi(x) = max over sampled slopes of a(xi) + xi . x.
 The maximizing slope is the envelope's gradient wherever that argmax is
-unique; ties break to the lowest slope index for determinism.
+unique.  Ties break deterministically, by a rule that depends on the path:
+
+  * the dense paths (polygon bodies, and conjugates of fewer than 16
+    samples) keep the lowest index among exact optima;
+  * the structured sector-disk argmax gives ties to the origin slope, then
+    to the first maximizer in ascending angle order (the lowest radius
+    within one angle), which need not be the lowest slope index;
+  * the structured sector-disk conjugate takes, per angle, the first
+    minimizer in Qhull's hull-vertex order, so ``argmin_index`` among tied
+    samples follows that order.  The intercepts themselves are exact.
 
 Slope bodies come in two flavors: polygons (vertex list, counterclockwise;
 two vertices describe a segment) and sector-disks, i.e. the closure of
@@ -253,11 +262,6 @@ def _dedupe(pts, decimals=12):
     return pts[np.sort(idx)]
 
 
-def support_function(body: SlopeBody, v):
-    """Module-level alias for :meth:`SlopeBody.support`."""
-    return body.support(v)
-
-
 @dataclasses.dataclass
 class RestrictedConjugate:
     """Intercepts a(xi) = min_y (u(y) - xi . y) over the sampled region."""
@@ -276,22 +280,31 @@ class RestrictedConjugate:
         return _generic_argmax(self, pts)
 
 
-def _generic_argmax(conj: "RestrictedConjugate", pts):
-    """Chunked dense argmax over all slope samples (any body)."""
-    S = conj.body.samples
-    n, m = len(pts), len(S)
-    best_val = np.full(n, -np.inf)
-    best_idx = np.zeros(n, dtype=np.int64)
-    block = max(1, _CHUNK // max(n, 1))
+def _dense_min(sites, f, queries):
+    """min over sites p of f(p) - q . p for every query q, in chunks.
+
+    Returns the minima and the lowest site index attaining each.  This is
+    the dense form of both the conjugate (sites are samples, queries are
+    slopes) and the envelope argmax (sites are slopes with f = -intercept),
+    and the oracle the structured sector-disk conjugate is tested against.
+    """
+    m = len(queries)
+    vals = np.empty(m)
+    idx = np.empty(m, dtype=np.int64)
+    block = max(1, _CHUNK // max(len(sites), 1))
     for s0 in range(0, m, block):
         s1 = min(m, s0 + block)
-        scores = pts @ S[s0:s1].T + conj.intercepts[s0:s1][None, :]
-        loc = np.argmax(scores, axis=1)
-        val = scores[np.arange(n), loc]
-        better = val > best_val
-        best_val = np.where(better, val, best_val)
-        best_idx = np.where(better, loc + s0, best_idx)
-    return best_val, S[best_idx], best_idx
+        scores = f[None, :] - queries[s0:s1] @ sites.T
+        loc = np.argmin(scores, axis=1)
+        vals[s0:s1] = scores[np.arange(s1 - s0), loc]
+        idx[s0:s1] = loc
+    return vals, idx
+
+
+def _generic_argmax(conj: "RestrictedConjugate", pts):
+    """Dense argmax over all slope samples (any body)."""
+    neg_val, best_idx = _dense_min(conj.body.samples, -conj.intercepts, pts)
+    return -neg_val, conj.body.samples[best_idx], best_idx
 
 
 def _sector_argmax(conj: "RestrictedConjugate", pts):
@@ -345,22 +358,8 @@ def restricted_conjugate(points, values, body: SlopeBody) -> RestrictedConjugate
     if body.polar_shape is not None and len(points) >= 16:
         intercepts, argmin = _sector_conjugate(points, values, body)
     else:
-        intercepts, argmin = _dense_conjugate(points, values, body.samples)
+        intercepts, argmin = _dense_min(points, values, body.samples)
     return RestrictedConjugate(body, points, values, intercepts, argmin)
-
-
-def _dense_conjugate(points, values, S):
-    m = len(S)
-    intercepts = np.empty(m)
-    argmin = np.empty(m, dtype=np.int64)
-    block = max(1, _CHUNK // max(len(points), 1))
-    for s0 in range(0, m, block):
-        s1 = min(m, s0 + block)
-        scores = values[None, :] - S[s0:s1] @ points.T
-        loc = np.argmin(scores, axis=1)
-        intercepts[s0:s1] = scores[np.arange(s1 - s0), loc]
-        argmin[s0:s1] = loc
-    return intercepts, argmin
 
 
 def _sector_conjugate(points, values, body):
@@ -369,7 +368,8 @@ def _sector_conjugate(points, values, body):
     For slopes r * u(theta) with fixed theta, the intercept minimizes the
     linear functional u(y) - r * (u(theta) . y) over the sample cloud, so
     only vertices of the convex hull of {(u(theta) . y, u(y))} can attain
-    it; the dense minimum over all samples is recovered exactly.
+    it; the dense minimum over all samples is recovered exactly.  Among
+    tied samples the argmin is the first in Qhull's vertex order.
     """
     from scipy.spatial import ConvexHull, QhullError
 
@@ -473,6 +473,25 @@ class EnvelopeField:
         return _bilinear(self.xs, self.ys, hess.reshape(hess.shape[:2] + (4,)),
                          pts).reshape(-1, 2, 2)
 
+    def lip_grad(self) -> float:
+        """Largest Lipschitz quotient of the slope field between adjacent nodes."""
+        dx = np.linalg.norm(np.diff(self.xi, axis=1), axis=2) / self.h
+        dy = np.linalg.norm(np.diff(self.xi, axis=0), axis=2) / self.h
+        return float(max(dx.max(), dy.max()))
+
+    def range_hausdorff(self, mask: np.ndarray | None = None):
+        """(distance from the body's samples to the achieved slopes, their count).
+
+        The achieved slopes are sample points, so the distance is one-sided.
+        An optional boolean ``mask`` (ny, nx) keeps only the selected nodes.
+        """
+        xi = self.xi.reshape(-1, 2)
+        if mask is not None:
+            xi = xi[mask.ravel()]
+        cloud = np.unique(xi, axis=0)
+        d, _ = cKDTree(cloud).query(self.body.samples)
+        return float(d.max()), len(cloud)
+
     def convexity_violation(self) -> float:
         """Worst negative midpoint second difference (axes and diagonals)."""
         worst = 0.0
@@ -518,7 +537,9 @@ def k_envelope(conj: RestrictedConjugate, eval_box, resolution: float) -> Envelo
     """Evaluate the envelope phi(x) = max_m (a_m + xi_m . x) on a regular grid.
 
     ``eval_box`` is ((x0, x1), (y0, y1)); ``resolution`` is the grid step.
-    Ties in the argmax resolve to the lowest slope index.
+    Ties in the argmax follow the path's rule (see the module docstring):
+    the lowest slope index on dense bodies, the origin and then ascending
+    angle order on sector-disks.
     """
     (x0, x1), (y0, y1) = eval_box
     nx = int(math.ceil((x1 - x0) / resolution)) + 1
@@ -626,12 +647,6 @@ def check_c11(field: EnvelopeField) -> C11Report:
     completely the achieved slopes cover the body's sample grid (the
     achieved slopes are sample points, so the distance is one-sided).
     """
-    xi = field.xi
-    h = field.h
-    dx = np.linalg.norm(np.diff(xi, axis=1), axis=2) / h
-    dy = np.linalg.norm(np.diff(xi, axis=0), axis=2) / h
-    lip = float(max(dx.max(), dy.max()))
-    cloud = np.unique(xi.reshape(-1, 2), axis=0)
-    tree = cKDTree(cloud)
-    d, _ = tree.query(field.body.samples)
-    return C11Report(lip, float(d.max()), field.convexity_violation(), len(cloud))
+    range_hausdorff, n_distinct = field.range_hausdorff()
+    return C11Report(field.lip_grad(), range_hausdorff, field.convexity_violation(),
+                     n_distinct)

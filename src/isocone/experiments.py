@@ -7,14 +7,12 @@ runs are byte-identical.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
-import os
 
 import numpy as np
 
-from .analysis import ball_volume_growth, shifted_weight_separation
+from .analysis import InadmissibleInputError, ball_volume_growth, shifted_weight_separation
 from .cone_weight import Cone, HomWeight, decompose_subspaces
 from .geometry import StarSet, asymmetry, deficit
 
@@ -46,24 +44,6 @@ def _fmt(v):
     if isinstance(v, float) and math.isnan(v):
         return ""
     return f"{v:.12g}"
-
-
-def _n_workers() -> int:
-    raw = os.environ.get("ISOCONE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _evaluate_members(members, fn):
-    workers = _n_workers()
-    if workers == 1:
-        results = [fn(m) for m in members]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, members))
-    return results
 
 
 def eta_fourier_cos(cone: Cone, mode: int):
@@ -100,8 +80,7 @@ def sharpness_sweep(cone: Cone, weight: HomWeight, eta_fn, eps_list,
         ratio = a / math.sqrt(rep.deficit) if rep.deficit > 1e-9 else float("nan")
         return (eps, rep.deficit, a, ratio)
 
-    rows = _evaluate_members(eps_list, one)
-    rows.sort(key=lambda r: r[0])
+    rows = [one(eps) for eps in eps_list]
     deltas = np.array([r[1] for r in rows])
     asyms = np.array([r[2] for r in rows])
     if np.any(deltas <= 0) or np.any(asyms <= 0):
@@ -154,8 +133,7 @@ def stability_sweep(corpus, weight: HomWeight):
         ratio = a / math.sqrt(rep.deficit) if rep.deficit > 1e-9 else float("nan")
         return (label, rep.deficit, a, ratio)
 
-    rows = _evaluate_members(list(corpus), one)
-    rows.sort(key=lambda r: r[0])
+    rows = sorted((one(item) for item in corpus), key=lambda r: r[0])
     ratios = [r[3] for r in rows if not math.isnan(r[3])]
     probe_ok = all(r[2] <= 1e-4 for r in rows if r[1] <= 1e-8)
     manifest = {
@@ -196,7 +174,7 @@ def translation_diagnostics(cone: Cone, weight: HomWeight, t_list, box=None,
             try:
                 sep = shifted_weight_separation(weight, box, t * d, h=separation_h) \
                     if t > 0 else 0.0
-            except Exception:
+            except InadmissibleInputError:
                 sep = float("nan")
             rows.append((name, t, g, sep))
             growths.append(g)

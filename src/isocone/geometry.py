@@ -43,6 +43,8 @@ class StarSet:
     def __post_init__(self):
         if len(self.thetas) != len(self.radii):
             raise ValueError("angular grid and radii lengths differ")
+        if not np.all(np.isfinite(self.radii)):
+            raise ValueError("radii must be finite")
         if np.any(self.radii <= 0):
             raise ValueError("radii must be strictly positive")
         if np.any(self.radii > self.radius_cap):
@@ -166,15 +168,17 @@ def weighted_volume(star: StarSet, weight: HomWeight) -> float:
     return float(qw @ (star.radii ** weight.D * wv)) / weight.D
 
 
+def boundary_element(star: StarSet, weight: HomWeight) -> np.ndarray:
+    """Weighted arc element r^(D-1) sqrt(1 + (r'/r)^2) w(theta) at each angular node."""
+    r = star.radii
+    dr = star.radial_derivative()
+    return r ** (weight.D - 1.0) * np.sqrt(1.0 + (dr / r) ** 2) * weight.arc_values(star.thetas)
+
+
 def weighted_perimeter(star: StarSet, weight: HomWeight) -> float:
     """Per_w(E) by polar quadrature with the radial-graph arc element."""
     _require_weighted(star, weight)
-    qw = star.quad_weights()
-    wv = weight.arc_values(star.thetas)
-    r = star.radii
-    dr = star.radial_derivative()
-    integrand = r ** (weight.D - 1.0) * np.sqrt(1.0 + (dr / r) ** 2) * wv
-    return float(qw @ integrand)
+    return float(star.quad_weights() @ boundary_element(star, weight))
 
 
 def unit_ball_volume(star_or_cone, weight: HomWeight, n_theta: int | None = None) -> float:
@@ -200,10 +204,18 @@ def deficit(star: StarSet, weight: HomWeight) -> MeasureReport:
         raise ZeroVolumeError("set has zero weighted volume")
     per = weighted_perimeter(star, weight)
     w1 = unit_ball_volume(star, weight)
-    c_star = weight.D * w1 ** (1.0 / weight.D)
-    delta = per / (c_star * vol ** ((weight.D - 1.0) / weight.D)) - 1.0
     r_eq = (vol / w1) ** (1.0 / weight.D)
-    return MeasureReport(vol, per, delta, r_eq)
+    return MeasureReport(vol, per, deficit_value(per, vol, w1, weight.D), r_eq)
+
+
+def deficit_value(per: float, vol: float, unit_volume: float, D: float) -> float:
+    """Per / (c_star * vol^((D-1)/D)) - 1 with c_star = D * unit_volume^(1/D).
+
+    ``unit_volume`` is the measure of the unit ball (of the Wulff shape K in
+    the anisotropic case, where D = 2), so balls score zero.
+    """
+    c_star = D * unit_volume ** (1.0 / D)
+    return per / (c_star * vol ** ((D - 1.0) / D)) - 1.0
 
 
 def _ray_power_measure(lo, hi, D):
@@ -224,23 +236,16 @@ def _ball_ray_interval(thetas, x0, r):
 
 
 def symdiff_with_ball(star: StarSet, weight: HomWeight, x0, r: float) -> float:
-    """w(E symdiff (B_r(x0) cap cone)) for |x0| < r (per-ray segment formula).
+    """w(E symdiff (B_r(x0) cap cone)) for |x0| < r.
 
-    Each ray then meets the ball in a segment containing the origin, so the
-    per-ray symmetric difference is the interval between r_E(theta) and the
-    positive root t+ of t^2 - 2 t (u . x0) + |x0|^2 = r^2.
+    Each ray then meets the ball in a segment containing the origin, as in
+    the star representation of :meth:`StarSet.ball`.
     """
     _require_weighted(star, weight)
     x0 = np.asarray(x0, dtype=float)
     if float(np.linalg.norm(x0)) >= r:
         raise UnsupportedTranslationError("need |x0| < r so every ray meets the ball")
-    b = unit(star.thetas) @ x0
-    t_plus = b + np.sqrt(b * b + r * r - float(x0 @ x0))
-    lo = np.minimum(star.radii, t_plus)
-    hi = np.maximum(star.radii, t_plus)
-    qw = star.quad_weights()
-    wv = weight.arc_values(star.thetas)
-    return float(qw @ (wv * _ray_power_measure(lo, hi, weight.D)))
+    return _symdiff_ball_general(star, weight, x0, r)
 
 
 def _symdiff_ball_general(star: StarSet, weight: HomWeight, x0, r: float) -> float:
@@ -309,13 +314,8 @@ def boundary_weighted_integral(star: StarSet, weight: HomWeight, integrand) -> f
     times the angular weight.
     """
     _require_weighted(star, weight)
-    qw = star.quad_weights()
-    wv = weight.arc_values(star.thetas)
-    r = star.radii
-    dr = star.radial_derivative()
     g = np.asarray(integrand(star.boundary_points()), dtype=float)
-    element = r ** (weight.D - 1.0) * np.sqrt(1.0 + (dr / r) ** 2) * wv
-    return float(qw @ (g * element))
+    return float(star.quad_weights() @ (g * boundary_element(star, weight)))
 
 
 @dataclasses.dataclass(frozen=True)

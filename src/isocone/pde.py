@@ -46,7 +46,9 @@ class TriMesh:
     ``free_edges`` lie on the part of the boundary inside the open cone;
     ``cone_edges`` lie on the cone's boundary rays (empty for full-plane
     sets).  ``rings`` records the structured vertex layout of fan meshes
-    (list of vertex-id arrays, innermost first) when available.
+    (list of vertex-id arrays, innermost first) when available.  Triangles
+    are reordered counterclockwise on construction, so every area is
+    positive.
     """
 
     vertices: np.ndarray
@@ -56,6 +58,10 @@ class TriMesh:
     h: float
     cone: Cone | None = None
     rings: list | None = None
+
+    def __post_init__(self):
+        flip = self.areas() < 0
+        self.triangles = np.where(flip[:, None], self.triangles[:, [0, 2, 1]], self.triangles)
 
     @property
     def n_vertices(self) -> int:
@@ -72,6 +78,28 @@ class TriMesh:
         p = self.vertices[self.triangles]
         return 0.5 * np.stack([p[:, 1] + p[:, 2], p[:, 0] + p[:, 2], p[:, 0] + p[:, 1]],
                               axis=1)
+
+    def midpoint_rule(self):
+        """Edge-midpoint triangle quadrature (exact for quadratics).
+
+        Returns nodes (3T, 2), triangle by triangle in the order of
+        :meth:`edge_midpoints`, and weights (3T,), a third of the area each.
+        """
+        return self.edge_midpoints().reshape(-1, 2), np.repeat(self.areas() / 3.0, 3)
+
+    def free_edge_gauss(self):
+        """Two-point Gauss quadrature on the free edges.
+
+        Returns nodes (2E, 2), edge by edge, with weights (2E,), half the
+        edge length each, and t (2E,), the node's fraction of the way from
+        the edge's first vertex to its second.
+        """
+        pa = self.vertices[self.free_edges[:, 0]]
+        pb = self.vertices[self.free_edges[:, 1]]
+        t = np.tile(_GAUSS2, len(pa))
+        d = np.repeat(pb - pa, 2, axis=0)
+        nodes = np.repeat(pa, 2, axis=0) + t[:, None] * d
+        return nodes, 0.5 * np.linalg.norm(d, axis=1), t
 
     def min_angle_deg(self) -> float:
         p = self.vertices[self.triangles]
@@ -122,7 +150,7 @@ class TriMesh:
                        delimiter=",", header="u", comments="", fmt="%.12g")
 
 
-def _strip_triangles(inner, outer, n_wedges, ring, periodic):
+def _strip_triangles(inner, outer, n_wedges, ring):
     """Mirror-symmetric triangulation of the strip between rings ``ring`` and
     ``ring + 1`` of a graded fan mesh (the outer ring carries one extra node
     per super-wedge).  Within each wedge the pattern pairs inner node j with
@@ -140,7 +168,6 @@ def _strip_triangles(inner, outer, n_wedges, ring, periodic):
             tris.append((a[j], b[j], b[j + 1]))
         for j in range(i):
             tris.append((a[j], b[j + 1], a[j + 1]))
-    _ = periodic
     return tris
 
 
@@ -191,14 +218,8 @@ def fan_triangulate(star: StarSet, target_h: float, min_angle_deg: float = 20.0)
             for j in range(len(first) - 1):
                 tris.append((0, first[j], first[j + 1]))
         for i in range(1, n_r):
-            tris.extend(_strip_triangles(rings[i], rings[i + 1], n0, i, periodic))
+            tris.extend(_strip_triangles(rings[i], rings[i + 1], n0, i))
         triangles = np.array(tris, dtype=np.int64)
-
-        p = vertices[triangles]
-        signed = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                        - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
-        flip = signed < 0
-        triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
         outer = rings[-1]
         if periodic:
@@ -269,15 +290,9 @@ def triangulate_polygon(vertices, target_h: float) -> TriMesh:
             a = vertex_id(va + (t / k) * (vb - va))
             b = vertex_id(va + ((t + 1) / k) * (vb - va))
             free.add((a, b))
-    vertices_arr = np.array(verts)
-    triangles = np.array(tris, dtype=np.int64)
-    p = vertices_arr[triangles]
-    signed = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                    - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
-    triangles[signed < 0] = triangles[signed < 0][:, [0, 2, 1]]
     free_edges = np.array(sorted(free), dtype=np.int64)
-    return TriMesh(vertices_arr, triangles, free_edges, np.zeros((0, 2), dtype=np.int64),
-                   target_h, None, None)
+    return TriMesh(np.array(verts), np.array(tris, dtype=np.int64), free_edges,
+                   np.zeros((0, 2), dtype=np.int64), target_h, None, None)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -303,14 +318,13 @@ class NodalField:
 
 def _p1_gradients(mesh: TriMesh):
     p = mesh.vertices[mesh.triangles]
-    areas = mesh.areas()
     grads = np.empty((len(mesh.triangles), 3, 2))
     for i in range(3):
         e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
         grads[:, i, 0] = -e[:, 1]
         grads[:, i, 1] = e[:, 0]
-    grads /= (2.0 * areas)[:, None, None]
-    return grads, areas
+    grads /= (2.0 * mesh.areas())[:, None, None]
+    return grads
 
 
 def solve_neumann(mesh: TriMesh, problem) -> NodalField:
@@ -323,13 +337,11 @@ def solve_neumann(mesh: TriMesh, problem) -> NodalField:
     preconditioner run in the complement of constants.
     """
     weighted = isinstance(problem, WeightedProblem)
-    grads, areas = _p1_gradients(mesh)
-    mids = mesh.edge_midpoints()
+    grads = _p1_gradients(mesh)
+    mids, mid_wq = mesh.midpoint_rule()
     if weighted:
-        w_mid = problem.weight(mids.reshape(-1, 2)).reshape(-1, 3)
-    else:
-        w_mid = np.ones((len(mesh.triangles), 3))
-    tri_wq = (areas / 3.0)[:, None] * w_mid  # quadrature weights per midpoint
+        mid_wq = mid_wq * problem.weight(mids)
+    tri_wq = mid_wq.reshape(-1, 3)  # quadrature weights per midpoint
 
     nv = mesh.n_vertices
     gg = np.einsum("tid,tjd->tij", grads, grads)
@@ -345,16 +357,10 @@ def solve_neumann(mesh: TriMesh, problem) -> NodalField:
 
     free_vec = np.zeros(nv)
     if weighted:
-        edges = mesh.free_edges
-        boundary_edges = edges
-        for a, b in boundary_edges:
-            pa, pb = mesh.vertices[a], mesh.vertices[b]
-            length = float(np.linalg.norm(pb - pa))
-            for t in _GAUSS2:
-                g = pa + t * (pb - pa)
-                wg = float(problem.weight(g))
-                free_vec[a] += 0.5 * length * wg * (1.0 - t)
-                free_vec[b] += 0.5 * length * wg * t
+        nodes, half_len, t = mesh.free_edge_gauss()
+        wg = half_len * problem.weight(nodes)
+        np.add.at(free_vec, np.repeat(mesh.free_edges, 2, axis=0),
+                  wg[:, None] * np.column_stack([1.0 - t, t]))
     else:
         edges = np.vstack([mesh.free_edges, mesh.cone_edges]) if len(mesh.cone_edges) \
             else mesh.free_edges
@@ -420,13 +426,11 @@ def weighted_h1_error(field: NodalField, grad_exact, weight: HomWeight | None = 
     comparison uses one value per triangle at the three edge midpoints.
     """
     mesh = field.mesh
-    grads, areas = _p1_gradients(mesh)
+    grads = _p1_gradients(mesh)
     gu = np.einsum("tid,ti->td", grads, field.values[mesh.triangles])
-    mids = mesh.edge_midpoints()
-    ge = grad_exact(mids.reshape(-1, 2)).reshape(-1, 3, 2)
+    mids, wq = mesh.midpoint_rule()
     if weight is not None:
-        w_mid = weight(mids.reshape(-1, 2)).reshape(-1, 3)
-    else:
-        w_mid = np.ones((len(mesh.triangles), 3))
+        wq = wq * weight(mids)
+    ge = grad_exact(mids).reshape(-1, 3, 2)
     diff = np.linalg.norm(gu[:, None, :] - ge, axis=2) ** 2
-    return math.sqrt(float(np.sum((areas / 3.0)[:, None] * w_mid * diff)))
+    return math.sqrt(float(np.sum(wq * diff.ravel())))

@@ -41,8 +41,8 @@ class TestMeasure:
     def test_manifest_written(self, tmp_path):
         _code, out = run(tmp_path, "measure", BASE_CONFIG)
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["verb"] == "measure"
-        assert "config_sha256" in manifest and manifest["outputs"] == ["measure.csv"]
+        assert set(manifest) == {"config_sha256", "version", "verb", "seed", "outputs"}
+        assert manifest["verb"] == "measure" and manifest["outputs"] == ["measure.csv"]
 
     def test_determinism_double_run(self, tmp_path):
         _c1, out1 = run(tmp_path, "measure", BASE_CONFIG, out="o1")
@@ -134,6 +134,15 @@ class TestCoupleVerb:
         assert (out / "envelope.csv").exists()
         back = json.loads(json.dumps(report))
         assert back == report  # round-trips to equal values
+
+    @pytest.mark.parametrize("bad", [{"mesh_h": 0.0}, {"eval_h": -0.006},
+                                     {"n_slope": [1, 192]}, {"n_slope": [512, 1]}])
+    def test_bad_resolutions_rejected_before_work(self, tmp_path, bad):
+        config = dict(BASE_CONFIG)
+        config["resolutions"] = {**BASE_CONFIG["resolutions"], **bad}
+        code, out = run(tmp_path, "couple", config)
+        assert code == EXIT_USAGE
+        assert not (out / "couple.csv").exists()
 
 
 class TestVerificationExit:

@@ -46,6 +46,13 @@ def eps_reports():
     return out
 
 
+@pytest.mark.parametrize("window", [4, 1])
+def test_resolutions_reject_bad_hess_window(window):
+    # the other Resolutions checks are exercised through the CLI in test_cli
+    with pytest.raises(ValueError, match="hess_window"):
+        Resolutions(hess_window=window)
+
+
 class TestBallCoupling:
     def test_exact_minimizer_quantities(self, ball_report):
         rep = ball_report

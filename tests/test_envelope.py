@@ -14,7 +14,6 @@ from isocone.envelope import (
     contact_data,
     k_envelope,
     restricted_conjugate,
-    support_function,
 )
 
 DISK = SlopeBody.disk(1.0, 128, 256)
@@ -30,14 +29,14 @@ def quad_cloud(radius=2.0, n_ang=180, n_rad=81):
 
 class TestSupportFunction:
     def test_disk(self):
-        assert support_function(DISK, (3.0, 4.0)) == pytest.approx(5.0)
+        assert DISK.support((3.0, 4.0)) == pytest.approx(5.0)
 
     def test_square_is_l1_norm(self):
-        assert support_function(SQUARE, (3.0, 4.0)) == pytest.approx(7.0)
+        assert SQUARE.support((3.0, 4.0)) == pytest.approx(7.0)
 
     def test_segment(self):
         seg = SlopeBody.polygon([(0.0, 0.0), (1.0, 0.0)])
-        assert support_function(seg, (-2.0, 5.0)) == pytest.approx(0.0)
+        assert seg.support((-2.0, 5.0)) == pytest.approx(0.0)
 
     def test_sector_disk_matches_vertex_enumeration_oracle(self):
         body = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 64, 129)
@@ -103,8 +102,8 @@ class TestRestrictedConjugate:
         vals = 0.5 * np.einsum("ij,ij->i", pts, pts) + 0.3 * pts[:, 0]
         body = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 48, 33)
         conj = restricted_conjugate(pts, vals, body)
-        from isocone.envelope import _dense_conjugate
-        dense_a, _ = _dense_conjugate(pts, vals, body.samples)
+        from isocone.envelope import _dense_min
+        dense_a, _ = _dense_min(pts, vals, body.samples)
         assert np.max(np.abs(conj.intercepts - dense_a)) <= 1e-12
 
     def test_empty_rejected(self):

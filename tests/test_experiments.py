@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from isocone import experiments
 from isocone.cone_weight import Cone, HomWeight
 from isocone.experiments import (
     FitRejectedError,
@@ -125,6 +126,14 @@ class TestDiagnostics:
         oracle = oracle_volume((0.0, 0.1)) - oracle_volume((0.0, 0.0))
         assert row[2] == pytest.approx(oracle, abs=1e-3)
 
+    def test_separation_errors_other_than_inadmissible_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("separation failed")
+
+        monkeypatch.setattr(experiments, "shifted_weight_separation", broken)
+        with pytest.raises(RuntimeError, match="separation failed"):
+            translation_diagnostics(QUADRANT, W_XY, [0.02])
+
 
 class TestDeterminism:
     def test_identical_config_identical_csv(self, tmp_path):
@@ -136,12 +145,3 @@ class TestDeterminism:
             res.to_csv(p)
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    def test_thread_env_does_not_change_rows(self, tmp_path, monkeypatch):
-        res1 = stability_sweep(default_corpus(QUADRANT, W_XY, 1024), W_XY)
-        monkeypatch.setenv("ISOCONE_THREADS", "4")
-        res2 = stability_sweep(default_corpus(QUADRANT, W_XY, 1024), W_XY)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        res1.to_csv(p1)
-        res2.to_csv(p2)
-        assert p1.read_bytes() == p2.read_bytes()

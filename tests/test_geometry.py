@@ -32,6 +32,14 @@ def eta4(thetas):
     return np.cos(4.0 * np.asarray(thetas))
 
 
+class TestStarSetValidation:
+    def test_nan_radius_rejected(self):
+        radii = np.ones(64)
+        radii[10] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            StarSet(QUADRANT, QUADRANT.arc_grid(64), radii)
+
+
 class TestVolume:
     def test_quadrant_xy_unit_ball(self):
         # oracle: (1/4) * int_0^{pi/2} cos sin = 1/8
