@@ -14,10 +14,11 @@ measures every quantity the coupling is supposed to control:
                <= int ((tr+ + alpha (w(grad phi)/w)^(1/a)) / D)^D w
                <= (1 + deficit)^D w(B1 cap cone).
 
-Evaluation nodes within one band of the cone's boundary rays are excluded
-from sup and chain quantities (the weight may vanish there) and reported
-separately.  The Hessian of the envelope is the windowed least-squares
-derivative of the maximizing-slope field; see EnvelopeField.hessian_field.
+Evaluation nodes within one eval step of the cone's boundary rays (the
+band) are excluded from sup and chain quantities (the weight may vanish
+there) and reported separately.  The Hessian of the envelope is the
+windowed least-squares derivative of the maximizing-slope field; see
+EnvelopeField.hessian_field.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .cone_weight import HomWeight
 from .envelope import EnvelopeField, SlopeBody, k_envelope, restricted_conjugate
+from .expectations import EXPECTATIONS
 from .geometry import StarSet, deficit, deficit_value, unit_ball_volume
 from .pde import (
     AnisotropicProblem,
@@ -55,33 +57,29 @@ class AnisotropicMode:
     body: SlopeBody
 
 
+# least-squares window (grid nodes per side) of the envelope Hessian fit
+_HESS_WINDOW = 5
+
+
 @dataclasses.dataclass
 class Resolutions:
     """Discretization knobs: mesh size, slope grid (radial, angular), eval grid.
 
     The radial slope count is cheap (the structured argmax is logarithmic in
     it) and controls how closely the gradient image reaches the outer arc;
-    the angular count sets the reported slope spacing.
+    the angular count sets the reported slope spacing.  The eval step is
+    also the width of the band along the cone's rays.
     """
 
     mesh_h: float = 0.02
     n_slope: tuple = (512, 192)
     eval_h: float = 0.006
-    hess_window: int = 5
-    min_angle_deg: float = 20.0
-    boundary_band: float | None = None  # defaults to eval_h
 
     def __post_init__(self):
         if not (self.mesh_h > 0 and self.eval_h > 0):
             raise ValueError("mesh_h and eval_h must be positive")
         if len(self.n_slope) != 2 or min(self.n_slope) < 2:
             raise ValueError("n_slope needs two counts, each at least 2")
-        if self.hess_window % 2 == 0 or self.hess_window < 3:
-            raise ValueError("hess_window must be odd and at least 3")
-
-    @property
-    def band(self) -> float:
-        return self.eval_h if self.boundary_band is None else self.boundary_band
 
 
 @dataclasses.dataclass
@@ -106,6 +104,7 @@ class CouplingReport:
     slope_spacing: float
     resolutions: Resolutions
     reference_volume: float
+    interior: np.ndarray  # eval nodes in E and outside the band, flat
 
 
 def anisotropic_perimeter(star: StarSet, body: SlopeBody) -> float:
@@ -149,36 +148,24 @@ def _positive_part_eigen(H):
 
 
 def _poly_weighted_measure(vertices, weight: HomWeight) -> float:
-    """Weighted area of a convex polygon by fan triangulation + midpoint refinement."""
+    """Weighted area of a convex polygon: its fan about the centroid, each
+    triangle split twice into four midpoint triangles, then the edge-midpoint
+    rule (exact for quadratic weights) on every piece."""
     v = np.asarray(vertices, dtype=float)
     if len(v) < 3:
         return 0.0
-    centroid = v.mean(axis=0)
-    total = 0.0
-    for i in range(len(v)):
-        tri = np.array([centroid, v[i], v[(i + 1) % len(v)]])
-        total += _tri_weighted_measure(tri, weight, depth=2)
-    return total
-
-
-def _tri_weighted_measure(tri, weight, depth):
-    if depth == 0:
-        area = 0.5 * abs(
-            (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
-            - (tri[1, 1] - tri[0, 1]) * (tri[2, 0] - tri[0, 0])
-        )
-        mids = 0.5 * np.array([tri[1] + tri[2], tri[0] + tri[2], tri[0] + tri[1]])
-        vals = np.clip(weight(mids), 0.0, None)
-        return area / 3.0 * float(vals.sum())
-    m01 = 0.5 * (tri[0] + tri[1])
-    m12 = 0.5 * (tri[1] + tri[2])
-    m02 = 0.5 * (tri[0] + tri[2])
-    return (
-        _tri_weighted_measure(np.array([tri[0], m01, m02]), weight, depth - 1)
-        + _tri_weighted_measure(np.array([m01, tri[1], m12]), weight, depth - 1)
-        + _tri_weighted_measure(np.array([m02, m12, tri[2]]), weight, depth - 1)
-        + _tri_weighted_measure(np.array([m01, m12, m02]), weight, depth - 1)
-    )
+    tri = np.stack([np.broadcast_to(v.mean(axis=0), v.shape), v, np.roll(v, -1, axis=0)],
+                   axis=1)
+    for _ in range(2):
+        p0, p1, p2 = tri[:, 0], tri[:, 1], tri[:, 2]
+        m01, m12, m02 = 0.5 * (p0 + p1), 0.5 * (p1 + p2), 0.5 * (p0 + p2)
+        tri = np.stack([p0, m01, m02, m01, p1, m12, m02, m12, p2, m01, m12, m02],
+                       axis=1).reshape(-1, 3, 2)
+    no_edges = np.zeros((0, 2), dtype=np.int64)
+    pieces = TriMesh(tri.reshape(-1, 2), np.arange(3 * len(tri)).reshape(-1, 3),
+                     no_edges, no_edges, 0.0)
+    nodes, wq = pieces.midpoint_rule()
+    return float(wq @ np.clip(weight(nodes), 0.0, None))
 
 
 def build_coupling(star: StarSet | None, mode, res: Resolutions | None = None,
@@ -195,7 +182,7 @@ def build_coupling(star: StarSet | None, mode, res: Resolutions | None = None,
         raise ValueError("weighted mode needs the star-shaped set")
 
     if mesh is None:
-        mesh = fan_triangulate(star, res.mesh_h, min_angle_deg=res.min_angle_deg)
+        mesh = fan_triangulate(star, res.mesh_h)
     if weighted:
         weight = mode.weight
         problem = WeightedProblem(weight)
@@ -207,10 +194,8 @@ def build_coupling(star: StarSet | None, mode, res: Resolutions | None = None,
         weight = None
         problem = AnisotropicProblem(mode.body)
         body = mode.body
-        if star is not None:
-            delta = anisotropic_deficit(star, body)
-        else:
-            delta = None  # filled from mesh data below
+        # without the set, the deficit comes from mesh data below
+        delta = anisotropic_deficit(star, body) if star is not None else None
         ref_volume = body.area()
 
     u = solve_neumann(mesh, problem)
@@ -238,10 +223,10 @@ def build_coupling(star: StarSet | None, mode, res: Resolutions | None = None,
         in_E &= band_dist > 1e-12  # the set lives in the open cone
     else:
         band_dist = np.full(len(nodes), np.inf)
-    interior = in_E & (band_dist > res.band)
+    interior = in_E & (band_dist > res.eval_h)
     near_boundary = in_E & ~interior
 
-    hess = field.hessian_field(res.hess_window, mask=in_E.reshape(field.phi.shape))
+    hess = field.hessian_field(_HESS_WINDOW, mask=in_E.reshape(field.phi.shape))
 
     lam1, lam2 = _positive_part_eigen(hess.reshape(-1, 2, 2))
     tr_plus = lam1 + lam2
@@ -263,10 +248,7 @@ def build_coupling(star: StarSet | None, mode, res: Resolutions | None = None,
     H_mid = field.interp_hessian(hess, mids)
     dev = H_mid - np.eye(2)[None, :, :]
     frob = np.sqrt(np.einsum("ijk,ijk->i", dev, dev))
-    if weighted:
-        w_mid = weight(mids)
-    else:
-        w_mid = np.ones(len(mids))
+    w_mid = weight(mids) if weighted else 1.0
     hessian_l1 = float(np.sum(areas3 * w_mid * frob))
 
     boundary_term = 0.0
@@ -287,6 +269,7 @@ def build_coupling(star: StarSet | None, mode, res: Resolutions | None = None,
         grad_range_hausdorff=grad_range_hausdorff, lip_grad=field.lip_grad(),
         convexity_violation=field.convexity_violation(),
         slope_spacing=body.spacing, resolutions=res, reference_volume=ref_volume,
+        interior=interior,
     )
 
 
@@ -354,14 +337,15 @@ class ChainRecord:
                 self.terminal)
 
 
-def abp_chain_check(report: CouplingReport, chain_constant: float = 4.0) -> ChainRecord:
+def abp_chain_check(report: CouplingReport) -> ChainRecord:
     """Evaluate each link of the chain on the band-interior part of E.
 
     The gradient-image measure is the weighted area of the convex hull of
     the achieved slopes (the image of a valid coupling is the convex body
-    K up to negligible sets, so the hull is a faithful surrogate).  The
-    link tolerance is chain_constant * (mesh_h + slope spacing) relative
-    to the terminal value.
+    K up to negligible sets, so the hull is a faithful surrogate); slopes
+    that span no area give 0.  The link tolerance is the pinned
+    ``coupling_chain_C`` times (mesh_h + slope spacing), relative to the
+    terminal value.
     """
     if report.mode != "weighted":
         raise ValueError("the chain check applies to weighted mode")
@@ -371,7 +355,7 @@ def abp_chain_check(report: CouplingReport, chain_constant: float = 4.0) -> Chai
     res = report.resolutions
 
     mids, areas3 = report.mesh.midpoint_rule()
-    band_ok = weight.cone.boundary_distance(mids) > res.band
+    band_ok = weight.cone.boundary_distance(mids) > res.eval_h
     mids_b = mids[band_ok]
     areas_b = areas3[band_ok]
 
@@ -387,15 +371,13 @@ def abp_chain_check(report: CouplingReport, chain_constant: float = 4.0) -> Chai
     amgm_integral = float(np.sum(areas_b * amgm_integrand))
     terminal = (1.0 + max(report.delta, 0.0)) ** D * report.reference_volume
 
-    nodes = report.field.grid_points()
-    in_E = report.star.contains(nodes)
-    band_nodes = weight.cone.boundary_distance(nodes) > res.band
-    cloud = np.unique(report.field.xi.reshape(-1, 2)[in_E & band_nodes], axis=0)
-    try:
-        hull = ConvexHull(cloud)
-        image_volume = _poly_weighted_measure(cloud[hull.vertices], weight)
-    except (QhullError, IndexError):
-        image_volume = 0.0
+    cloud = report.field.achieved_slopes(report.interior)
+    image_volume = 0.0
+    if len(cloud) >= 3:
+        try:
+            image_volume = _poly_weighted_measure(cloud[ConvexHull(cloud).vertices], weight)
+        except QhullError:  # collinear slopes: the image has no area
+            pass
 
     # fieldwise quantitative AM-GM audit where the pointwise bound holds
     lam_vec = np.array([1.0, 1.0, alpha])
@@ -411,7 +393,7 @@ def abp_chain_check(report: CouplingReport, chain_constant: float = 4.0) -> Chai
         * (c ** s - geo)
     amgm_violation = float(np.max(lhs_f - rhs_f)) if len(xs) else 0.0
 
-    tol = chain_constant * (res.mesh_h + report.slope_spacing) * terminal
+    tol = EXPECTATIONS["coupling_chain_C"] * (res.mesh_h + report.slope_spacing) * terminal
     violations = (
         max(0.0, image_volume - jacobian_integral),
         max(0.0, jacobian_integral - amgm_integral),

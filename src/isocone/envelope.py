@@ -36,6 +36,7 @@ from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
 from .cone_weight import Cone, unit
+from .pde import fan_lattice
 
 _CHUNK = 16_000_000  # max scratch entries per block in the argmax sweeps
 
@@ -82,24 +83,10 @@ class SlopeBody:
             samples = v[0] + ts[:, None] * seg
             spacing = float(np.linalg.norm(seg)) / (k - 1)
             return SlopeBody("polygon", v, None, 0.0, samples, spacing)
-        centroid = v.mean(axis=0)
-        m = len(v)
-        k = max(2, int(math.ceil(math.sqrt(2.0 * n_samples / m))))
-        pts = []
-        spacing = 0.0
-        for i in range(m):
-            va, vb = v[i], v[(i + 1) % m]
-            ea, eb = va - centroid, vb - centroid
-            spacing = max(
-                spacing,
-                np.linalg.norm(ea) / k,
-                np.linalg.norm(eb) / k,
-                np.linalg.norm(va - vb) / k,
-            )
-            for ii in range(k + 1):
-                for jj in range(k + 1 - ii):
-                    pts.append(centroid + (ii / k) * ea + (jj / k) * eb)
-        samples = _dedupe(np.array(pts))
+        k = max(2, int(math.ceil(math.sqrt(2.0 * n_samples / len(v)))))
+        spokes_and_sides = np.vstack([v - v.mean(axis=0), v - np.roll(v, -1, axis=0)])
+        spacing = max(np.linalg.norm(e) for e in spokes_and_sides) / k
+        samples, _ids = fan_lattice(v, k)
         return SlopeBody("polygon", v, None, 0.0, samples, float(spacing))
 
     @staticmethod
@@ -257,11 +244,6 @@ def _angdiff(a, b):
     return (a - b + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _dedupe(pts, decimals=12):
-    _, idx = np.unique(np.round(pts, decimals), axis=0, return_index=True)
-    return pts[np.sort(idx)]
-
-
 @dataclasses.dataclass
 class RestrictedConjugate:
     """Intercepts a(xi) = min_y (u(y) - xi . y) over the sampled region."""
@@ -274,10 +256,7 @@ class RestrictedConjugate:
 
     def envelope_at(self, pts):
         """(phi, xi*, argmax slope index) at arbitrary points (exact argmax)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.body.polar_shape is not None:
-            return _sector_argmax(self, pts)
-        return _generic_argmax(self, pts)
+        return _argmax(self, np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
 def _dense_min(sites, f, queries):
@@ -301,8 +280,11 @@ def _dense_min(sites, f, queries):
     return vals, idx
 
 
-def _generic_argmax(conj: "RestrictedConjugate", pts):
-    """Dense argmax over all slope samples (any body)."""
+def _argmax(conj: "RestrictedConjugate", pts):
+    """(phi, xi*, slope index) at each point: the structured sweep on
+    sector-disks, the dense argmax over all slope samples otherwise."""
+    if conj.body.polar_shape is not None:
+        return _sector_argmax(conj, pts)
     neg_val, best_idx = _dense_min(conj.body.samples, -conj.intercepts, pts)
     return -neg_val, conj.body.samples[best_idx], best_idx
 
@@ -479,16 +461,24 @@ class EnvelopeField:
         dy = np.linalg.norm(np.diff(self.xi, axis=0), axis=2) / self.h
         return float(max(dx.max(), dy.max()))
 
+    def achieved_slopes(self, mask: np.ndarray | None = None) -> np.ndarray:
+        """The distinct maximizing slopes, in slope-index order.
+
+        An optional boolean ``mask`` (ny, nx), or flat, keeps only the
+        selected nodes.
+        """
+        idx = self.slope_index.ravel()
+        if mask is not None:
+            idx = idx[mask.ravel()]
+        return self.body.samples[np.unique(idx)]
+
     def range_hausdorff(self, mask: np.ndarray | None = None):
         """(distance from the body's samples to the achieved slopes, their count).
 
         The achieved slopes are sample points, so the distance is one-sided.
         An optional boolean ``mask`` (ny, nx) keeps only the selected nodes.
         """
-        xi = self.xi.reshape(-1, 2)
-        if mask is not None:
-            xi = xi[mask.ravel()]
-        cloud = np.unique(xi, axis=0)
+        cloud = self.achieved_slopes(mask)
         d, _ = cKDTree(cloud).query(self.body.samples)
         return float(d.max()), len(cloud)
 
@@ -547,10 +537,7 @@ def k_envelope(conj: RestrictedConjugate, eval_box, resolution: float) -> Envelo
     xs = x0 + resolution * np.arange(nx)
     ys = y0 + resolution * np.arange(ny)
     pts = np.column_stack([np.tile(xs, ny), np.repeat(ys, nx)])
-    if conj.body.polar_shape is not None:
-        best_val, xi_flat, best_idx = _sector_argmax(conj, pts)
-    else:
-        best_val, xi_flat, best_idx = _generic_argmax(conj, pts)
+    best_val, xi_flat, best_idx = _argmax(conj, pts)
     if not np.all(np.isfinite(best_val)):
         raise RuntimeError("envelope argmax failed to exist at some node")
     phi = best_val.reshape(ny, nx)

@@ -74,7 +74,7 @@ def sharpness_sweep(cone: Cone, weight: HomWeight, eta_fn, eps_list,
         raise ValueError("epsilon must stay at or below 0.25")
 
     def one(eps):
-        star = StarSet.perturbed_ball(cone, weight, n_theta, eps, eta_fn, project=True)
+        star = StarSet.perturbed_ball(cone, weight, n_theta, eps, eta_fn)
         rep = deficit(star, weight)
         a, _x0 = asymmetry(star, weight)
         ratio = a / math.sqrt(rep.deficit) if rep.deficit > 1e-9 else float("nan")
@@ -99,7 +99,7 @@ def default_corpus(cone: Cone, weight: HomWeight, n_theta: int = 4096):
     for mode in (2, 3, 4, 5, 6):
         for eps in (0.02, 0.05, 0.1, 0.2):
             star = StarSet.perturbed_ball(cone, weight, n_theta, eps,
-                                          eta_fourier_cos(cone, mode), project=True)
+                                          eta_fourier_cos(cone, mode))
             members.append((f"fourier_m{mode}_e{eps}", star))
     for r in (0.5, 1.0, 2.0):
         members.append((f"ball_r{r}", StarSet.ball(cone, n_theta, r=r)))
@@ -144,8 +144,7 @@ def stability_sweep(corpus, weight: HomWeight):
     return SweepResult(("param", "delta_w", "asym", "ratio"), rows, manifest)
 
 
-def translation_diagnostics(cone: Cone, weight: HomWeight, t_list, box=None,
-                            growth_h: float = 1e-3, separation_h: float = 2e-3):
+def translation_diagnostics(cone: Cone, weight: HomWeight, t_list, box=None):
     """Ball-growth and weight-shift columns for the constancy/rest directions.
 
     For each basis direction d of the constancy and remaining subspaces and
@@ -170,10 +169,9 @@ def translation_diagnostics(cone: Cone, weight: HomWeight, t_list, box=None,
         name = f"{tag}({d[0]:+.6f},{d[1]:+.6f})"
         growths, seps = [], []
         for t in sorted(t_list):
-            g = ball_volume_growth(cone, weight, t * d, h=growth_h) if t > 0 else 0.0
+            g = ball_volume_growth(cone, weight, t * d) if t > 0 else 0.0
             try:
-                sep = shifted_weight_separation(weight, box, t * d, h=separation_h) \
-                    if t > 0 else 0.0
+                sep = shifted_weight_separation(weight, box, t * d) if t > 0 else 0.0
             except InadmissibleInputError:
                 sep = float("nan")
             rows.append((name, t, g, sep))

@@ -122,8 +122,8 @@ class StarSet:
 
     @staticmethod
     def perturbed_ball(cone: Cone, weight: HomWeight, n_theta: int, eps: float,
-                       eta_fn, project: bool = True) -> "StarSet":
-        """r = 1 + eps * eta with eta optionally projected to zero weighted mean.
+                       eta_fn) -> "StarSet":
+        """r = 1 + eps * eta with eta projected to zero weighted mean.
 
         The projection uses the same trapezoidal quadrature as the volume so
         that the first-order volume variation cancels exactly in the discrete
@@ -131,13 +131,12 @@ class StarSet:
         """
         thetas = cone.arc_grid(n_theta)
         eta = np.asarray(eta_fn(thetas), dtype=float)
-        if project:
-            qw = cone.arc_quad_weights(thetas)
-            wv = weight.arc_values(thetas)
-            total = float(qw @ wv)
-            if total <= 0:
-                raise ZeroVolumeError("weight has no mass on the arc")
-            eta = eta - float(qw @ (wv * eta)) / total
+        qw = cone.arc_quad_weights(thetas)
+        wv = weight.arc_values(thetas)
+        total = float(qw @ wv)
+        if total <= 0:
+            raise ZeroVolumeError("weight has no mass on the arc")
+        eta = eta - float(qw @ (wv * eta)) / total
         if np.max(np.abs(eta)) <= 1e-14:
             raise ValueError("perturbation profile vanishes after projection")
         return StarSet(cone, thetas, 1.0 + eps * eta)

@@ -39,6 +39,11 @@ class SolverError(RuntimeError):
 _GAUSS2 = ((0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)))
 
 
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, rounded as np.linalg.norm rounds one vector."""
+    return np.sqrt(d[:, None, :] @ d[:, :, None]).reshape(-1)
+
+
 @dataclasses.dataclass
 class TriMesh:
     """Conforming triangle mesh with tagged boundary edges.
@@ -119,24 +124,21 @@ class TriMesh:
         return float(np.max(e))
 
     def boundary_outward_normals(self, edges: np.ndarray) -> np.ndarray:
-        """Unit outward normals for the given boundary edges."""
-        edge_map = {}
-        for t, tri in enumerate(self.triangles):
-            for i in range(3):
-                key = tuple(sorted((int(tri[i]), int(tri[(i + 1) % 3]))))
-                edge_map.setdefault(key, []).append(t)
-        normals = np.empty((len(edges), 2))
-        for i, (a, b) in enumerate(edges):
-            pa, pb = self.vertices[a], self.vertices[b]
-            t = pb - pa
-            n = np.array([t[1], -t[0]])
-            n /= np.linalg.norm(n)
-            tri = self.triangles[edge_map[tuple(sorted((int(a), int(b))))][0]]
-            third = [v for v in tri if v not in (a, b)][0]
-            if (self.vertices[third] - 0.5 * (pa + pb)) @ n > 0:
-                n = -n
-            normals[i] = n
-        return normals
+        """Unit outward normals for the given boundary edges.
+
+        Triangles are counterclockwise, so a boundary edge (a, b) that some
+        triangle traverses from a to b has the interior on its left and the
+        outward normal (t_y, -t_x) / |t| with t = b - a; an edge given the
+        other way round gets the opposite normal.
+        """
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        t = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
+        n = np.column_stack([t[:, 1], -t[:, 0]])
+        n /= _row_norms(n)[:, None]
+        nv = self.n_vertices
+        directed = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        forward = np.isin(edges[:, 0] * nv + edges[:, 1], directed[:, 0] * nv + directed[:, 1])
+        return np.where(forward[:, None], n, -n)
 
     def dump_csv(self, directory, values=None, prefix: str = "mesh") -> None:
         import os
@@ -246,52 +248,58 @@ def fan_triangulate(star: StarSet, target_h: float, min_angle_deg: float = 20.0)
     raise MeshQualityError("could not satisfy the diameter bound")
 
 
-def triangulate_polygon(vertices, target_h: float) -> TriMesh:
-    """Uniform lattice mesh of a convex polygon (fan about the centroid).
+def fan_lattice(vertices, k: int):
+    """Barycentric lattice of step 1/k on the fan of a polygon about its centroid.
 
-    Every fan triangle is split into a barycentric lattice, so element
-    quality equals the fan triangles' own quality.  All boundary edges are
-    tagged FREE.
+    Fan triangle s is (centroid, v[s], v[s+1]); its node (i, j), i + j <= k,
+    sits at centroid + (i/k) (v[s] - centroid) + (j/k) (v[s+1] - centroid).
+    Neighbouring fan triangles share the nodes of their common spoke.
+    Returns the distinct points in order of first appearance (fan by fan,
+    nodes in (i, j) lexicographic order) and ids (len(vertices), k+1, k+1),
+    the point id of node (i, j) of fan s (-1 where i + j > k).
     """
     v = np.asarray(vertices, dtype=float)
     centroid = v.mean(axis=0)
-    m = len(v)
+    r = np.arange(k + 1)
+    node = r[:, None] + r <= k
+    i, j = np.nonzero(node)
+    ea = v - centroid
+    eb = np.roll(ea, -1, axis=0)
+    pts = (centroid + (i / k)[None, :, None] * ea[:, None, :]
+           + (j / k)[None, :, None] * eb[:, None, :])
+    fresh = np.repeat(node[None], len(v), axis=0)
+    fresh[1:, :, 0] = False  # spoke to v[s], met as (0, t) in fan s - 1
+    fresh[-1, 0, :] = False  # spoke to v[0], met as (t, 0) in fan 0
+    ids = np.full(fresh.shape, -1, dtype=np.int64)
+    ids[fresh] = np.arange(fresh.sum())
+    for s in range(1, len(v)):
+        ids[s, :, 0] = ids[s - 1, 0, :]
+    ids[-1, 0, :] = ids[0, :, 0]
+    return pts[fresh[:, i, j]], ids
+
+
+def triangulate_polygon(vertices, target_h: float) -> TriMesh:
+    """Uniform lattice mesh of a convex polygon (fan about the centroid).
+
+    Every fan triangle is split along its :func:`fan_lattice`, so element
+    quality equals the fan triangles' own quality.  All boundary edges are
+    tagged FREE; they are the lattice edges with i + j = k, in one loop that
+    runs from v[0] the way the vertices do.
+    """
+    v = np.asarray(vertices, dtype=float)
+    centroid = v.mean(axis=0)
     k = max(1, int(math.ceil(max(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).max(),
                                  np.linalg.norm(v - centroid, axis=1).max()) / target_h)))
-    key_to_id = {}
-    verts = []
-
-    def vertex_id(p):
-        key = (round(p[0], 12), round(p[1], 12))
-        if key not in key_to_id:
-            key_to_id[key] = len(verts)
-            verts.append(p)
-        return key_to_id[key]
-
-    tris = []
-    free = set()
-    for s in range(m):
-        va, vb = v[s], v[(s + 1) % m]
-        ea, eb = va - centroid, vb - centroid
-
-        def node(i, j):
-            return vertex_id(centroid + (i / k) * ea + (j / k) * eb)
-
-        for i in range(k):
-            for j in range(k - i):
-                n00 = node(i, j)
-                n10 = node(i + 1, j)
-                n01 = node(i, j + 1)
-                tris.append((n00, n10, n01))
-                if i + j < k - 1:
-                    n11 = node(i + 1, j + 1)
-                    tris.append((n10, n11, n01))
-        for t in range(k):
-            a = vertex_id(va + (t / k) * (vb - va))
-            b = vertex_id(va + ((t + 1) / k) * (vb - va))
-            free.add((a, b))
-    free_edges = np.array(sorted(free), dtype=np.int64)
-    return TriMesh(np.array(verts), np.array(tris, dtype=np.int64), free_edges,
+    points, ids = fan_lattice(v, k)
+    r = np.arange(k)
+    iu, ju = np.nonzero(r[:, None] + r <= k - 1)  # cells with an upward triangle
+    idn, jdn = np.nonzero(r[:, None] + r <= k - 2)  # and those with a downward one
+    tris = np.concatenate([
+        np.stack([ids[:, iu, ju], ids[:, iu + 1, ju], ids[:, iu, ju + 1]], axis=-1),
+        np.stack([ids[:, idn + 1, jdn], ids[:, idn + 1, jdn + 1], ids[:, idn, jdn + 1]],
+                 axis=-1)], axis=1)
+    free = np.stack([ids[:, k - r, r], ids[:, k - r - 1, r + 1]], axis=-1)
+    return TriMesh(points, tris.reshape(-1, 3), free.reshape(-1, 2),
                    np.zeros((0, 2), dtype=np.int64), target_h, None, None)
 
 
@@ -362,15 +370,10 @@ def solve_neumann(mesh: TriMesh, problem) -> NodalField:
         np.add.at(free_vec, np.repeat(mesh.free_edges, 2, axis=0),
                   wg[:, None] * np.column_stack([1.0 - t, t]))
     else:
-        edges = np.vstack([mesh.free_edges, mesh.cone_edges]) if len(mesh.cone_edges) \
-            else mesh.free_edges
-        normals = mesh.boundary_outward_normals(edges)
-        for (a, b), n in zip(edges, normals):
-            pa, pb = mesh.vertices[a], mesh.vertices[b]
-            length = float(np.linalg.norm(pb - pa))
-            datum = float(problem.body.support(n))
-            free_vec[a] += 0.5 * length * datum
-            free_vec[b] += 0.5 * length * datum
+        edges = np.vstack([mesh.free_edges, mesh.cone_edges])
+        half_len = 0.5 * _row_norms(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]])
+        datum = problem.body.support(mesh.boundary_outward_normals(edges))
+        np.add.at(free_vec, edges, (half_len * datum)[:, None])
 
     total_mass = float(mass_vec.sum())
     total_free = float(free_vec.sum())

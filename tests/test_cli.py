@@ -144,6 +144,17 @@ class TestCoupleVerb:
         assert code == EXIT_USAGE
         assert not (out / "couple.csv").exists()
 
+    def test_tiny_set_chain_has_zero_image(self, tmp_path):
+        # the band leaves no eval node of this set, so the chain sees no slope
+        config = dict(BASE_CONFIG)
+        config["set"] = {"ball": {"r": 0.008}}
+        config["resolutions"] = {"n_theta": 1024, "mesh_h": 0.004,
+                                 "n_slope": [64, 48], "eval_h": 0.006}
+        code, out = run(tmp_path, "couple", config)
+        assert code != EXIT_USAGE
+        report = json.loads((out / "report.json").read_text())
+        assert report["chain"]["values"][0] == 0.0
+
 
 class TestVerificationExit:
     def test_exceeding_pinned_one_dim_bound_flags(self, tmp_path):

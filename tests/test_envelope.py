@@ -188,6 +188,24 @@ class TestKEnvelope:
         assert np.max(np.abs(phi - vals)) <= 2.0 * (h_pts + body.spacing)
 
 
+class TestAchievedSlopes:
+    @pytest.mark.parametrize("body", [SlopeBody.sector_disk(Cone.quadrant(), 1.0, 32, 48),
+                                      SlopeBody.polygon([(-1.0, 0.0), (1.0, -0.5),
+                                                         (0.5, 1.0)], n_samples=2000)])
+    def test_matches_unique_slope_rows(self, body):
+        pts = quad_cloud(radius=1.5, n_ang=60, n_rad=21)
+        vals = 0.5 * np.einsum("ij,ij->i", pts, pts) + 0.2 * pts[:, 0] ** 3
+        field = k_envelope(restricted_conjugate(pts, vals, body), ((-1.0, 1.0), (-1.0, 1.0)),
+                           0.05)
+        xi = field.xi.reshape(-1, 2)
+        mask = field.grid_points()[:, 1] > 0.3
+        for m in (None, mask, mask.reshape(field.phi.shape)):
+            got = field.achieved_slopes(m)
+            want = np.unique(xi if m is None else xi[m.ravel()], axis=0)
+            assert len(got) == len(want)
+            assert np.array_equal(np.unique(got, axis=0), want)
+
+
 class TestContactData:
     @staticmethod
     def grid_samples():

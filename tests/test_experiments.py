@@ -110,7 +110,7 @@ class TestDiagnostics:
 
     def test_growth_column_against_oracle(self):
         # midpoint tensor oracle at h = 5e-4 for one direction/magnitude
-        table = translation_diagnostics(QUADRANT, W_X, [0.1], growth_h=1e-3)
+        table = translation_diagnostics(QUADRANT, W_X, [0.1])
         row = next(r for r in table.rows if r[0].startswith("C") and r[1] == 0.1)
         h = 5e-4
 

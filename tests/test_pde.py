@@ -12,6 +12,7 @@ from isocone.pde import (
     SolverError,
     TriMesh,
     WeightedProblem,
+    fan_lattice,
     fan_triangulate,
     solve_neumann,
     triangulate_polygon,
@@ -72,6 +73,83 @@ class TestFanTriangulate:
         assert np.all(mesh.areas() > 0)
         on_boundary = mesh.vertices[np.unique(mesh.free_edges.ravel())]
         assert np.allclose(np.max(np.abs(on_boundary), axis=1), 1.0, atol=1e-12)
+
+
+def _third_vertices(mesh, edges):
+    """The vertex opposite each boundary edge in its one triangle."""
+    tri = np.sort(mesh.triangles, axis=1)
+    out = []
+    for a, b in edges:
+        rows = tri[np.isin(tri, [a, b]).sum(axis=1) == 2]
+        assert len(rows) == 1
+        out.append(next(v for v in rows[0] if v not in (a, b)))
+    return np.array(out)
+
+
+def _assert_outward(mesh, edges, normals):
+    assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-14)
+    mid = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+    away = np.einsum("ij,ij->i", mesh.vertices[_third_vertices(mesh, edges)] - mid, normals)
+    assert np.all(away < 0)
+
+
+class TestBoundaryNormals:
+    @pytest.mark.parametrize("cone", [QUADRANT, Cone.sector(np.pi / 3, 0.3)])
+    def test_wedge_fan_mesh(self, cone):
+        mesh = fan_triangulate(StarSet.ball(cone, 1024), 0.05)
+        for edges in (mesh.free_edges, mesh.cone_edges, mesh.cone_edges[:, ::-1]):
+            _assert_outward(mesh, edges, mesh.boundary_outward_normals(edges))
+        n_lo, n_hi = cone.inward_normals()
+        ends = mesh.vertices[mesh.cone_edges]
+        on_lo = np.all(np.abs(ends @ n_lo) <= 1e-12, axis=1)
+        expected = np.where(on_lo[:, None], -n_lo, -n_hi)
+        assert 0 < on_lo.sum() < len(on_lo)
+        assert np.allclose(mesh.boundary_outward_normals(mesh.cone_edges), expected,
+                           atol=1e-14)
+
+    def test_polygon_mesh(self):
+        mesh = triangulate_polygon([(0.0, -1.0), (1.2, 0.1), (0.3, 1.0), (-0.9, 0.4)], 0.1)
+        _assert_outward(mesh, mesh.free_edges, mesh.boundary_outward_normals(mesh.free_edges))
+
+
+class TestPolygonLattice:
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    @pytest.mark.parametrize("verts", [[(-1, -1), (1, -1), (1, 1), (-1, 1)],
+                                       [(0.1, -1.0), (1.2, 0.1), (0.3, 1.0), (-0.9, 0.4),
+                                        (-0.7, -0.6)]])
+    def test_fan_lattice_matches_loop(self, verts, k):
+        v = np.asarray(verts, dtype=float)
+        c = v.mean(axis=0)
+        node_points = {}  # first appearance order, keyed by exact coordinates
+        for s in range(len(v)):
+            ea, eb = v[s] - c, v[(s + 1) % len(v)] - c
+            for i in range(k + 1):
+                for j in range(k + 1 - i):
+                    p = c + (i / k) * ea + (j / k) * eb
+                    node_points.setdefault(tuple(p), []).append((s, i, j))
+        points, ids = fan_lattice(v, k)
+        assert np.array_equal(points, np.array(list(node_points)))
+        for n, nodes in enumerate(node_points.values()):
+            assert all(ids[node] == n for node in nodes)
+        assert np.sum(ids >= 0) == sum(len(nodes) for nodes in node_points.values())
+
+    def test_free_edges_close_one_ccw_loop(self):
+        verts = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
+        mesh = triangulate_polygon(verts, 0.1)
+        free = mesh.free_edges
+        # each edge starts where the previous one ends, and the last closes the loop
+        assert np.array_equal(free[:, 0], np.roll(free[:, 1], 1))
+        assert len(np.unique(free[:, 0])) == len(free)
+        p = mesh.vertices[free[:, 0]]
+        q = mesh.vertices[free[:, 1]]
+        assert 0.5 * np.sum(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]) == pytest.approx(4.0)
+        # each free edge is a side of exactly one triangle
+        tri = mesh.triangles
+        sides = np.sort(np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
+        keys, counts = np.unique(sides, axis=0, return_counts=True)
+        owners = {tuple(k): c for k, c in zip(keys.tolist(), counts)}
+        assert all(owners[tuple(e)] == 1 for e in np.sort(free, axis=1).tolist())
+        assert sum(c == 1 for c in counts) == len(free)
 
 
 class TestWeightedSolve:

@@ -1,0 +1,47 @@
+"""Output drift guard: four fast configs checked against perfbench/reference.json.
+
+Each config runs through ``isocone.cli.main`` and its outputs are compared
+with the recorded reference entry by ``perfbench/reference.check``, which
+holds tie-independent values to rounding and the exit code exactly (or
+within the verdict's own tolerance). ``perfbench/`` is only read.
+"""
+
+import json
+import os
+import sys
+
+import pytest
+
+from isocone.cli import main
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+sys.path.insert(0, PERFBENCH)
+
+import reference  # noqa: E402
+import workloads  # noqa: E402
+
+CASES = {
+    "sector_envelope": ("envelope", workloads.envelope_sector("half_y", 0.75)),
+    "polygon_envelope": ("envelope", workloads.envelope_polygon(workloads.DIAMOND)),
+    "quadrant_couple_readme": ("couple",
+                               workloads.couple_weighted("quadrant_xy", "readme", 0.05, 3)),
+    "polygon_couple_coarse": ("couple", workloads.couple_anisotropic(
+        workloads.SEEDED_POLYGONS[0], eval_h=0.02, mesh_h=0.04, r=0.8, center=[-0.2, 0.2])),
+}
+
+
+@pytest.fixture(scope="module")
+def table():
+    return reference.load()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_matches_reference(case, table, tmp_path):
+    verb, config = CASES[case]
+    entry = table[workloads.config_key(verb, config)]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main([verb, "--config", str(path), "--out", str(out)])
+    assert reference.check(entry, code, reference.extract(verb, str(out))) == []
