@@ -23,6 +23,7 @@ from .geometry import (
     boundary_weighted_integral,
     deficit,
     deficit_value,
+    power_mass,
     symdiff_with_ball,
     unit_ball_volume,
     weighted_volume,
@@ -40,6 +41,23 @@ class HypothesisFailure(ValueError):
 # ---------------------------------------------------------------------------
 # Quantitative AM-GM
 # ---------------------------------------------------------------------------
+
+def amgm_sides(lam, x, c):
+    """Both sides of the quantitative AM-GM bound over leading axes.
+
+    ``lam`` and ``x`` hold the weights and points along the last axis and
+    ``c`` one center per leading index; returns (lhs, rhs) with
+
+        lhs = sum lambda_i (x_i - c)^2,
+        rhs = (8/3) * c^(2-s) * s^3 / min(lambda)^2 * (c^s - prod x_i^lambda_i).
+    """
+    c = np.asarray(c, dtype=float)
+    s = lam.sum(axis=-1)
+    lhs = (lam * (x - c[..., None]) ** 2).sum(axis=-1)
+    geo = np.prod(x ** lam, axis=-1)
+    rhs = (8.0 / 3.0) * c ** (2.0 - s) * s ** 3 / lam.min(axis=-1) ** 2 * (c ** s - geo)
+    return lhs, rhs
+
 
 def quantitative_amgm_check(lambdas, xs, c: float):
     """Check the quantitative weighted AM-GM bound.
@@ -61,9 +79,7 @@ def quantitative_amgm_check(lambdas, xs, c: float):
         raise InadmissibleInputError(f"need sum(lambda) >= 1, got {s}")
     if float(lam @ x) > c * s * (1.0 + 1e-15):
         raise InadmissibleInputError("hypothesis sum(lambda_i x_i) <= c*s fails")
-    lhs = float(lam @ (x - c) ** 2)
-    geo = float(np.prod(x ** lam))
-    rhs = (8.0 / 3.0) * c ** (2.0 - s) * s ** 3 / float(lam.min()) ** 2 * (c ** s - geo)
+    lhs, rhs = (float(v) for v in amgm_sides(lam, x, c))
     holds = lhs <= rhs + 1e-12 * max(1.0, rhs)
     return lhs, rhs, holds
 
@@ -87,9 +103,7 @@ def quantitative_amgm_batch(n: int, seed: int = 0, max_m: int = 6):
         x = rng.uniform(0.0, 2.0, size=(per_m, m))
         cap = c * s / np.maximum((lam * x).sum(axis=1), 1e-300)
         x *= (cap * rng.uniform(0.0, 1.0, size=per_m))[:, None]
-        lhs = (lam * (x - c[:, None]) ** 2).sum(axis=1)
-        geo = np.prod(x ** lam, axis=1)
-        rhs = (8.0 / 3.0) * c ** (2.0 - s) * s ** 3 / lam.min(axis=1) ** 2 * (c ** s - geo)
+        lhs, rhs = amgm_sides(lam, x, c)
         rel = (lhs - rhs) / np.maximum(1.0, rhs)
         worst = max(worst, float(rel.max()))
     return worst
@@ -120,8 +134,7 @@ class IntervalSet:
 
     def measure(self, power: float = 0.0) -> float:
         """integral over E of t^power dt."""
-        p = power + 1.0
-        return sum((b ** p - a ** p) / p for a, b in self.intervals)
+        return sum(power_mass(a, b, power + 1.0) for a, b in self.intervals)
 
     def boundary(self, include_origin: bool = False):
         """Sorted endpoint multiset; an endpoint at 0 is excluded by default."""
@@ -132,29 +145,13 @@ class IntervalSet:
             pts.append(b)
         return sorted(pts)
 
-    def complement_measure_in(self, lo: float, hi: float, power: float = 0.0) -> float:
-        """integral of t^power over [lo, hi] minus E."""
-        p = power + 1.0
-        total = (hi ** p - lo ** p) / p
-        for a, b in self.intervals:
-            aa, bb = max(a, lo), min(b, hi)
-            if bb > aa:
-                total -= (bb ** p - aa ** p) / p
-        return total
-
-    def symdiff_measure_with(self, lo: float, hi: float, power: float = 0.0) -> float:
-        """integral of t^power over E symdiff [lo, hi]."""
-        p = power + 1.0
-        inter = 0.0
-        for a, b in self.intervals:
-            aa, bb = max(a, lo), min(b, hi)
-            if bb > aa:
-                inter += (bb ** p - aa ** p) / p
-        return self.measure(power) + (hi ** p - lo ** p) / p - 2.0 * inter
+    def overlap(self, lo: float, hi: float, power: float = 0.0) -> float:
+        """integral of t^power over E cap [lo, hi]."""
+        return sum(power_mass(max(a, lo), min(b, hi), power + 1.0)
+                   for a, b in self.intervals if min(b, hi) > max(a, lo))
 
 
-def one_dim_stability_check(E: IntervalSet, l: float, gamma: float,
-                            include_origin: bool = False):
+def one_dim_stability_check(E: IntervalSet, l: float, gamma: float):
     """One-dimensional stability of [0, l] under the weight t^gamma.
 
     Returns (lhs, denominator, ratio) where
@@ -170,9 +167,10 @@ def one_dim_stability_check(E: IntervalSet, l: float, gamma: float,
         raise InadmissibleInputError("l must lie in [3/4, 5/4]")
     if gamma < 0:
         raise InadmissibleInputError("gamma must be nonnegative")
-    lhs = E.symdiff_measure_with(0.0, l, gamma)
-    den = E.complement_measure_in(0.0, 0.5, gamma)
-    den += sum(t ** gamma * abs(l - t) for t in E.boundary(include_origin))
+    p = gamma + 1.0
+    lhs = E.measure(gamma) + power_mass(0.0, l, p) - 2.0 * E.overlap(0.0, l, gamma)
+    den = power_mass(0.0, 0.5, p) - E.overlap(0.0, 0.5, gamma)
+    den += sum(t ** gamma * abs(l - t) for t in E.boundary())
     ratio = 0.0 if lhs == 0.0 else (math.inf if den == 0.0 else lhs / den)
     return lhs, den, ratio
 
@@ -186,11 +184,11 @@ def one_dim_stability_batch(endpoints: np.ndarray, l: float, gamma: float):
     p = gamma + 1.0
     a = endpoints[:, 0::2]
     b = endpoints[:, 1::2]
-    measure = ((b ** p - a ** p) / p).sum(axis=1)
-    inter = np.where(a < l, (np.minimum(b, l) ** p - np.minimum(a, l) ** p) / p, 0.0)
-    lhs = measure + l ** p / p - 2.0 * inter.sum(axis=1)
-    covered = np.where(a < 0.5, (np.minimum(b, 0.5) ** p - np.minimum(a, 0.5) ** p) / p, 0.0)
-    den = 0.5 ** p / p - covered.sum(axis=1)
+    measure = power_mass(a, b, p).sum(axis=1)
+    inter = np.where(a < l, power_mass(np.minimum(a, l), np.minimum(b, l), p), 0.0)
+    lhs = measure + power_mass(0.0, l, p) - 2.0 * inter.sum(axis=1)
+    covered = np.where(a < 0.5, power_mass(np.minimum(a, 0.5), np.minimum(b, 0.5), p), 0.0)
+    den = power_mass(0.0, 0.5, p) - covered.sum(axis=1)
     bd_a = np.where(a > 0, np.where(a > 0, a, 1.0) ** gamma * np.abs(l - a), 0.0)
     bd_b = b ** gamma * np.abs(l - b)
     den = den + bd_a.sum(axis=1) + bd_b.sum(axis=1)
@@ -251,21 +249,26 @@ def shift_lower_bound(eta_breaks, eta_values, a: float, b: float, eps: float):
 # Translation diagnostics (ball growth and weight-shift separation)
 # ---------------------------------------------------------------------------
 
-def _interval_weight_integral(weight: HomWeight, x: float, ylo: float, yhi: float) -> float:
-    """integral of w(x, y) dy over [ylo, yhi]; closed form for monomials."""
-    if yhi <= ylo:
-        return 0.0
+def _segment_weight_integral(weight: HomWeight, p, q) -> float:
+    """integral of w over the straight segment [p, q].
+
+    Closed form for monomial weights on axis-parallel segments (the weight
+    is a power of the free coordinate there), 8-point Gauss-Legendre
+    otherwise.
+    """
     if weight.exponents is not None:
-        a1, a2 = weight.exponents
-        if x <= 0 and a1 > 0:
-            return 0.0
-        fx = x ** a1 if a1 > 0 else 1.0
-        p = a2 + 1.0
-        return fx * (yhi ** p - ylo ** p) / p
+        for along in (1, 0):
+            fixed = 1 - along
+            if abs(p[fixed] - q[fixed]) < 1e-15:
+                lo, hi = sorted((p[along], q[along]))
+                # scalar ** keeps 0^0 = 1 and 0^a = 0, as _safe_pow does for arrays
+                f = max(p[fixed], 0.0) ** weight.exponents[fixed]
+                return float(f * power_mass(lo, hi, weight.exponents[along] + 1.0))
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
     nodes, gw = np.polynomial.legendre.leggauss(8)
-    ys = 0.5 * (yhi + ylo) + 0.5 * (yhi - ylo) * nodes
-    pts = np.column_stack([np.full_like(ys, x), ys])
-    return 0.5 * (yhi - ylo) * float(gw @ weight(pts))
+    pts = 0.5 * (p + q) + 0.5 * nodes[:, None] * (q - p)
+    return 0.5 * float(np.linalg.norm(q - p)) * float(gw @ weight(pts))
 
 
 def _cone_vertical_slice(cone: Cone, x: float):
@@ -304,7 +307,7 @@ def shifted_ball_volume(cone: Cone, weight: HomWeight, center, r: float = 1.0,
         clo, chi = _cone_vertical_slice(cone, x)
         lo, hi = max(ylo, clo), min(yhi, chi)
         if hi > lo:
-            total += _interval_weight_integral(weight, x, lo, hi)
+            total += _segment_weight_integral(weight, (x, lo), (x, hi))
     return total * h
 
 
@@ -380,13 +383,12 @@ class CheegerResult:
 
 def _cheeger_ratio_1d(F_endpoints, E: IntervalSet, alpha: float):
     """(w(F), Per_w(F), shared boundary weight) for one candidate subset."""
-    p = alpha + 1.0
     e_bound = set()
     for t in E.boundary():
         e_bound.add(round(t, 12))
     vol = per = shared = 0.0
     for a, b in F_endpoints:
-        vol += (b ** p - a ** p) / p
+        vol += power_mass(a, b, alpha + 1.0)
         for t in (a, b):
             if t <= 1e-14:
                 continue
@@ -463,30 +465,6 @@ def _cheeger_1d(E: IntervalSet, alpha: float, n_grid: int = 48,
     return CheegerResult(best_ratio, best, best_ratio - 1.0)
 
 
-def _edge_weight_integral(weight: HomWeight, p, q) -> float:
-    """integral of w over the straight cell edge [p, q]; exact for monomials."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if weight.exponents is not None:
-        a1, a2 = weight.exponents
-        if abs(p[0] - q[0]) < 1e-15:
-            if p[0] <= 0 and a1 > 0:
-                return 0.0
-            fx = p[0] ** a1 if a1 > 0 else 1.0
-            e = a2 + 1.0
-            ylo, yhi = sorted((p[1], q[1]))
-            return fx * (yhi ** e - ylo ** e) / e
-        if abs(p[1] - q[1]) < 1e-15:
-            if p[1] <= 0 and a2 > 0:
-                return 0.0
-            fy = p[1] ** a2 if a2 > 0 else 1.0
-            e = a1 + 1.0
-            xlo, xhi = sorted((p[0], q[0]))
-            return fy * (xhi ** e - xlo ** e) / e
-    mid = 0.5 * (p + q)
-    return float(weight(mid)) * float(np.linalg.norm(q - p))
-
-
 def _enumerate_connected_subsets(adj):
     """All connected subsets of a small graph, each yielded exactly once.
 
@@ -548,7 +526,7 @@ def _cheeger_2d(grid: GridSet, weight: HomWeight):
             if on_cone_boundary(p, q):
                 w = 0.0
             else:
-                w = _edge_weight_integral(weight, p, q)
+                w = _segment_weight_integral(weight, p, q)
             edge_w[key] = w
             edge_neighbor[key] = index.get(nb)
             edge_on_e_boundary[key] = index.get(nb) is None
@@ -613,12 +591,15 @@ class FmpConstants:
     D: float
     k: float
     t_samples: np.ndarray
-    psi_samples: np.ndarray
 
     def psi(self, t):
         e = (self.D - 1.0) / self.D
         t = np.asarray(t, dtype=float)
         return t ** e + (1.0 - t) ** e - 1.0
+
+    @property
+    def psi_samples(self) -> np.ndarray:
+        return self.psi(self.t_samples)
 
 
 def psi_k(D: float, n_samples: int = 1001) -> FmpConstants:
@@ -629,11 +610,8 @@ def psi_k(D: float, n_samples: int = 1001) -> FmpConstants:
     """
     if D <= 1:
         raise InadmissibleInputError("effective dimension must exceed 1")
-    e = (D - 1.0) / D
-    k = (2.0 - 2.0 ** e) / 3.0
-    t = np.linspace(0.0, 1.0, n_samples)
-    psi = t ** e + (1.0 - t) ** e - 1.0
-    return FmpConstants(D, k, t, psi)
+    k = (2.0 - 2.0 ** ((D - 1.0) / D)) / 3.0
+    return FmpConstants(D, k, np.linspace(0.0, 1.0, n_samples))
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +632,7 @@ def _sector_cut_weight(star: StarSet, weight: HomWeight, theta: float) -> float:
     """H^1_w of the radial segment {t*u(theta): 0 < t < r(theta)}."""
     r = float(star.radius_at(theta))
     w_arc = float(weight.arc_values(np.array([theta]))[0])
-    return w_arc * r ** (weight.D - 1.0) / (weight.D - 1.0)
+    return w_arc * power_mass(0.0, r, weight.D - 1.0)
 
 
 def _arc_mask(star: StarSet, theta_a: float, theta_b: float):
@@ -763,16 +741,11 @@ def trace_poincare_check_1d(E: IntervalSet, pieces, alpha: float,
         poincare rhs = D (1 - 1/tau) * ( integral |f-c|^(D/(D-1)) w )^((D-1)/D).
     """
     D = 1.0 + alpha
-    p = alpha + 1.0
-
-    def wmass(lo, hi):
-        return (hi ** p - lo ** p) / p
-
     items = sorted(((iv, v) for iv, v in pieces), key=lambda t: t[0][0])
-    total = sum(wmass(lo, hi) for (lo, hi), _v in items)
+    total = sum(power_mass(lo, hi, D) for (lo, hi), _v in items)
     by_value = {}
     for (lo, hi), v in items:
-        by_value[v] = by_value.get(v, 0.0) + wmass(lo, hi)
+        by_value[v] = by_value.get(v, 0.0) + power_mass(lo, hi, D)
     acc = 0.0
     median = items[-1][1]
     for v in sorted(by_value):
@@ -804,6 +777,6 @@ def trace_poincare_check_1d(E: IntervalSet, pieces, alpha: float,
     trace_rhs = (tau - 1.0) * trace_sum
 
     q = D / (D - 1.0)
-    integral = sum(abs(v - median) ** q * wmass(lo, hi) for (lo, hi), v in items)
+    integral = sum(abs(v - median) ** q * power_mass(lo, hi, D) for (lo, hi), v in items)
     poincare_rhs = D * (1.0 - 1.0 / tau) * integral ** ((D - 1.0) / D)
     return TracePoincareReport(median, lhs, trace_rhs, poincare_rhs)

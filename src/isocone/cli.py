@@ -44,15 +44,13 @@ from .envelope import SlopeBody, check_c11, k_envelope, restricted_conjugate
 from .expectations import EXPECTATIONS
 from .experiments import (
     default_corpus,
+    emit_csv,
     eta_fourier_cos,
     sharpness_sweep,
     stability_sweep,
     translation_diagnostics,
 )
 from .geometry import StarSet, asymmetry, deficit
-
-VERBS = ("measure", "couple", "sweep", "sharpness", "diag", "check-amgm",
-         "check-1d", "check-fmp", "envelope")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,14 +107,6 @@ def parse_resolutions(spec) -> dict:
             val = spec[key]
             res[key] = tuple(val) if key == "n_slope" else val
     return res
-
-
-def emit_csv(path, columns, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                v if isinstance(v, str) else f"{v:.12g}" for v in row) + "\n")
 
 
 def emit_json(path, payload) -> None:
@@ -196,6 +186,9 @@ def _run_couple(config, out_dir, seed):
         "grad_range_hausdorff": report.grad_range_hausdorff,
         "slope_spacing": report.slope_spacing,
         "lip_grad": report.lip_grad,
+        "n_interior_nodes": int(report.interior.sum()),
+        "pcg_iterations": report.u.iterations,
+        "pcg_residual": report.u.residual,
         "files": {"scalars": "couple.csv", "envelope": "envelope.csv"},
     }
     if report.mode == "weighted":
@@ -206,6 +199,8 @@ def _run_couple(config, out_dir, seed):
             "link_violations": list(chain.link_violations),
             "tol": chain.tol_chain,
             "ordered": chain.ordered,
+            "amgm_field_violation": chain.amgm_field_violation,
+            "n_precondition_failures": chain.n_precondition_failures,
         }
         if report.delta > 1e-10:
             q = config.get("Q", ((0.2, 0.6), (0.2, 0.6)))
@@ -370,7 +365,7 @@ RUNNERS = {
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="isocone", add_help=True)
-    parser.add_argument("verb", choices=VERBS)
+    parser.add_argument("verb", choices=RUNNERS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=".")
     parser.add_argument("--seed", type=int, default=0)

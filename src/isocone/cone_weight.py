@@ -15,6 +15,7 @@ characterizes concavity of w^(1/alpha).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -76,10 +77,6 @@ class Cone:
         if self.full_plane:
             return 2
         return 1 if abs(self.opening - math.pi) <= 1e-12 else 0
-
-    @property
-    def is_half_plane(self) -> bool:
-        return self.k == 1
 
     def basis_L(self) -> tuple[np.ndarray, ...]:
         """Orthonormal basis of the subspace of lines contained in the cone."""
@@ -287,10 +284,7 @@ class HomWeight:
             raise InadmissibleWeightError("weight is not alpha-homogeneous")
         x = self._interior_samples(ADMISSION_PAIRS, rng)
         z = self._interior_samples(ADMISSION_PAIRS, rng)
-        wx = self(x)
-        ok = wx > 0
-        lhs = self.alpha * (self(z)[ok] / wx[ok]) ** (1.0 / self.alpha)
-        rhs = np.einsum("ij,ij->i", self.grad(x[ok]), z[ok]) / wx[ok]
+        lhs, rhs = concavity_sides(self, x, z)
         worst = np.min(rhs - lhs)
         tol = ADMISSION_TOL
         if self.profile_thetas is not None:
@@ -336,20 +330,32 @@ def weight_eval_grad(weight: HomWeight, x):
     return float(weight(x)), weight.grad(x)
 
 
+def concavity_sides(weight: HomWeight, x, z):
+    """Both sides of the concave-root criterion for point pairs (x, z).
+
+    Returns (lhs, rhs) = (alpha (w(z)/w(x))^(1/alpha), grad w(x) . z / w(x))
+    over the rows of the (n, 2) arrays with w(x) > 0; the criterion is
+    lhs <= rhs.
+    """
+    wx = weight(x)
+    ok = wx > 0
+    wx, z = wx[ok], z[ok]
+    lhs = weight.alpha * (weight(z) / wx) ** (1.0 / weight.alpha)
+    rhs = np.einsum("ij,ij->i", weight.grad(x[ok]), z) / wx
+    return lhs, rhs
+
+
 def check_concavity_condition(weight: HomWeight, x, z) -> float:
     """Residual (RHS - LHS) of the concave-root criterion at interior x, z.
 
     Nonnegative for admissible weights; a negative residual flags a weight
     whose alpha-th root is not concave.
     """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    wx, gx = float(weight(x)), weight.grad(x)
-    if wx <= 0.0:
+    lhs, rhs = concavity_sides(weight, np.atleast_2d(np.asarray(x, dtype=float)),
+                               np.atleast_2d(np.asarray(z, dtype=float)))
+    if len(lhs) == 0:
         raise DegeneratePointError("w(x) = 0: the criterion needs an interior point")
-    lhs = weight.alpha * (float(weight(z)) / wx) ** (1.0 / weight.alpha)
-    rhs = float(gx @ z) / wx
-    return rhs - lhs
+    return float(rhs[0] - lhs[0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -499,8 +505,7 @@ def spherical_concavity_check(v: ConcaveHomFn, n_triples: int = 4096,
     if n < 16:
         raise ValueError("angular grid resolution must be at least 16")
     if n <= 64 and math.comb(n, 3) <= 4 * n_triples:
-        idx = np.array([(i, j, k) for i in range(n) for j in range(i + 1, n)
-                        for k in range(j + 1, n)])
+        idx = np.array(list(itertools.combinations(range(n), 3)))
     else:
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.integers(0, n, size=(n_triples, 3)), axis=1)

@@ -29,6 +29,7 @@ import math
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
+from .analysis import amgm_sides
 from .cone_weight import HomWeight
 from .envelope import EnvelopeField, SlopeBody, k_envelope, restricted_conjugate
 from .expectations import EXPECTATIONS
@@ -381,17 +382,12 @@ def abp_chain_check(report: CouplingReport) -> ChainRecord:
 
     # fieldwise quantitative AM-GM audit where the pointwise bound holds
     lam_vec = np.array([1.0, 1.0, alpha])
-    s = float(lam_vec.sum())
     c = report.b_E / D
     x_stack = np.stack([lam1, lam2, t_term], axis=1)
-    pre_ok = (x_stack @ lam_vec) <= c * s * (1.0 + 1e-12)
+    pre_ok = (x_stack @ lam_vec) <= c * float(lam_vec.sum()) * (1.0 + 1e-12)
     n_pre_fail = int(np.sum(~pre_ok))
-    xs = x_stack[pre_ok]
-    lhs_f = ((xs - c) ** 2 @ lam_vec)
-    geo = np.prod(xs ** lam_vec[None, :], axis=1)
-    rhs_f = (8.0 / 3.0) * c ** (2.0 - s) * s ** 3 / float(lam_vec.min()) ** 2 \
-        * (c ** s - geo)
-    amgm_violation = float(np.max(lhs_f - rhs_f)) if len(xs) else 0.0
+    lhs_f, rhs_f = amgm_sides(lam_vec, x_stack[pre_ok], c)
+    amgm_violation = float(np.max(lhs_f - rhs_f)) if len(lhs_f) else 0.0
 
     tol = EXPECTATIONS["coupling_chain_C"] * (res.mesh_h + report.slope_spacing) * terminal
     violations = (

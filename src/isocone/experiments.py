@@ -1,7 +1,7 @@
 """Experiment drivers: sharpness and stability sweeps, translation diagnostics.
 
 All drivers are deterministic given (config, seed) and emit rows sorted by
-their parameter key; CSV formatting keeps 12 significant digits so repeated
+their parameter key; ``emit_csv`` keeps 12 significant digits so repeated
 runs are byte-identical.
 """
 
@@ -32,18 +32,27 @@ class SweepResult:
         return np.array([row[j] for row in self.rows], dtype=float)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        emit_csv(path, self.columns, self.rows)
 
 
-def _fmt(v):
-    if isinstance(v, str):
-        return v
-    if isinstance(v, float) and math.isnan(v):
-        return ""
-    return f"{v:.12g}"
+def emit_csv(path, columns, rows) -> None:
+    """Header line, then one line per row: strings as they are, numbers to 12
+    significant digits, NaN as an empty cell."""
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(
+                v if isinstance(v, str) else "" if math.isnan(v) else f"{v:.12g}"
+                for v in row) + "\n")
+
+
+def _stability_row(param, star: StarSet, weight: HomWeight):
+    """(param, delta_w, A_w, A_w / sqrt(delta_w)); the ratio is NaN unless
+    the deficit exceeds 1e-9."""
+    rep = deficit(star, weight)
+    a, _x0 = asymmetry(star, weight)
+    ratio = a / math.sqrt(rep.deficit) if rep.deficit > 1e-9 else float("nan")
+    return (param, rep.deficit, a, ratio)
 
 
 def eta_fourier_cos(cone: Cone, mode: int):
@@ -73,14 +82,8 @@ def sharpness_sweep(cone: Cone, weight: HomWeight, eta_fn, eps_list,
     if max(eps_list) > 0.25:
         raise ValueError("epsilon must stay at or below 0.25")
 
-    def one(eps):
-        star = StarSet.perturbed_ball(cone, weight, n_theta, eps, eta_fn)
-        rep = deficit(star, weight)
-        a, _x0 = asymmetry(star, weight)
-        ratio = a / math.sqrt(rep.deficit) if rep.deficit > 1e-9 else float("nan")
-        return (eps, rep.deficit, a, ratio)
-
-    rows = [one(eps) for eps in eps_list]
+    rows = [_stability_row(eps, StarSet.perturbed_ball(cone, weight, n_theta, eps, eta_fn),
+                           weight) for eps in eps_list]
     deltas = np.array([r[1] for r in rows])
     asyms = np.array([r[2] for r in rows])
     if np.any(deltas <= 0) or np.any(asyms <= 0):
@@ -126,14 +129,8 @@ def stability_sweep(corpus, weight: HomWeight):
     minimizer probe (every member with deficit <= 1e-8 must have asymmetry
     <= 1e-4).
     """
-    def one(item):
-        label, star = item
-        rep = deficit(star, weight)
-        a, _x0 = asymmetry(star, weight)
-        ratio = a / math.sqrt(rep.deficit) if rep.deficit > 1e-9 else float("nan")
-        return (label, rep.deficit, a, ratio)
-
-    rows = sorted((one(item) for item in corpus), key=lambda r: r[0])
+    rows = sorted((_stability_row(label, star, weight) for label, star in corpus),
+                  key=lambda r: r[0])
     ratios = [r[3] for r in rows if not math.isnan(r[3])]
     probe_ok = all(r[2] <= 1e-4 for r in rows if r[1] <= 1e-8)
     manifest = {

@@ -19,6 +19,7 @@ import dataclasses
 import math
 
 import numpy as np
+from scipy import ndimage
 
 from .cone_weight import Cone, HomWeight, unit
 
@@ -180,15 +181,9 @@ def weighted_perimeter(star: StarSet, weight: HomWeight) -> float:
     return float(star.quad_weights() @ boundary_element(star, weight))
 
 
-def unit_ball_volume(star_or_cone, weight: HomWeight, n_theta: int | None = None) -> float:
-    """w(B1 cap cone) at a prescribed angular resolution (consistent quadrature)."""
-    if isinstance(star_or_cone, StarSet):
-        thetas = star_or_cone.thetas
-        qw = star_or_cone.quad_weights()
-    else:
-        thetas = star_or_cone.arc_grid(n_theta)
-        qw = star_or_cone.arc_quad_weights(thetas)
-    return float(qw @ weight.arc_values(thetas)) / weight.D
+def unit_ball_volume(star: StarSet, weight: HomWeight) -> float:
+    """w(B1 cap cone) at the set's angular resolution (consistent quadrature)."""
+    return float(star.quad_weights() @ weight.arc_values(star.thetas)) / weight.D
 
 
 def deficit(star: StarSet, weight: HomWeight) -> MeasureReport:
@@ -217,10 +212,9 @@ def deficit_value(per: float, vol: float, unit_volume: float, D: float) -> float
     return per / (c_star * vol ** ((D - 1.0) / D)) - 1.0
 
 
-def _ray_power_measure(lo, hi, D):
-    """Weighted length integral t^(D-1) dt over [lo, hi] clipped to lo <= hi."""
-    hi = np.maximum(hi, lo)
-    return (hi ** D - lo ** D) / D
+def power_mass(a, b, p):
+    """(b^p - a^p) / p, the integral of t^(p-1) over [a, b] (elementwise)."""
+    return (b ** p - a ** p) / p
 
 
 def _ball_ray_interval(thetas, x0, r):
@@ -252,11 +246,9 @@ def _symdiff_ball_general(star: StarSet, weight: HomWeight, x0, r: float) -> flo
     D = weight.D
     t_minus, t_plus = _ball_ray_interval(star.thetas, x0, r)
     rE = star.radii
-    m_e = rE ** D / D
-    m_b = _ray_power_measure(t_minus, t_plus, D)
-    inter_lo = t_minus
-    inter_hi = np.minimum(rE, t_plus)
-    m_i = _ray_power_measure(inter_lo, inter_hi, D)
+    m_e = power_mass(0.0, rE, D)
+    m_b = power_mass(t_minus, np.maximum(t_plus, t_minus), D)
+    m_i = power_mass(t_minus, np.maximum(np.minimum(rE, t_plus), t_minus), D)
     qw = star.quad_weights()
     wv = weight.arc_values(star.thetas)
     return float(qw @ (wv * (m_e + m_b - 2.0 * m_i)))
@@ -362,22 +354,7 @@ class GridSet:
 
 def is_indecomposable(grid: GridSet) -> bool:
     """True iff the occupied cells form a single 4-connected component."""
-    mask = grid.mask
-    visited = np.zeros_like(mask, dtype=bool)
-    iy, ix = np.nonzero(mask)
-    stack = [(int(iy[0]), int(ix[0]))]
-    visited[iy[0], ix[0]] = True
-    count = 0
-    ny, nx = mask.shape
-    while stack:
-        y, x = stack.pop()
-        count += 1
-        for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            yy, xx = y + dy, x + dx
-            if 0 <= yy < ny and 0 <= xx < nx and mask[yy, xx] and not visited[yy, xx]:
-                visited[yy, xx] = True
-                stack.append((yy, xx))
-    return count == grid.n_cells
+    return ndimage.label(grid.mask)[1] == 1
 
 
 def grid_midpoint_volume(grid: GridSet, weight: HomWeight) -> float:

@@ -11,6 +11,7 @@ from isocone.analysis import (
     HypothesisFailure,
     InadmissibleInputError,
     IntervalSet,
+    _segment_weight_integral,
     ball_volume_growth,
     cheeger_bruteforce,
     one_dim_stability_batch,
@@ -216,6 +217,20 @@ class TestTranslationOps:
     def test_separation_box_escape_rejected(self):
         with pytest.raises(InadmissibleInputError):
             shifted_weight_separation(W_XY, ((0.05, 0.25), (0.05, 0.25)), (-0.1, 0.0))
+
+
+class TestSegmentWeightIntegral:
+    @pytest.mark.parametrize("p, q, exact", [
+        # w = xy along y = 0.3 from x = 0.2 to 0.7, and along x = 0.4 downwards
+        ((0.2, 0.3), (0.7, 0.3), 0.3 * (0.7 ** 2 - 0.2 ** 2) / 2.0),
+        ((0.4, 0.9), (0.4, 0.1), 0.4 * (0.9 ** 2 - 0.1 ** 2) / 2.0),
+    ])
+    def test_axis_parallel_edges(self, p, q, exact):
+        assert _segment_weight_integral(W_XY, p, q) == pytest.approx(exact, rel=1e-14)
+        # the same weight given by profile samples takes the Gauss branch
+        thetas = QUADRANT.arc_grid(2049)
+        profile = HomWeight.from_profile(QUADRANT, thetas, np.cos(thetas) * np.sin(thetas), 2.0)
+        assert _segment_weight_integral(profile, p, q) == pytest.approx(exact, rel=1e-6)
 
 
 class TestTranslatedBallControl:

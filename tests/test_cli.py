@@ -131,6 +131,8 @@ class TestCoupleVerb:
         assert report["chain"]["ordered"] is True
         assert set(report["ratio_table"]) == {"hessian_ratio", "boundary_ratio",
                                               "weight_ratio"}
+        assert report["n_interior_nodes"] > 0
+        assert report["pcg_iterations"] > 0
         assert (out / "envelope.csv").exists()
         back = json.loads(json.dumps(report))
         assert back == report  # round-trips to equal values
@@ -153,6 +155,7 @@ class TestCoupleVerb:
         code, out = run(tmp_path, "couple", config)
         assert code != EXIT_USAGE
         report = json.loads((out / "report.json").read_text())
+        assert report["n_interior_nodes"] == 0
         assert report["chain"]["values"][0] == 0.0
 
 
