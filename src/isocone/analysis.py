@@ -249,41 +249,50 @@ def shift_lower_bound(eta_breaks, eta_values, a: float, b: float, eps: float):
 # Translation diagnostics (ball growth and weight-shift separation)
 # ---------------------------------------------------------------------------
 
-def _segment_weight_integral(weight: HomWeight, p, q) -> float:
-    """integral of w over the straight segment [p, q].
+def _segment_weight_integral(weight: HomWeight, p, q):
+    """integral of w over the straight segment [p, q], for one pair of points
+    or for each row of two (n, 2) arrays.
 
     Closed form for monomial weights on axis-parallel segments (the weight
     is a power of the free coordinate there), 8-point Gauss-Legendre
-    otherwise.
+    otherwise, with one weight call for all Gauss segments.
     """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    single = p.ndim == 1
+    p, q = np.atleast_2d(p), np.atleast_2d(q)
+    out = np.empty(len(p))
+    gauss = np.ones(len(p), dtype=bool)
     if weight.exponents is not None:
         for along in (1, 0):
             fixed = 1 - along
-            if abs(p[fixed] - q[fixed]) < 1e-15:
-                lo, hi = sorted((p[along], q[along]))
-                # scalar ** keeps 0^0 = 1 and 0^a = 0, as _safe_pow does for arrays
-                f = max(p[fixed], 0.0) ** weight.exponents[fixed]
-                return float(f * power_mass(lo, hi, weight.exponents[along] + 1.0))
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    nodes, gw = np.polynomial.legendre.leggauss(8)
-    pts = 0.5 * (p + q) + 0.5 * nodes[:, None] * (q - p)
-    return 0.5 * float(np.linalg.norm(q - p)) * float(gw @ weight(pts))
+            axis = gauss & (np.abs(p[:, fixed] - q[:, fixed]) < 1e-15)
+            lo = np.minimum(p[axis, along], q[axis, along])
+            hi = np.maximum(p[axis, along], q[axis, along])
+            f = np.maximum(p[axis, fixed], 0.0) ** weight.exponents[fixed]
+            out[axis] = f * power_mass(lo, hi, weight.exponents[along] + 1.0)
+            gauss &= ~axis
+    if gauss.any():
+        a, b = p[gauss], q[gauss]
+        nodes, gw = np.polynomial.legendre.leggauss(8)
+        pts = 0.5 * (a + b)[:, None, :] + 0.5 * nodes[None, :, None] * (b - a)[:, None, :]
+        vals = weight(pts.reshape(-1, 2)).reshape(-1, len(nodes))
+        out[gauss] = 0.5 * np.linalg.norm(b - a, axis=1) * (vals @ gw)
+    return float(out[0]) if single else out
 
 
-def _cone_vertical_slice(cone: Cone, x: float):
-    """The y-interval of the vertical line {x} x R inside the closed cone."""
-    lo, hi = -np.inf, np.inf
+def _cone_vertical_slices(cone: Cone, xs):
+    """The y-interval (lo, hi) of each vertical line {x} x R inside the
+    closed cone; lines that miss the cone get lo = inf."""
+    lo = np.full(len(xs), -np.inf)
+    hi = np.full(len(xs), np.inf)
     for n in cone.inward_normals():
         if abs(n[1]) < 1e-15:
-            if n[0] * x < 0:
-                return 0.0, 0.0
-            continue
-        bound = -n[0] * x / n[1]
-        if n[1] > 0:
-            lo = max(lo, bound)
+            lo = np.where(n[0] * xs < 0, np.inf, lo)
+        elif n[1] > 0:
+            lo = np.maximum(lo, -n[0] * xs / n[1])
         else:
-            hi = min(hi, bound)
+            hi = np.minimum(hi, -n[0] * xs / n[1])
     return lo, hi
 
 
@@ -297,18 +306,16 @@ def shifted_ball_volume(cone: Cone, weight: HomWeight, center, r: float = 1.0,
     """
     cx, cy = float(center[0]), float(center[1])
     xs = np.arange(cx - r + h / 2.0, cx + r, h)
-    total = 0.0
-    for x in xs:
-        dx2 = r * r - (x - cx) ** 2
-        if dx2 <= 0:
-            continue
-        half = math.sqrt(dx2)
-        ylo, yhi = cy - half, cy + half
-        clo, chi = _cone_vertical_slice(cone, x)
-        lo, hi = max(ylo, clo), min(yhi, chi)
-        if hi > lo:
-            total += _segment_weight_integral(weight, (x, lo), (x, hi))
-    return total * h
+    dx2 = r * r - (xs - cx) ** 2
+    inside = dx2 > 0
+    xs, half = xs[inside], np.sqrt(dx2[inside])
+    clo, chi = _cone_vertical_slices(cone, xs)
+    lo = np.maximum(cy - half, clo)
+    hi = np.minimum(cy + half, chi)
+    cut = hi > lo
+    segments = _segment_weight_integral(weight, np.column_stack([xs[cut], lo[cut]]),
+                                        np.column_stack([xs[cut], hi[cut]]))
+    return float(segments.sum()) * h
 
 
 def ball_volume_growth(cone: Cone, weight: HomWeight, xi, h: float = 1e-3) -> float:

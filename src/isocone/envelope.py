@@ -38,7 +38,11 @@ from scipy.spatial import cKDTree
 from .cone_weight import Cone, unit
 from .pde import fan_lattice
 
-_CHUNK = 16_000_000  # max scratch entries per block in the argmax sweeps
+# float64 entries of the one scratch block _dense_min reuses (2^18, 2 MB): the
+# product, the subtraction, the argmin and the gather over a block then stay
+# in a core's L2 cache, where a block of tens of MB sends each of those four
+# passes through main memory.
+_BLOCK = 1 << 18
 
 
 @dataclasses.dataclass(frozen=True)
@@ -260,22 +264,33 @@ class RestrictedConjugate:
 
 
 def _dense_min(sites, f, queries):
-    """min over sites p of f(p) - q . p for every query q, in chunks.
+    """min over sites p of f(p) - q . p for every query q, in blocks.
 
     Returns the minima and the lowest site index attaining each.  This is
     the dense form of both the conjugate (sites are samples, queries are
     slopes) and the envelope argmax (sites are slopes with f = -intercept),
     and the oracle the structured sector-disk conjugate is tested against.
+    Queries run in blocks of rows through one reused scratch array of about
+    ``_BLOCK`` entries.  A product has two rows or more unless there is
+    only one query: NumPy sends a one-row product to BLAS's matrix-vector
+    routine, which rounds otherwise, so the last block is moved back to
+    full size instead of left ragged.
+    Each query's scores are then the same floats whatever the block, and
+    the results do not depend on it.
     """
     m = len(queries)
     vals = np.empty(m)
     idx = np.empty(m, dtype=np.int64)
-    block = max(1, _CHUNK // max(len(sites), 1))
-    for s0 in range(0, m, block):
-        s1 = min(m, s0 + block)
-        scores = f[None, :] - queries[s0:s1] @ sites.T
-        loc = np.argmin(scores, axis=1)
-        vals[s0:s1] = scores[np.arange(s1 - s0), loc]
+    rows = max(2, _BLOCK // max(len(sites), 1))
+    sites_t = np.ascontiguousarray(sites.T)
+    scratch = np.empty((min(rows, m), len(sites)))
+    for s0 in range(0, m, rows):
+        s0 = min(s0, m - len(scratch))
+        s1 = s0 + len(scratch)
+        np.matmul(queries[s0:s1], sites_t, out=scratch)
+        np.subtract(f, scratch, out=scratch)
+        loc = np.argmin(scratch, axis=1)
+        vals[s0:s1] = np.take_along_axis(scratch, loc[:, None], axis=1)[:, 0]
         idx[s0:s1] = loc
     return vals, idx
 

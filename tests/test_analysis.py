@@ -32,6 +32,7 @@ from isocone.geometry import GridSet, StarSet
 QUADRANT = Cone.quadrant()
 W_XY = HomWeight.monomial(QUADRANT, 1, 1)
 W_X = HomWeight.monomial(QUADRANT, 1, 0)
+ARC = QUADRANT.arc_grid(257)
 
 
 class TestQuantitativeAmgm:
@@ -164,6 +165,34 @@ class TestShiftLowerBound:
             assert lhs >= rhs - 1e-9
 
 
+def loop_shifted_ball_volume(cone, weight, center, r=1.0, h=1e-3):
+    """The column-by-column loop that ``shifted_ball_volume`` vectorizes."""
+    cx, cy = center
+    nodes, gw = np.polynomial.legendre.leggauss(8)
+    total = 0.0
+    for x in np.arange(cx - r + h / 2.0, cx + r, h):
+        dx2 = r * r - (x - cx) ** 2
+        if dx2 <= 0:
+            continue
+        lo, hi = cy - math.sqrt(dx2), cy + math.sqrt(dx2)
+        for n in cone.inward_normals():
+            if abs(n[1]) < 1e-15:
+                hi = lo if n[0] * x < 0 else hi
+            elif n[1] > 0:
+                lo = max(lo, -n[0] * x / n[1])
+            else:
+                hi = min(hi, -n[0] * x / n[1])
+        if hi <= lo:
+            continue
+        if weight.exponents is not None:
+            a1, a2 = weight.exponents
+            total += max(x, 0.0) ** a1 * (hi ** (a2 + 1.0) - lo ** (a2 + 1.0)) / (a2 + 1.0)
+        else:
+            ys = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+            total += 0.5 * (hi - lo) * float(gw @ weight(np.column_stack([np.full(8, x), ys])))
+    return total * h
+
+
 class TestTranslationOps:
     def test_growth_zero_shift(self):
         assert ball_volume_growth(QUADRANT, W_X, (0.0, 0.0)) == 0.0
@@ -199,6 +228,16 @@ class TestTranslationOps:
         polar = weighted_volume(star, W_XY)
         tensor = shifted_ball_volume(QUADRANT, W_XY, (0.0, 0.0))
         assert tensor == pytest.approx(polar, abs=1e-6)
+
+    @pytest.mark.parametrize("weight", [
+        W_XY, W_X, HomWeight.monomial(Cone.half_plane(), 0, 1),
+        HomWeight.from_profile(QUADRANT, ARC, np.cos(ARC) * np.sin(ARC), 2.0),
+    ], ids=["quadrant_xy", "quadrant_x", "half_y", "quadrant_profile"])
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.2, -0.1), (-0.3, 0.25)])
+    def test_shifted_volume_matches_column_loop(self, weight, center):
+        got = shifted_ball_volume(weight.cone, weight, center)
+        oracle = loop_shifted_ball_volume(weight.cone, weight, center)
+        assert got == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_separation_zero_shift(self):
         assert shifted_weight_separation(W_XY, ((0.2, 0.4), (0.2, 0.4)), (0.0, 0.0)) == 0.0

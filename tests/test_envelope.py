@@ -1,12 +1,14 @@
 """Slope bodies, restricted conjugates, envelopes, contact sets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isocone import envelope
 from isocone.cone_weight import Cone
 from isocone.envelope import (
     SlopeBody,
@@ -109,6 +111,55 @@ class TestRestrictedConjugate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             restricted_conjugate(np.zeros((0, 2)), np.zeros(0), DISK)
+
+
+class TestDenseMin:
+    @staticmethod
+    def problem(n_sites=200, n_queries=101, seed=11):
+        rng = np.random.default_rng(seed)
+        return (rng.uniform(-1.0, 1.0, (n_sites, 2)), rng.normal(size=n_sites),
+                rng.uniform(-2.0, 2.0, (n_queries, 2)))
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        sites, f, queries = self.problem()
+        monkeypatch.setattr(envelope, "_BLOCK", 10 ** 9)
+        ref_vals, ref_idx = envelope._dense_min(sites, f, queries)
+        # the smallest blocks (two rows, also when one row exceeds the block)
+        # and 7-row blocks; each query count leaves its own remainder (a lone
+        # query goes through the matrix-vector route however it is blocked)
+        for block in (1, 7 * len(sites)):
+            monkeypatch.setattr(envelope, "_BLOCK", block)
+            for m in range(2, len(queries) + 1):
+                vals, idx = envelope._dense_min(sites, f, queries[:m])
+                assert np.array_equal(vals, ref_vals[:m])
+                assert np.array_equal(idx, ref_idx[:m])
+
+    @pytest.mark.parametrize("block", [1, 10 ** 9])
+    def test_ties_go_to_lowest_site_index(self, monkeypatch, block):
+        monkeypatch.setattr(envelope, "_BLOCK", block)
+        sites, f, queries = self.problem()
+        # every site twice: each query ties between copies i and i + 200
+        vals, idx = envelope._dense_min(np.vstack([sites, sites]), np.concatenate([f, f]),
+                                        queries)
+        ref_vals, ref_idx = envelope._dense_min(sites, f, queries)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(idx, ref_idx)
+        # the zero query ties all sites of a constant f
+        vals, idx = envelope._dense_min(sites, np.full(len(sites), 0.5), np.zeros((3, 2)))
+        assert np.array_equal(vals, np.full(3, 0.5))
+        assert np.array_equal(idx, np.zeros(3, dtype=np.int64))
+
+    def test_scratch_memory_stays_near_one_block(self):
+        sites, f, queries = self.problem(n_sites=20_000, n_queries=2_000)
+        tracemalloc.start()
+        try:
+            envelope._dense_min(sites, f, queries)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 2 MB block, the contiguous sites and the outputs; a full
+        # 2,000 x 20,000 score matrix would be 320 MB
+        assert peak < 16 * 2 ** 20
 
 
 class TestKEnvelope:

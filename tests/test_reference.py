@@ -1,4 +1,4 @@
-"""Output drift guard: ten fast configs checked against perfbench/reference.json.
+"""Output drift guard: twelve fast configs checked against perfbench/reference.json.
 
 Each config runs through ``isocone.cli.main`` and its outputs are compared
 with the recorded reference entry by ``perfbench/reference.check``, which
@@ -28,6 +28,8 @@ CASES = {
                                workloads.couple_weighted("quadrant_xy", "readme", 0.05, 3)),
     "polygon_couple_coarse": ("couple", workloads.couple_anisotropic(
         workloads.SEEDED_POLYGONS[0], eval_h=0.02, mesh_h=0.04, r=0.8, center=[-0.2, 0.2])),
+    "polygon_couple_fine_eval": ("couple", workloads.couple_anisotropic(
+        workloads.HEXAGON, eval_h=0.012, mesh_h=0.03, r=0.7, center=[0.25, -0.15])),
     "amgm_three_weights": ("check-amgm", workloads.amgm(workloads.AMGM_POINTS[-1])),
     "one_dim_two_intervals": ("check-1d", workloads.one_dim([[0.0, 0.5], [0.7, 1.1]], 1.2, 2)),
     "measure_quadrant_star": ("measure", workloads.by_cone(
@@ -36,6 +38,7 @@ CASES = {
         "half_y", 3, [0.02, 0.04, 0.08, 0.16])),
     "sweep_quadrant": ("sweep", workloads.by_cone("quadrant_x")),
     "diag_quadrant": ("diag", workloads.diag("quadrant_xy", [0.05, 0.1])),
+    "diag_half_plane": ("diag", workloads.diag("half_y", [0.1, 0.2, 0.3])),
 }
 
 
