@@ -43,20 +43,18 @@ from .envelope import (
     restricted_conjugate,
 )
 from .pde import (
-    AnisotropicProblem,
+    AnisotropicMode,
     NodalField,
     TriMesh,
-    WeightedProblem,
+    WeightedMode,
     fan_triangulate,
     solve_neumann,
     triangulate_polygon,
 )
 from .coupling import (
-    AnisotropicMode,
     CouplingReport,
     MinimizerDegenerateError,
     Resolutions,
-    WeightedMode,
     abp_chain_check,
     anisotropic_deficit,
     build_coupling,

@@ -84,17 +84,20 @@ def quantitative_amgm_check(lambdas, xs, c: float):
     return lhs, rhs, holds
 
 
-def quantitative_amgm_batch(n: int, seed: int = 0, max_m: int = 6):
+_AMGM_MAX_M = 6  # largest number of weights in one tuple of the audit
+
+
+def quantitative_amgm_batch(n: int, seed: int = 0):
     """Vectorized random audit of the AM-GM bound; returns worst relative slack.
 
-    Draws admissible (lambda, x, c) tuples with m <= max_m and s in [1, 10]
+    Draws admissible (lambda, x, c) tuples with m <= 6 weights and s in [1, 10]
     and reports max(lhs - rhs) normalized by max(1, rhs); nonpositive (up to
     1e-12) when the inequality holds throughout.
     """
     rng = np.random.default_rng(seed)
     worst = -np.inf
-    per_m = n // max_m + 1
-    for m in range(1, max_m + 1):
+    per_m = n // _AMGM_MAX_M + 1
+    for m in range(1, _AMGM_MAX_M + 1):
         lam = rng.uniform(0.05, 3.0, size=(per_m, m))
         scale = rng.uniform(1.0, 10.0, size=per_m) / lam.sum(axis=1)
         lam *= scale[:, None]
@@ -296,17 +299,20 @@ def _cone_vertical_slices(cone: Cone, xs):
     return lo, hi
 
 
-def shifted_ball_volume(cone: Cone, weight: HomWeight, center, r: float = 1.0,
-                        h: float = 1e-3) -> float:
-    """w(B_r(center) cap cone) by column quadrature (midpoint in x, exact in y).
+_BALL_COLUMN_H = 1e-3  # column width of the shifted-ball quadrature
+
+
+def shifted_ball_volume(cone: Cone, weight: HomWeight, center) -> float:
+    """w(B_1(center) cap cone) by column quadrature (midpoint in x, exact in y).
 
     The shifted ball is generally not star-shaped about the origin, so the
-    polar formulas do not apply; each vertical slab contributes an interval
-    in y on which the weight integrates in closed form.
+    polar formulas do not apply; each vertical slab of width 1e-3 contributes
+    an interval in y on which the weight integrates in closed form.
     """
+    h = _BALL_COLUMN_H
     cx, cy = float(center[0]), float(center[1])
-    xs = np.arange(cx - r + h / 2.0, cx + r, h)
-    dx2 = r * r - (xs - cx) ** 2
+    xs = np.arange(cx - 1.0 + h / 2.0, cx + 1.0, h)
+    dx2 = 1.0 - (xs - cx) ** 2
     inside = dx2 > 0
     xs, half = xs[inside], np.sqrt(dx2[inside])
     clo, chi = _cone_vertical_slices(cone, xs)
@@ -318,15 +324,15 @@ def shifted_ball_volume(cone: Cone, weight: HomWeight, center, r: float = 1.0,
     return float(segments.sum()) * h
 
 
-def ball_volume_growth(cone: Cone, weight: HomWeight, xi, h: float = 1e-3) -> float:
+def ball_volume_growth(cone: Cone, weight: HomWeight, xi) -> float:
     """w(B_1(xi) cap cone) - w(B_1 cap cone), both by the same column quadrature."""
     xi = np.asarray(xi, dtype=float)
     if float(np.linalg.norm(xi)) > 0.5 + 1e-12:
         raise InadmissibleInputError("growth is probed only for |xi| <= 0.5")
     if not np.any(xi):
         return 0.0
-    return (shifted_ball_volume(cone, weight, xi, 1.0, h)
-            - shifted_ball_volume(cone, weight, (0.0, 0.0), 1.0, h))
+    return (shifted_ball_volume(cone, weight, xi)
+            - shifted_ball_volume(cone, weight, (0.0, 0.0)))
 
 
 def shifted_weight_separation(weight: HomWeight, box, xi, h: float = 2e-3) -> float:
@@ -405,8 +411,11 @@ def _cheeger_ratio_1d(F_endpoints, E: IntervalSet, alpha: float):
     return vol, per, shared
 
 
-def _cheeger_1d(E: IntervalSet, alpha: float, n_grid: int = 48,
-                max_components: int = 2, refine: int = 2):
+_CHEEGER_GRID = 48  # endpoints per interval of the 1-D search grid
+_CHEEGER_REFINE = 2  # rounds of local refinement around the best subset
+
+
+def _cheeger_1d(E: IntervalSet, alpha: float, max_components: int):
     """Brute force over interval subsets with endpoints on per-interval grids."""
     wE = E.measure(alpha)
     half = wE / 2.0
@@ -426,7 +435,7 @@ def _cheeger_1d(E: IntervalSet, alpha: float, n_grid: int = 48,
 
     atoms = []
     for a, b in E.intervals:
-        g = np.linspace(a, b, n_grid)
+        g = np.linspace(a, b, _CHEEGER_GRID)
         for i in range(len(g)):
             for j in range(i + 1, len(g)):
                 atoms.append(((g[i], g[j]),))
@@ -443,8 +452,8 @@ def _cheeger_1d(E: IntervalSet, alpha: float, n_grid: int = 48,
                     candidates.append(((a2, b2), (a1, b1)))
     best_ratio, best = evaluate(candidates)
 
-    step = max(b - a for a, b in E.intervals) / (n_grid - 1)
-    for _ in range(refine):
+    step = max(b - a for a, b in E.intervals) / (_CHEEGER_GRID - 1)
+    for _ in range(_CHEEGER_REFINE):
         if best is None:
             break
         step /= 32.0
@@ -571,17 +580,18 @@ def _cheeger_2d(grid: GridSet, weight: HomWeight):
     return CheegerResult(best[0], best[1], best[0] - 1.0)
 
 
-def cheeger_bruteforce(E, weight, **kwargs) -> CheegerResult:
+def cheeger_bruteforce(E, weight, max_components: int = 2) -> CheegerResult:
     """Cheeger constant tau(E) = inf Per_w(F) / H_w(dF cap dE) by brute force.
 
     One-dimensional interval sets take ``weight`` as the exponent alpha of
-    t^alpha on (0, infinity); two-dimensional grid sets take a HomWeight.
+    t^alpha on (0, infinity), with F a union of at most ``max_components``
+    intervals; two-dimensional grid sets take a HomWeight.
     The infimum runs over subsets F with 0 < w(F) <= w(E)/2; candidates
     whose boundary shares nothing with the boundary of E have ratio
     infinity.
     """
     if isinstance(E, IntervalSet):
-        return _cheeger_1d(E, float(weight), **kwargs)
+        return _cheeger_1d(E, float(weight), max_components)
     if isinstance(E, GridSet):
         return _cheeger_2d(E, weight)
     raise TypeError("E must be an IntervalSet or a GridSet")
@@ -591,13 +601,15 @@ def cheeger_bruteforce(E, weight, **kwargs) -> CheegerResult:
 # Psi / k(D) constants
 # ---------------------------------------------------------------------------
 
+_PSI_SAMPLES = 1001  # points of the uniform grid on [0, 1] behind psi_samples
+
+
 @dataclasses.dataclass(frozen=True)
 class FmpConstants:
     """Effective dimension D, the constant k(D), and a sample table of Psi."""
 
     D: float
     k: float
-    t_samples: np.ndarray
 
     def psi(self, t):
         e = (self.D - 1.0) / self.D
@@ -606,19 +618,20 @@ class FmpConstants:
 
     @property
     def psi_samples(self) -> np.ndarray:
-        return self.psi(self.t_samples)
+        return self.psi(np.linspace(0.0, 1.0, _PSI_SAMPLES))
 
 
-def psi_k(D: float, n_samples: int = 1001) -> FmpConstants:
+def psi_k(D: float) -> FmpConstants:
     """k(D) = (2 - 2^((D-1)/D)) / 3 and the concave profile Psi on [0, 1].
 
     Psi(t) = t^((D-1)/D) + (1-t)^((D-1)/D) - 1 satisfies Psi(0) = Psi(1) = 0,
     Psi(1/2) = 2^(1/D) - 1, and Psi(t) >= 3 k(D) t^((D-1)/D) on [0, 1/2].
+    ``psi_samples`` tabulates Psi at 1001 evenly spaced points of [0, 1].
     """
     if D <= 1:
         raise InadmissibleInputError("effective dimension must exceed 1")
     k = (2.0 - 2.0 ** ((D - 1.0) / D)) / 3.0
-    return FmpConstants(D, k, np.linspace(0.0, 1.0, n_samples))
+    return FmpConstants(D, k)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ Verbs: measure | couple | sweep | sharpness | diag | check-amgm | check-1d
        | check-fmp | envelope.
 
 Exit codes: 0 success, 1 usage/config error, 2 verification failure (an
-inequality that must hold did not; the highest-severity signal).
+inequality that must hold did not; the highest-severity signal).  The seed
+is recorded in manifest.json; every verb is deterministic without it.
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ from .analysis import (
 )
 from .cone_weight import Cone, HomWeight
 from .coupling import (
-    AnisotropicMode,
     MinimizerDegenerateError,
     Resolutions,
-    WeightedMode,
     abp_chain_check,
     build_coupling,
     verify_coupling_estimates,
@@ -44,13 +43,13 @@ from .envelope import SlopeBody, check_c11, k_envelope, restricted_conjugate
 from .expectations import EXPECTATIONS
 from .experiments import (
     default_corpus,
-    emit_csv,
     eta_fourier_cos,
     sharpness_sweep,
     stability_sweep,
     translation_diagnostics,
 )
-from .geometry import StarSet, asymmetry, deficit
+from .geometry import StarSet, asymmetry, deficit, emit_csv
+from .pde import AnisotropicMode, WeightedMode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,6 +105,8 @@ def parse_resolutions(spec) -> dict:
         if key in spec:
             val = spec[key]
             res[key] = tuple(val) if key == "n_slope" else val
+    if not isinstance(res["n_theta"], int) or res["n_theta"] < 3:
+        raise ConfigError(f"resolutions.n_theta must be an integer >= 3, got {res['n_theta']!r}")
     return res
 
 
@@ -117,19 +118,16 @@ def emit_json(path, payload) -> None:
 
 def write_manifest(out_dir, config, verb, seed, outputs) -> None:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
-    manifest = {
+    emit_json(os.path.join(out_dir, "manifest.json"), {
         "config_sha256": hashlib.sha256(canonical).hexdigest(),
         "version": __version__,
         "verb": verb,
         "seed": seed,
         "outputs": sorted(outputs),
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
 
 
-def _run_measure(config, out_dir, seed):
+def _run_measure(config, out_dir):
     res = parse_resolutions(config.get("resolutions", {}))
     cone = parse_cone(config["cone"])
     weight = parse_weight(cone, config["weight"])
@@ -143,7 +141,7 @@ def _run_measure(config, out_dir, seed):
     return (EXIT_OK if ok else EXIT_VERIFICATION), ["measure.csv"]
 
 
-def _run_couple(config, out_dir, seed):
+def _run_couple(config, out_dir):
     res_spec = parse_resolutions(config.get("resolutions", {}))
     cone = parse_cone(config["cone"])
     resolutions = Resolutions(mesh_h=res_spec["mesh_h"],
@@ -156,7 +154,6 @@ def _run_couple(config, out_dir, seed):
         report = build_coupling(star, WeightedMode(weight), resolutions)
     else:
         body = parse_body(config["body"])
-        weight = None
         star = parse_set(cone, None, config["set"], res_spec["n_theta"])
         report = build_coupling(star, AnisotropicMode(body), resolutions)
 
@@ -167,9 +164,8 @@ def _run_couple(config, out_dir, seed):
              ("mode", "delta", "b_E", "sup_violation", "hessian_l1", "boundary_term",
               "grad_range_hausdorff", "lip_grad", "convexity_violation",
               "slope_spacing"), rows)
-    outputs = ["couple.csv"]
     report.field.dump_csv(os.path.join(out_dir, "envelope.csv"))
-    outputs.append("envelope.csv")
+    outputs = ["couple.csv", "envelope.csv"]
 
     tol = EXPECTATIONS["coupling_sup_violation_C"] * (
         resolutions.mesh_h + report.slope_spacing)
@@ -223,7 +219,7 @@ def parse_body(spec) -> SlopeBody:
     raise ConfigError("body spec needs 'polygon' or 'sector_disk'")
 
 
-def _run_sweep(config, out_dir, seed):
+def _run_sweep(config, out_dir):
     res = parse_resolutions(config.get("resolutions", {}))
     cone = parse_cone(config["cone"])
     weight = parse_weight(cone, config["weight"])
@@ -237,7 +233,7 @@ def _run_sweep(config, out_dir, seed):
     return (EXIT_OK if ok else EXIT_VERIFICATION), ["sweep.csv"]
 
 
-def _run_sharpness(config, out_dir, seed):
+def _run_sharpness(config, out_dir):
     res = parse_resolutions(config.get("resolutions", {}))
     cone = parse_cone(config["cone"])
     weight = parse_weight(cone, config["weight"])
@@ -251,7 +247,7 @@ def _run_sharpness(config, out_dir, seed):
     return (EXIT_OK if ok else EXIT_VERIFICATION), ["sharpness.csv"]
 
 
-def _run_diag(config, out_dir, seed):
+def _run_diag(config, out_dir):
     cone = parse_cone(config["cone"])
     weight = parse_weight(cone, config["weight"])
     spec = config.get("diag", {})
@@ -268,7 +264,7 @@ def _run_diag(config, out_dir, seed):
     return (EXIT_OK if ok else EXIT_VERIFICATION), ["diag.csv"]
 
 
-def _run_check_amgm(config, out_dir, seed):
+def _run_check_amgm(config, out_dir):
     spec = config.get("amgm", {})
     lam = spec.get("lambda", [1.0, 1.0])
     xs = spec.get("x", [1.2, 0.8])
@@ -279,7 +275,7 @@ def _run_check_amgm(config, out_dir, seed):
     return (EXIT_OK if holds else EXIT_VERIFICATION), ["amgm.csv"]
 
 
-def _run_check_1d(config, out_dir, seed):
+def _run_check_1d(config, out_dir):
     spec = config.get("one_dim", {})
     intervals = spec.get("intervals", [[0.0, 0.8]])
     l = float(spec.get("l", 1.0))
@@ -293,7 +289,7 @@ def _run_check_1d(config, out_dir, seed):
     return (EXIT_OK if ok else EXIT_VERIFICATION), ["one_dim.csv"]
 
 
-def _run_check_fmp(config, out_dir, seed):
+def _run_check_fmp(config, out_dir):
     spec = config.get("fmp", {})
     d_list = spec.get("D_list", [2.5, 3.0, 4.0, 7.2])
     rows = []
@@ -317,13 +313,15 @@ def _run_check_fmp(config, out_dir, seed):
     return (EXIT_OK if ok else EXIT_VERIFICATION), ["fmp.csv", "fmp_worked.csv"]
 
 
-def _run_envelope(config, out_dir, seed):
+def _run_envelope(config, out_dir):
     spec = config.get("envelope", {})
+    h = float(spec.get("h", 0.05))
+    if not h > 0:
+        raise ConfigError(f"envelope.h must be positive, got {h!r}")
     body = parse_body(spec.get("body", {"sector_disk": {"rho": 1.0}}))
     u_kind = spec.get("u", "quadratic")
     box = spec.get("box", ((-2.0, 2.0), (-2.0, 2.0)))
     box = ((float(box[0][0]), float(box[0][1])), (float(box[1][0]), float(box[1][1])))
-    h = float(spec.get("h", 0.05))
     n_pts = int(spec.get("n_points", 60))
     xs = np.linspace(box[0][0], box[0][1], n_pts)
     ys = np.linspace(box[1][0], box[1][1], n_pts)
@@ -388,7 +386,7 @@ def main(argv=None) -> int:
     os.makedirs(args.out, exist_ok=True)
     runner = RUNNERS[args.verb]
     try:
-        code, outputs = runner(config, args.out, args.seed)
+        code, outputs = runner(config, args.out)
     except (ConfigError, InadmissibleInputError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

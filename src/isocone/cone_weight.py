@@ -24,6 +24,8 @@ TWO_PI = 2.0 * math.pi
 
 ADMISSION_PAIRS = 10_000
 ADMISSION_TOL = 1e-10
+_SAME_CONE_TOL = 1e-12  # wedge angles this close give the same cone
+_CONSTANCY_TOL = 1e-10  # relative weight change still constant along a direction
 
 
 class OutsideConeError(ValueError):
@@ -128,12 +130,12 @@ class Cone:
         w[0] = w[-1] = h / 2.0
         return w
 
-    def same_as(self, other: "Cone", tol: float = 1e-12) -> bool:
+    def same_as(self, other: "Cone") -> bool:
         if self.full_plane or other.full_plane:
             return self.full_plane == other.full_plane
         return (
-            abs(self.angle_lo - other.angle_lo) <= tol
-            and abs(self.angle_hi - other.angle_hi) <= tol
+            abs(self.angle_lo - other.angle_lo) <= _SAME_CONE_TOL
+            and abs(self.angle_hi - other.angle_hi) <= _SAME_CONE_TOL
         )
 
     @staticmethod
@@ -196,11 +198,11 @@ class HomWeight:
             self._check_admissible()
 
     @staticmethod
-    def monomial(cone, a1, a2, validate=True) -> "HomWeight":
+    def monomial(cone, a1, a2) -> "HomWeight":
         """Weight x^a1 * y^a2 with a1, a2 >= 0, not both zero."""
         if a1 < 0 or a2 < 0 or a1 + a2 <= 0:
             raise InadmissibleWeightError("monomial exponents must be >= 0 with positive sum")
-        return HomWeight(cone, a1 + a2, exponents=(a1, a2), validate=validate)
+        return HomWeight(cone, a1 + a2, exponents=(a1, a2))
 
     @staticmethod
     def from_profile(cone, thetas, values, alpha, validate=True) -> "HomWeight":
@@ -436,7 +438,7 @@ def decompose_subspaces(cone: Cone, weight: HomWeight) -> SubspaceBases:
     return SubspaceBases(tuple(basis_L), tuple(basis_C), tuple(basis_E))
 
 
-def _constancy_holds(cone, weight, direction, tol=1e-10):
+def _constancy_holds(cone, weight, direction):
     thetas = np.linspace(cone.angle_lo + 0.05, cone.angle_hi - 0.05, 17)
     pts = np.concatenate([r * unit(thetas) for r in (0.5, 1.0, 1.9)])
     vals = weight(pts)
@@ -446,7 +448,7 @@ def _constancy_holds(cone, weight, direction, tol=1e-10):
         inside = cone.contains(shifted, tol=0.0)
         if not np.any(inside):
             continue
-        if np.max(np.abs(weight(shifted[inside]) - vals[inside])) > tol * scale:
+        if np.max(np.abs(weight(shifted[inside]) - vals[inside])) > _CONSTANCY_TOL * scale:
             return False
     return True
 
@@ -489,8 +491,7 @@ def zero_trace_extension(v: ConcaveHomFn, inner_cone: Cone,
     return ConcaveHomFn(cone, v.thetas.copy(), np.maximum(ext, 0.0))
 
 
-def spherical_concavity_check(v: ConcaveHomFn, n_triples: int = 4096,
-                              seed: int = 0) -> float:
+def spherical_concavity_check(v: ConcaveHomFn, n_triples: int = 4096) -> float:
     """Worst violation of the chordal concavity criterion on the unit arc.
 
     For angles theta - s < theta < theta + t on the arc with s + t < pi, a
@@ -500,6 +501,7 @@ def spherical_concavity_check(v: ConcaveHomFn, n_triples: int = 4096,
 
     with equality for restrictions of linear functions.  Returns the largest
     sampled value of RHS - LHS (nonpositive up to tolerance iff concave).
+    Grids too large to check every triple draw ``n_triples`` with seed 0.
     """
     n = len(v.thetas)
     if n < 16:
@@ -507,7 +509,7 @@ def spherical_concavity_check(v: ConcaveHomFn, n_triples: int = 4096,
     if n <= 64 and math.comb(n, 3) <= 4 * n_triples:
         idx = np.array(list(itertools.combinations(range(n), 3)))
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         idx = np.sort(rng.integers(0, n, size=(n_triples, 3)), axis=1)
         idx = idx[(idx[:, 0] < idx[:, 1]) & (idx[:, 1] < idx[:, 2])]
     th = v.thetas

@@ -16,9 +16,9 @@ measures every quantity the coupling is supposed to control:
 
 Evaluation nodes within one eval step of the cone's boundary rays (the
 band) are excluded from sup and chain quantities (the weight may vanish
-there) and reported separately.  The Hessian of the envelope is the
-windowed least-squares derivative of the maximizing-slope field; see
-EnvelopeField.hessian_field.
+there).  The envelope Hessian is the masked 5 x 5 least-squares fit of the
+maximizing-slope field (EnvelopeField.hessian_field).  The mode, a
+``pde.WeightedMode`` or ``pde.AnisotropicMode``, goes to the solve as is.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from .envelope import EnvelopeField, SlopeBody, k_envelope, restricted_conjugate
 from .expectations import EXPECTATIONS
 from .geometry import StarSet, deficit, deficit_value, unit_ball_volume
 from .pde import (
-    AnisotropicProblem,
+    AnisotropicMode,
     NodalField,
     TriMesh,
-    WeightedProblem,
+    WeightedMode,
     fan_triangulate,
     solve_neumann,
 )
@@ -46,20 +46,6 @@ from .pde import (
 
 class MinimizerDegenerateError(ValueError):
     """Deficit too small: coupling ratios are undefined on exact minimizers."""
-
-
-@dataclasses.dataclass(frozen=True)
-class WeightedMode:
-    weight: HomWeight
-
-
-@dataclasses.dataclass(frozen=True)
-class AnisotropicMode:
-    body: SlopeBody
-
-
-# least-squares window (grid nodes per side) of the envelope Hessian fit
-_HESS_WINDOW = 5
 
 
 @dataclasses.dataclass
@@ -86,9 +72,7 @@ class Resolutions:
 @dataclasses.dataclass
 class CouplingReport:
     mode: str
-    star: StarSet | None
     weight: HomWeight | None
-    body: SlopeBody
     mesh: TriMesh
     u: NodalField
     field: EnvelopeField
@@ -96,7 +80,6 @@ class CouplingReport:
     delta: float
     b_E: float
     sup_violation: float
-    sup_violation_band: float
     hessian_l1: float
     boundary_term: float
     grad_range_hausdorff: float
@@ -164,13 +147,13 @@ def _poly_weighted_measure(vertices, weight: HomWeight) -> float:
                        axis=1).reshape(-1, 3, 2)
     no_edges = np.zeros((0, 2), dtype=np.int64)
     pieces = TriMesh(tri.reshape(-1, 2), np.arange(3 * len(tri)).reshape(-1, 3),
-                     no_edges, no_edges, 0.0)
+                     no_edges, no_edges)
     nodes, wq = pieces.midpoint_rule()
     return float(wq @ np.clip(weight(nodes), 0.0, None))
 
 
-def build_coupling(star: StarSet | None, mode, res: Resolutions | None = None,
-                   mesh: TriMesh | None = None) -> CouplingReport:
+def build_coupling(star: StarSet | None, mode: WeightedMode | AnisotropicMode,
+                   res: Resolutions | None = None, mesh: TriMesh | None = None) -> CouplingReport:
     """Run the full coupling pipeline and measure its control quantities.
 
     ``star`` may be omitted in anisotropic mode when a prebuilt ``mesh`` is
@@ -186,20 +169,18 @@ def build_coupling(star: StarSet | None, mode, res: Resolutions | None = None,
         mesh = fan_triangulate(star, res.mesh_h)
     if weighted:
         weight = mode.weight
-        problem = WeightedProblem(weight)
         body = SlopeBody.sector_disk(weight.cone, 1.0, *res.n_slope)
         rep = deficit(star, weight)
         delta = rep.deficit
         ref_volume = unit_ball_volume(star, weight)
     else:
         weight = None
-        problem = AnisotropicProblem(mode.body)
         body = mode.body
         # without the set, the deficit comes from mesh data below
         delta = anisotropic_deficit(star, body) if star is not None else None
         ref_volume = body.area()
 
-    u = solve_neumann(mesh, problem)
+    u = solve_neumann(mesh, mode)
     if not weighted and delta is None:
         area = float(mesh.areas().sum())
         delta = deficit_value(u.b_E * area, area, body.area(), 2.0)
@@ -218,16 +199,14 @@ def build_coupling(star: StarSet | None, mode, res: Resolutions | None = None,
         tree = cKDTree(mesh.vertices)
         d, _ = tree.query(nodes)
         in_E = d <= 2.0 * res.mesh_h
-    cone = weight.cone if weighted else None
     if weighted:
-        band_dist = cone.boundary_distance(nodes)
+        band_dist = weight.cone.boundary_distance(nodes)
         in_E &= band_dist > 1e-12  # the set lives in the open cone
     else:
         band_dist = np.full(len(nodes), np.inf)
     interior = in_E & (band_dist > res.eval_h)
-    near_boundary = in_E & ~interior
 
-    hess = field.hessian_field(_HESS_WINDOW, mask=in_E.reshape(field.phi.shape))
+    hess = field.hessian_field(in_E.reshape(field.phi.shape))
 
     lam1, lam2 = _positive_part_eigen(hess.reshape(-1, 2, 2))
     tr_plus = lam1 + lam2
@@ -241,8 +220,6 @@ def build_coupling(star: StarSet | None, mode, res: Resolutions | None = None,
     else:
         violation = tr_plus - u.b_E
     sup_violation = float(violation[interior].max()) if interior.any() else -math.inf
-    sup_violation_band = float(violation[near_boundary].max()) if near_boundary.any() \
-        else -math.inf
 
     # L1 Hessian defect over E by mesh quadrature; envelope data interpolated
     mids, areas3 = mesh.midpoint_rule()
@@ -263,9 +240,8 @@ def build_coupling(star: StarSet | None, mode, res: Resolutions | None = None,
 
     return CouplingReport(
         mode="weighted" if weighted else "anisotropic",
-        star=star, weight=weight, body=body, mesh=mesh, u=u, field=field,
-        hessians=hess, delta=float(delta), b_E=u.b_E,
-        sup_violation=sup_violation, sup_violation_band=sup_violation_band,
+        weight=weight, mesh=mesh, u=u, field=field,
+        hessians=hess, delta=float(delta), b_E=u.b_E, sup_violation=sup_violation,
         hessian_l1=hessian_l1, boundary_term=boundary_term,
         grad_range_hausdorff=grad_range_hausdorff, lip_grad=field.lip_grad(),
         convexity_violation=field.convexity_violation(),

@@ -11,8 +11,8 @@ and the envelope is phi(x) = max over sampled slopes of a(xi) + xi . x.
 The maximizing slope is the envelope's gradient wherever that argmax is
 unique.  Ties break deterministically, by a rule that depends on the path:
 
-  * the dense paths (polygon bodies, and conjugates of fewer than 16
-    samples) keep the lowest index among exact optima;
+  * the dense paths (polygon bodies) keep the lowest index among exact
+    optima;
   * the structured sector-disk argmax gives ties to the origin slope, then
     to the first maximizer in ascending angle order (the lowest radius
     within one angle), which need not be the lowest slope index;
@@ -36,6 +36,7 @@ from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
 from .cone_weight import Cone, unit
+from .geometry import emit_csv
 from .pde import fan_lattice
 
 # float64 entries of the one scratch block _dense_min reuses (2^18, 2 MB): the
@@ -43,6 +44,8 @@ from .pde import fan_lattice
 # in a core's L2 cache, where a block of tens of MB sends each of those four
 # passes through main memory.
 _BLOCK = 1 << 18
+_HESS_WINDOW = 5  # grid nodes per side of the Hessian's least-squares window
+_NORMAL_CONE_TOL = 1e-9  # distance within which a slope lies on a face of K
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,12 +171,12 @@ class SlopeBody:
             ok &= (pts - v[i]) @ n >= -tol * max(1.0, np.linalg.norm(e))
         return ok
 
-    def normal_cone(self, xi, tol: float = 1e-9) -> np.ndarray:
+    def normal_cone(self, xi) -> np.ndarray:
         """Generators of the normal cone at xi (empty array means {0})."""
         xi = np.asarray(xi, dtype=float)
         if self.kind == "sector_disk":
-            return self._normal_cone_sector(xi, tol)
-        return self._normal_cone_polygon(xi, tol)
+            return self._normal_cone_sector(xi, _NORMAL_CONE_TOL)
+        return self._normal_cone_polygon(xi, _NORMAL_CONE_TOL)
 
     def _normal_cone_sector(self, xi, tol):
         r = float(np.linalg.norm(xi))
@@ -268,8 +271,8 @@ def _dense_min(sites, f, queries):
 
     Returns the minima and the lowest site index attaining each.  This is
     the dense form of both the conjugate (sites are samples, queries are
-    slopes) and the envelope argmax (sites are slopes with f = -intercept),
-    and the oracle the structured sector-disk conjugate is tested against.
+    slopes) and the envelope argmax (sites are slopes with f = -intercept);
+    the sector-disk conjugate runs it per angle with radii as queries.
     Queries run in blocks of rows through one reused scratch array of about
     ``_BLOCK`` entries.  A product has two rows or more unless there is
     only one query: NumPy sends a one-row product to BLAS's matrix-vector
@@ -352,7 +355,7 @@ def restricted_conjugate(points, values, body: SlopeBody) -> RestrictedConjugate
     values = np.asarray(values, dtype=float)
     if len(points) == 0:
         raise ValueError("conjugate needs at least one sample point")
-    if body.polar_shape is not None and len(points) >= 16:
+    if body.polar_shape is not None:
         intercepts, argmin = _sector_conjugate(points, values, body)
     else:
         intercepts, argmin = _dense_min(points, values, body.samples)
@@ -366,7 +369,9 @@ def _sector_conjugate(points, values, body):
     linear functional u(y) - r * (u(theta) . y) over the sample cloud, so
     only vertices of the convex hull of {(u(theta) . y, u(y))} can attain
     it; the dense minimum over all samples is recovered exactly.  Among
-    tied samples the argmin is the first in Qhull's vertex order.
+    tied samples the argmin is the first in Qhull's vertex order.  A cloud
+    Qhull cannot hull (under three points, or flat) keeps the extremes of
+    u(theta) . y and the minimum of u, which attain the same minima.
     """
     from scipy.spatial import ConvexHull, QhullError
 
@@ -386,11 +391,8 @@ def _sector_conjugate(points, values, body):
             hv = ConvexHull(np.column_stack([d, values])).vertices
         except (QhullError, ValueError):
             hv = np.unique([int(np.argmin(d)), int(np.argmax(d)), i0])
-        scores = values[hv][None, :] - radii[:, None] * d[hv][None, :]
-        loc = np.argmin(scores, axis=1)
         cols = slice(1 + j, m, n_ang)
-        sel = np.arange(len(radii))
-        intercepts[cols] = scores[sel, loc]
+        intercepts[cols], loc = _dense_min(d[hv, None], values[hv], radii[:, None])
         argmin[cols] = hv[loc]
     return intercepts, argmin
 
@@ -415,30 +417,28 @@ class EnvelopeField:
         gx, gy = np.meshgrid(self.xs, self.ys)
         return np.column_stack([gx.ravel(), gy.ravel()])
 
-    def hessian_field(self, window: int = 3, mask: np.ndarray | None = None) -> np.ndarray:
+    def hessian_field(self, mask: np.ndarray) -> np.ndarray:
         """(ny, nx, 2, 2) symmetrized derivative of the slope field.
 
-        Each slope component is fit by a least-squares plane over an odd
-        ``window`` of grid nodes; the plain central difference of the argmax
-        slope is dominated by slope-grid quantization noise, so the window
-        should cover a few slope cells (window ~ 2*spacing/h).  An optional
-        boolean ``mask`` (ny, nx) restricts the fit to selected nodes, which
-        removes the smearing bias where the window would straddle the set
-        boundary; nodes whose window holds fewer than three usable points
+        Each slope component is fit by a least-squares plane over the masked
+        nodes of a ``_HESS_WINDOW`` x ``_HESS_WINDOW`` window (5 x 5); the
+        plain central difference of the argmax slope is dominated by
+        slope-grid quantization noise, so the window covers a few slope
+        cells.  The boolean ``mask`` (ny, nx) confines the fit to the set,
+        which removes the smearing bias where the window would straddle its
+        boundary; nodes whose window holds fewer than three masked points
         get a zero Hessian.
         """
-        if window % 2 == 0 or window < 3:
-            raise ValueError("window must be odd and at least 3")
-        k = window // 2
+        k = _HESS_WINDOW // 2
         offs = np.arange(-k, k + 1) * self.h
-        ox = np.tile(offs, (window, 1))
+        ox = np.tile(offs, (_HESS_WINDOW, 1))
         oy = ox.T
-        m = np.ones(self.phi.shape) if mask is None else mask.astype(float)
+        m = mask.astype(float)
 
         def box(field, kernel):
             return ndimage.correlate(field, kernel, mode="constant", cval=0.0)
 
-        one = np.ones((window, window))
+        one = np.ones((_HESS_WINDOW, _HESS_WINDOW))
         S = box(m, one)
         Sx = box(m, ox)
         Sy = box(m, oy)
@@ -512,8 +512,7 @@ class EnvelopeField:
         pts = self.grid_points()
         rows = np.column_stack([pts, self.phi.ravel(),
                                 self.xi[:, :, 0].ravel(), self.xi[:, :, 1].ravel()])
-        np.savetxt(path, rows, delimiter=",", header="x,y,phi,xi1,xi2",
-                   comments="", fmt="%.12g")
+        emit_csv(path, ("x", "y", "phi", "xi1", "xi2"), rows.tolist())
 
 
 def _bilinear(xs, ys, F, pts):

@@ -1,8 +1,8 @@
 """Experiment drivers: sharpness and stability sweeps, translation diagnostics.
 
-All drivers are deterministic given (config, seed) and emit rows sorted by
-their parameter key; ``emit_csv`` keeps 12 significant digits so repeated
-runs are byte-identical.
+All drivers are deterministic given their inputs and emit rows sorted by
+their parameter key; ``geometry.emit_csv`` keeps 12 significant digits so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .analysis import InadmissibleInputError, ball_volume_growth, shifted_weight_separation
 from .cone_weight import Cone, HomWeight, decompose_subspaces
-from .geometry import StarSet, asymmetry, deficit
+from .geometry import StarSet, asymmetry, deficit, emit_csv
 
 
 class FitRejectedError(ValueError):
@@ -33,17 +33,6 @@ class SweepResult:
 
     def to_csv(self, path) -> None:
         emit_csv(path, self.columns, self.rows)
-
-
-def emit_csv(path, columns, rows) -> None:
-    """Header line, then one line per row: strings as they are, numbers to 12
-    significant digits, NaN as an empty cell."""
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                v if isinstance(v, str) else "" if math.isnan(v) else f"{v:.12g}"
-                for v in row) + "\n")
 
 
 def _stability_row(param, star: StarSet, weight: HomWeight):

@@ -95,6 +95,7 @@ class StarSet:
                        radius_cap=max(self.radius_cap, lam * self.radii.max() * 1.5))
 
     def to_csv(self, path) -> None:
+        """(theta, r) rows at %.18e, which :meth:`from_csv` reads back exactly."""
         np.savetxt(path, np.column_stack([self.thetas, self.radii]),
                    delimiter=",", header="theta,r", comments="")
 
@@ -210,6 +211,25 @@ def deficit_value(per: float, vol: float, unit_volume: float, D: float) -> float
     """
     c_star = D * unit_volume ** (1.0 / D)
     return per / (c_star * vol ** ((D - 1.0) / D)) - 1.0
+
+
+def emit_csv(path, columns, rows) -> None:
+    """Header line, then one line per row: strings as they are, numbers to 12
+    significant digits, NaN as an empty cell.  A row of numbers takes one
+    ``%`` format, as ``np.savetxt(fmt="%.12g")`` does; other rows go cell by
+    cell."""
+    numeric = ",".join(["%.12g"] * len(columns))
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            try:
+                line = numeric % tuple(row)
+            except TypeError:  # a string cell, or a row of another width
+                line = "nan"  # sends the row to the cell-by-cell format
+            if "nan" in line:
+                line = ",".join(v if isinstance(v, str) else "" if math.isnan(v)
+                                else f"{v:.12g}" for v in row)
+            fh.write(line + "\n")
 
 
 def power_mass(a, b, p):
@@ -335,8 +355,8 @@ class GridSet:
         return int(self.mask.sum())
 
     @staticmethod
-    def rasterize(star: StarSet, h: float, pad: float = 0.0) -> "GridSet":
-        rmax = float(star.radii.max()) + pad
+    def rasterize(star: StarSet, h: float) -> "GridSet":
+        rmax = float(star.radii.max())
         xs = np.arange(-rmax, rmax + h, h)
         ys = np.arange(-rmax, rmax + h, h)
         cx = xs[:-1] + h / 2.0

@@ -9,19 +9,25 @@ with b_E = Per_w(E)/w(E).  The anisotropic form replaces the weight by 1 and
 the boundary datum by the support function of the outer normal.  In both
 cases b_E is recomputed from the mesh's own quadrature so the discrete
 right-hand side is orthogonal to constants to solver precision; solutions
-are gauge-fixed to weighted mean zero.
+are gauge-fixed to weighted mean zero.  The problem is named by its mode,
+``WeightedMode`` or ``AnisotropicMode``, which the coupling passes through.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
 
-from .cone_weight import Cone, HomWeight, unit
-from .geometry import StarSet
+from .cone_weight import HomWeight, unit
+from .geometry import StarSet, emit_csv
+
+if TYPE_CHECKING:
+    from .envelope import SlopeBody
 
 
 class MeshQualityError(RuntimeError):
@@ -60,8 +66,6 @@ class TriMesh:
     triangles: np.ndarray
     free_edges: np.ndarray
     cone_edges: np.ndarray
-    h: float
-    cone: Cone | None = None
     rings: list | None = None
 
     def __post_init__(self):
@@ -140,16 +144,15 @@ class TriMesh:
         forward = np.isin(edges[:, 0] * nv + edges[:, 1], directed[:, 0] * nv + directed[:, 1])
         return np.where(forward[:, None], n, -n)
 
-    def dump_csv(self, directory, values=None, prefix: str = "mesh") -> None:
-        import os
-
-        np.savetxt(os.path.join(directory, f"{prefix}_vertices.csv"), self.vertices,
-                   delimiter=",", header="x,y", comments="", fmt="%.12g")
-        np.savetxt(os.path.join(directory, f"{prefix}_triangles.csv"), self.triangles,
-                   delimiter=",", header="v0,v1,v2", comments="", fmt="%d")
+    def dump_csv(self, directory, values=None) -> None:
+        """Write mesh_vertices.csv, mesh_triangles.csv and mesh_values.csv."""
+        emit_csv(os.path.join(directory, "mesh_vertices.csv"), ("x", "y"),
+                 self.vertices.tolist())
+        emit_csv(os.path.join(directory, "mesh_triangles.csv"), ("v0", "v1", "v2"),
+                 self.triangles.tolist())
         if values is not None:
-            np.savetxt(os.path.join(directory, f"{prefix}_values.csv"), values,
-                       delimiter=",", header="u", comments="", fmt="%.12g")
+            emit_csv(os.path.join(directory, "mesh_values.csv"), ("u",),
+                     np.asarray(values)[:, None].tolist())
 
 
 def _strip_triangles(inner, outer, n_wedges, ring):
@@ -235,8 +238,7 @@ def fan_triangulate(star: StarSet, target_h: float, min_angle_deg: float = 20.0)
                 [(lo_chain[i], lo_chain[i + 1]) for i in range(n_r)]
                 + [(hi_chain[i], hi_chain[i + 1]) for i in range(n_r)], dtype=np.int64)
 
-        mesh = TriMesh(vertices, triangles, free.astype(np.int64), cone_edges,
-                       target_h, cone, rings)
+        mesh = TriMesh(vertices, triangles, free.astype(np.int64), cone_edges, rings)
         if mesh.max_diameter() <= target_h * (1.0 + 1e-9):
             if mesh.min_angle_deg() >= min_angle_deg:
                 return mesh
@@ -300,17 +302,17 @@ def triangulate_polygon(vertices, target_h: float) -> TriMesh:
                  axis=-1)], axis=1)
     free = np.stack([ids[:, k - r, r], ids[:, k - r - 1, r + 1]], axis=-1)
     return TriMesh(points, tris.reshape(-1, 3), free.reshape(-1, 2),
-                   np.zeros((0, 2), dtype=np.int64), target_h, None, None)
+                   np.zeros((0, 2), dtype=np.int64))
 
 
 @dataclasses.dataclass(frozen=True)
-class WeightedProblem:
+class WeightedMode:
     weight: HomWeight
 
 
 @dataclasses.dataclass(frozen=True)
-class AnisotropicProblem:
-    body: object  # SlopeBody
+class AnisotropicMode:
+    body: SlopeBody
 
 
 @dataclasses.dataclass
@@ -335,7 +337,7 @@ def _p1_gradients(mesh: TriMesh):
     return grads
 
 
-def solve_neumann(mesh: TriMesh, problem) -> NodalField:
+def solve_neumann(mesh: TriMesh, mode: WeightedMode | AnisotropicMode) -> NodalField:
     """Galerkin P1 solve of the weighted or anisotropic Neumann problem.
 
     Triangle quadrature is the 3-point edge-midpoint rule (exact for
@@ -344,11 +346,11 @@ def solve_neumann(mesh: TriMesh, problem) -> NodalField:
     discrete compatibility identity.  Conjugate gradients with a Jacobi
     preconditioner run in the complement of constants.
     """
-    weighted = isinstance(problem, WeightedProblem)
+    weighted = isinstance(mode, WeightedMode)
     grads = _p1_gradients(mesh)
     mids, mid_wq = mesh.midpoint_rule()
     if weighted:
-        mid_wq = mid_wq * problem.weight(mids)
+        mid_wq = mid_wq * mode.weight(mids)
     tri_wq = mid_wq.reshape(-1, 3)  # quadrature weights per midpoint
 
     nv = mesh.n_vertices
@@ -366,13 +368,13 @@ def solve_neumann(mesh: TriMesh, problem) -> NodalField:
     free_vec = np.zeros(nv)
     if weighted:
         nodes, half_len, t = mesh.free_edge_gauss()
-        wg = half_len * problem.weight(nodes)
+        wg = half_len * mode.weight(nodes)
         np.add.at(free_vec, np.repeat(mesh.free_edges, 2, axis=0),
                   wg[:, None] * np.column_stack([1.0 - t, t]))
     else:
         edges = np.vstack([mesh.free_edges, mesh.cone_edges])
         half_len = 0.5 * _row_norms(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]])
-        datum = problem.body.support(mesh.boundary_outward_normals(edges))
+        datum = mode.body.support(mesh.boundary_outward_normals(edges))
         np.add.at(free_vec, edges, (half_len * datum)[:, None])
 
     total_mass = float(mass_vec.sum())

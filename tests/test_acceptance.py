@@ -26,9 +26,7 @@ from isocone.analysis import (
 )
 from isocone.cone_weight import Cone, HomWeight
 from isocone.coupling import (
-    AnisotropicMode,
     Resolutions,
-    WeightedMode,
     abp_chain_check,
     anisotropic_deficit,
     build_coupling,
@@ -45,7 +43,7 @@ from isocone.experiments import (
     translation_diagnostics,
 )
 from isocone.geometry import StarSet, asymmetry, deficit
-from isocone.pde import WeightedProblem, fan_triangulate, solve_neumann, \
+from isocone.pde import AnisotropicMode, WeightedMode, fan_triangulate, solve_neumann, \
     triangulate_polygon, weighted_h1_error
 
 QUADRANT = Cone.quadrant()
@@ -144,7 +142,7 @@ def test_criterion_05_coupling_pipeline():
     errs = []
     for h in (0.08, 0.04, 0.02):
         mesh = fan_triangulate(star, h)
-        field = solve_neumann(mesh, WeightedProblem(W_XY))
+        field = solve_neumann(mesh, WeightedMode(W_XY))
         errs.append(weighted_h1_error(field, lambda p: p, W_XY))
     assert errs[-1] <= 0.2 * 0.02
     assert errs[0] / errs[1] >= 1.8 and errs[1] / errs[2] >= 1.8

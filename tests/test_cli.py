@@ -4,6 +4,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from isocone.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
@@ -109,6 +110,14 @@ class TestCheckers:
         assert header == "x,y,phi,xi1,xi2"
         assert (out / "envelope_c11.csv").exists()
 
+    @pytest.mark.parametrize("h", [0.0, -0.05])
+    def test_nonpositive_step_rejected_before_work(self, tmp_path, h):
+        config = dict(BASE_CONFIG)
+        config["envelope"] = {"u": "quadratic", "h": h, "n_points": 40}
+        code, out = run(tmp_path, "envelope", config)
+        assert code == EXIT_USAGE
+        assert not (out / "envelope.csv").exists()
+
 
 class TestEmit:
     def test_empty_result_set_header_only(self, tmp_path):
@@ -116,6 +125,21 @@ class TestEmit:
         path = tmp_path / "empty.csv"
         emit_csv(path, ("a", "b"), [])
         assert path.read_text() == "a,b\n"
+
+    def test_numbers_match_savetxt(self, tmp_path):
+        from isocone.geometry import emit_csv
+        rows = [(-0.0, 1e-5, 1e14, 3), (7, -2.5, 1.2e14, 0.1)]
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        emit_csv(ours, ("a", "b", "c", "d"), rows)
+        np.savetxt(ref, rows, delimiter=",", header="a,b,c,d", comments="", fmt="%.12g")
+        assert ours.read_bytes() == ref.read_bytes()
+
+    def test_nan_cells_empty_and_strings_pass_through(self, tmp_path):
+        from isocone.geometry import emit_csv
+        path = tmp_path / "mixed.csv"
+        emit_csv(path, ("mode", "x", "y"),
+                 [("weighted", float("nan"), 2.5), ("nan-free", 1e-5, -0.0)])
+        assert path.read_text() == "mode,x,y\nweighted,,2.5\nnan-free,1e-05,-0\n"
 
 
 class TestCoupleVerb:
@@ -138,7 +162,9 @@ class TestCoupleVerb:
         assert back == report  # round-trips to equal values
 
     @pytest.mark.parametrize("bad", [{"mesh_h": 0.0}, {"eval_h": -0.006},
-                                     {"n_slope": [1, 192]}, {"n_slope": [512, 1]}])
+                                     {"n_slope": [1, 192]}, {"n_slope": [512, 1]},
+                                     {"n_theta": 0}, {"n_theta": 1}, {"n_theta": 2},
+                                     {"n_theta": 2.5}, {"n_theta": "64"}])
     def test_bad_resolutions_rejected_before_work(self, tmp_path, bad):
         config = dict(BASE_CONFIG)
         config["resolutions"] = {**BASE_CONFIG["resolutions"], **bad}

@@ -5,10 +5,8 @@ import pytest
 
 from isocone.cone_weight import Cone, HomWeight
 from isocone.coupling import (
-    AnisotropicMode,
     MinimizerDegenerateError,
     Resolutions,
-    WeightedMode,
     _poly_weighted_measure,
     abp_chain_check,
     anisotropic_deficit,
@@ -20,7 +18,7 @@ from isocone.coupling import (
 )
 from isocone.envelope import SlopeBody
 from isocone.geometry import StarSet
-from isocone.pde import triangulate_polygon
+from isocone.pde import AnisotropicMode, WeightedMode, triangulate_polygon
 
 QUADRANT = Cone.quadrant()
 W_XY = HomWeight.monomial(QUADRANT, 1, 1)

@@ -99,8 +99,15 @@ class TestRestrictedConjugate:
         mid = A[1:-1]
         assert np.all(A[:-2] + A[2:] <= 2.0 * mid + 1e-10)
 
-    def test_structured_matches_dense(self):
-        pts = quad_cloud(n_ang=60, n_rad=21)
+    # small clouds take the same per-angle path; the three points are collinear
+    @pytest.mark.parametrize("pts", [
+        pytest.param(quad_cloud(n_ang=60, n_rad=21), id="1201"),
+        pytest.param(quad_cloud(n_ang=60, n_rad=21)[:1], id="1"),
+        pytest.param(quad_cloud(n_ang=60, n_rad=21)[:2], id="2"),
+        pytest.param(np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]]), id="3-collinear"),
+        pytest.param(quad_cloud(n_ang=60, n_rad=21)[:15], id="15"),
+    ])
+    def test_structured_matches_dense(self, pts):
         vals = 0.5 * np.einsum("ij,ij->i", pts, pts) + 0.3 * pts[:, 0]
         body = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 48, 33)
         conj = restricted_conjugate(pts, vals, body)
@@ -237,6 +244,28 @@ class TestKEnvelope:
         phi, _, _ = conj.envelope_at(pts)
         h_pts = 2.0 / 80
         assert np.max(np.abs(phi - vals)) <= 2.0 * (h_pts + body.spacing)
+
+
+class TestHessianField:
+    def test_linear_slope_field_fit_exactly_inside_mask(self):
+        # xi = A x with A symmetric: a node whose whole 5 x 5 window is masked
+        # recovers A; a node whose window holds one masked point gets zero
+        A = np.array([[1.3, -0.4], [-0.4, 0.7]])
+        h = 0.05
+        xs, ys = h * np.arange(20), h * np.arange(16)
+        gx, gy = np.meshgrid(xs, ys)
+        xi = np.stack([A[0, 0] * gx + A[0, 1] * gy, A[1, 0] * gx + A[1, 1] * gy], axis=-1)
+        field = envelope.EnvelopeField(xs, ys, np.zeros(gx.shape), xi,
+                                       np.zeros(gx.shape, dtype=np.int64), None, h)
+        mask = np.zeros(gx.shape, dtype=bool)
+        mask[2:12, 3:15] = True
+        mask[14, 18] = True
+        H = field.hessian_field(mask)
+        whole = np.lib.stride_tricks.sliding_window_view(np.pad(mask, 2), (5, 5)).all(
+            axis=(-2, -1))
+        assert whole.sum() == 6 * 8
+        assert np.max(np.abs(H[whole] - A)) <= 1e-12
+        assert np.all(H[14, 18] == 0.0)
 
 
 class TestAchievedSlopes:

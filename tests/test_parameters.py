@@ -1,0 +1,84 @@
+"""Every defaulted parameter in the package is set by some caller.
+
+A parameter that no call in ``src/`` or ``tests/`` ever sets offers a
+choice nobody makes; its one value belongs in a named constant instead.
+Calls are matched to definitions by name: ``f(...)`` and ``obj.f(...)``
+count for every function or method named ``f``, and ``Name(...)`` also
+counts for ``Name.__init__``.  A call sets a parameter by position or by
+keyword; ``*args`` and ``**kwargs`` set nothing that can be named here.
+Functions nested inside other functions are exempt (they bind loop
+variables through defaults).
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _parse(directory):
+    return [ast.parse(path.read_text(), str(path))
+            for path in sorted((ROOT / directory).rglob("*.py"))]
+
+
+def _definitions(tree):
+    """(qualified name, def node, bound) for each module-level function and
+    method; ``bound`` is true for methods that take self or cls."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield f"{node.name}.{item.name}", item, not static
+
+
+def _signature(fn, bound):
+    """(positional parameter names, defaulted parameter names) of a def."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    if bound:
+        positional = positional[1:]
+    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return positional, defaulted
+
+
+def _call_names(call):
+    """The definition names a call can reach."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return {func.id, f"{func.id}.__init__"}
+    if isinstance(func, ast.Attribute):
+        return {func.attr}
+    return set()
+
+
+def unused_knobs():
+    src = _parse("src")
+    calls = [node for tree in src + _parse("tests") for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unused = []
+    for tree in src:
+        for qualname, fn, bound in _definitions(tree):
+            positional, defaulted = _signature(fn, bound)
+            if not defaulted:
+                continue
+            short = qualname.split(".")[-1]
+            set_by_someone = set()
+            for call in calls:
+                names = _call_names(call)
+                if short not in names and qualname not in names:
+                    continue
+                n_pos = sum(not isinstance(a, ast.Starred) for a in call.args)
+                set_by_someone.update(positional[:n_pos])
+                set_by_someone.update(k.arg for k in call.keywords if k.arg is not None)
+            unused += [f"{qualname}({name})" for name in defaulted
+                       if name not in set_by_someone]
+    return sorted(unused)
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    assert unused_knobs() == []

@@ -7,11 +7,11 @@ from isocone.cone_weight import Cone, HomWeight
 from isocone.envelope import SlopeBody
 from isocone.geometry import StarSet
 from isocone.pde import (
-    AnisotropicProblem,
+    AnisotropicMode,
     MeshQualityError,
     SolverError,
     TriMesh,
-    WeightedProblem,
+    WeightedMode,
     fan_lattice,
     fan_triangulate,
     solve_neumann,
@@ -156,7 +156,7 @@ class TestWeightedSolve:
     def test_exact_ball_solution_and_datum(self):
         star = StarSet.ball(QUADRANT, 4096)
         mesh = fan_triangulate(star, 0.04)
-        field = solve_neumann(mesh, WeightedProblem(W_XY))
+        field = solve_neumann(mesh, WeightedMode(W_XY))
         assert field.b_E == pytest.approx(W_XY.D, abs=5e-3)
         err = weighted_h1_error(field, lambda p: p, W_XY)
         assert err <= 0.2 * 0.04  # C * h with a generous constant
@@ -166,7 +166,7 @@ class TestWeightedSolve:
         errs = []
         for h in (0.08, 0.04, 0.02):
             mesh = fan_triangulate(star, h)
-            field = solve_neumann(mesh, WeightedProblem(W_XY))
+            field = solve_neumann(mesh, WeightedMode(W_XY))
             errs.append(weighted_h1_error(field, lambda p: p, W_XY))
         assert errs[0] / errs[1] >= 1.8
         assert errs[1] / errs[2] >= 1.8
@@ -175,13 +175,13 @@ class TestWeightedSolve:
         star = StarSet.perturbed_ball(QUADRANT, W_XY, 2048, 0.1, eta4)
         mesh = fan_triangulate(star, 0.03)
         # reassemble the right-hand side exactly as the solver does
-        field = solve_neumann(mesh, WeightedProblem(W_XY))
+        field = solve_neumann(mesh, WeightedMode(W_XY))
         assert field.residual <= 1e-10
 
     def test_weighted_mean_zero_gauge(self):
         star = StarSet.ball(QUADRANT, 1024)
         mesh = fan_triangulate(star, 0.05)
-        field = solve_neumann(mesh, WeightedProblem(W_XY))
+        field = solve_neumann(mesh, WeightedMode(W_XY))
         mids = mesh.edge_midpoints()
         w_mid = W_XY(mids.reshape(-1, 2)).reshape(-1, 3)
         u_mid = field.values[mesh.triangles][:, [1, 2, 0]] / 2.0 \
@@ -192,7 +192,7 @@ class TestWeightedSolve:
     def test_symmetry_of_symmetric_data(self):
         star = StarSet.ball(QUADRANT, 4096)
         mesh = fan_triangulate(star, 0.04)
-        field = solve_neumann(mesh, WeightedProblem(W_XY))
+        field = solve_neumann(mesh, WeightedMode(W_XY))
         # mirror across the bisector theta -> pi/2 - theta maps the
         # structured rings onto themselves with reversed angular index
         for ids in mesh.rings[1:]:
@@ -204,15 +204,14 @@ class TestWeightedSolve:
                           [1.0, 1.0], [1.3, 1.0], [1.0, 1.3]])
         tris = np.array([[0, 1, 2], [3, 4, 5]])
         free = np.array([[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]])
-        mesh = TriMesh(verts, tris, free, np.zeros((0, 2), dtype=np.int64),
-                       0.3, QUADRANT, None)
+        mesh = TriMesh(verts, tris, free, np.zeros((0, 2), dtype=np.int64))
         with pytest.raises(SolverError):
-            solve_neumann(mesh, WeightedProblem(W_XY))
+            solve_neumann(mesh, WeightedMode(W_XY))
 
     def test_half_plane_ball(self):
         star = StarSet.ball(HALF, 4096)
         mesh = fan_triangulate(star, 0.04)
-        field = solve_neumann(mesh, WeightedProblem(W_Y))
+        field = solve_neumann(mesh, WeightedMode(W_Y))
         err = weighted_h1_error(field, lambda p: p, W_Y)
         assert err <= 0.25 * 0.04
 
@@ -222,7 +221,7 @@ class TestAnisotropicSolve:
         star = StarSet.ball(Cone.plane(), 4096)
         mesh = fan_triangulate(star, 0.04)
         body = SlopeBody.disk(1.0, 64, 128)
-        field = solve_neumann(mesh, AnisotropicProblem(body))
+        field = solve_neumann(mesh, AnisotropicMode(body))
         assert field.b_E == pytest.approx(2.0, abs=5e-3)
         err = weighted_h1_error(field, lambda p: p)
         assert err <= 0.5 * 0.04
@@ -230,14 +229,14 @@ class TestAnisotropicSolve:
     def test_square_wulff_solution(self):
         body = SlopeBody.polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
         mesh = triangulate_polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)], 0.05)
-        field = solve_neumann(mesh, AnisotropicProblem(body))
+        field = solve_neumann(mesh, AnisotropicMode(body))
         assert field.b_E == pytest.approx(2.0, abs=1e-12)
         err = weighted_h1_error(field, lambda p: p)
         assert err <= 0.8 * 0.05
 
     def test_mesh_csv_dump(self, tmp_path):
         mesh = fan_triangulate(StarSet.ball(QUADRANT, 256), 0.2)
-        field = solve_neumann(mesh, WeightedProblem(W_XY))
+        field = solve_neumann(mesh, WeightedMode(W_XY))
         mesh.dump_csv(tmp_path, field.values)
         assert (tmp_path / "mesh_vertices.csv").exists()
         assert (tmp_path / "mesh_triangles.csv").exists()
