@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    InadmissibleInputError,
     IntervalSet,
     cheeger_bruteforce,
     one_dim_stability_check,
@@ -99,14 +98,27 @@ def parse_set(cone: Cone, weight, spec, n_theta: int) -> StarSet:
     raise ConfigError("set spec needs 'ball' or 'star'")
 
 
+def _is_a(val, kind) -> bool:
+    """isinstance for JSON values, where a bool does not count as a number."""
+    return isinstance(val, kind) and not isinstance(val, bool)
+
+
+def _is_pair(val, kind) -> bool:
+    return _is_a(val, (list, tuple)) and len(val) == 2 and all(_is_a(x, kind) for x in val)
+
+
 def parse_resolutions(spec) -> dict:
     res = {"n_theta": 4096, "mesh_h": 0.02, "n_slope": (192, 384), "eval_h": 0.0085}
-    for key in res:
-        if key in spec:
-            val = spec[key]
-            res[key] = tuple(val) if key == "n_slope" else val
-    if not isinstance(res["n_theta"], int) or res["n_theta"] < 3:
+    res.update({key: spec[key] for key in res if key in spec})
+    if not _is_a(res["n_theta"], int) or res["n_theta"] < 3:
         raise ConfigError(f"resolutions.n_theta must be an integer >= 3, got {res['n_theta']!r}")
+    for key in ("mesh_h", "eval_h"):
+        if not _is_a(res[key], (int, float)):
+            raise ConfigError(f"resolutions.{key} must be a number, got {res[key]!r}")
+    if not _is_pair(res["n_slope"], int):
+        raise ConfigError(
+            f"resolutions.n_slope must be a list of two integers, got {res['n_slope']!r}")
+    res["n_slope"] = tuple(res["n_slope"])
     return res
 
 
@@ -145,7 +157,7 @@ def _run_couple(config, out_dir):
     res_spec = parse_resolutions(config.get("resolutions", {}))
     cone = parse_cone(config["cone"])
     resolutions = Resolutions(mesh_h=res_spec["mesh_h"],
-                              n_slope=tuple(res_spec["n_slope"]),
+                              n_slope=res_spec["n_slope"],
                               eval_h=res_spec["eval_h"])
     mode_name = config.get("mode", "weighted")
     if mode_name == "weighted":
@@ -318,10 +330,13 @@ def _run_envelope(config, out_dir):
     h = float(spec.get("h", 0.05))
     if not h > 0:
         raise ConfigError(f"envelope.h must be positive, got {h!r}")
+    box = spec.get("box", ((-2.0, 2.0), (-2.0, 2.0)))
+    if not (_is_pair(box, (list, tuple))
+            and all(_is_pair(pair, (int, float)) and pair[0] < pair[1] for pair in box)):
+        raise ConfigError(f"envelope.box must be two [lo, hi] pairs with lo < hi, got {box!r}")
+    box = tuple((float(lo), float(hi)) for lo, hi in box)
     body = parse_body(spec.get("body", {"sector_disk": {"rho": 1.0}}))
     u_kind = spec.get("u", "quadratic")
-    box = spec.get("box", ((-2.0, 2.0), (-2.0, 2.0)))
-    box = ((float(box[0][0]), float(box[0][1])), (float(box[1][0]), float(box[1][1])))
     n_pts = int(spec.get("n_points", 60))
     xs = np.linspace(box[0][0], box[0][1], n_pts)
     ys = np.linspace(box[1][0], box[1][1], n_pts)
@@ -387,7 +402,7 @@ def main(argv=None) -> int:
     runner = RUNNERS[args.verb]
     try:
         code, outputs = runner(config, args.out)
-    except (ConfigError, InadmissibleInputError, KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     write_manifest(args.out, config, args.verb, args.seed, outputs)

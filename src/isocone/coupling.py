@@ -27,7 +27,7 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import ConvexHull, QhullError
 
 from .analysis import amgm_sides
 from .cone_weight import HomWeight
@@ -152,18 +152,18 @@ def _poly_weighted_measure(vertices, weight: HomWeight) -> float:
     return float(wq @ np.clip(weight(nodes), 0.0, None))
 
 
-def build_coupling(star: StarSet | None, mode: WeightedMode | AnisotropicMode,
+def build_coupling(star: StarSet, mode: WeightedMode | AnisotropicMode,
                    res: Resolutions | None = None, mesh: TriMesh | None = None) -> CouplingReport:
-    """Run the full coupling pipeline and measure its control quantities.
+    """Run the full coupling pipeline on the set ``star`` and measure its
+    control quantities.
 
-    ``star`` may be omitted in anisotropic mode when a prebuilt ``mesh`` is
-    supplied (the deficit is then computed from mesh quadrature alone).
+    The set gives the deficit and the eval nodes inside E.  ``mesh``
+    defaults to the fan mesh of the set at ``res.mesh_h``; a prebuilt mesh
+    of the same set (a polygon lattice, say) may be passed instead.
     """
     if res is None:
         res = Resolutions()
     weighted = isinstance(mode, WeightedMode)
-    if weighted and star is None:
-        raise ValueError("weighted mode needs the star-shaped set")
 
     if mesh is None:
         mesh = fan_triangulate(star, res.mesh_h)
@@ -176,14 +176,10 @@ def build_coupling(star: StarSet | None, mode: WeightedMode | AnisotropicMode,
     else:
         weight = None
         body = mode.body
-        # without the set, the deficit comes from mesh data below
-        delta = anisotropic_deficit(star, body) if star is not None else None
+        delta = anisotropic_deficit(star, body)
         ref_volume = body.area()
 
     u = solve_neumann(mesh, mode)
-    if not weighted and delta is None:
-        area = float(mesh.areas().sum())
-        delta = deficit_value(u.b_E * area, area, body.area(), 2.0)
 
     conj = restricted_conjugate(mesh.vertices, u.values, body)
     vmin = mesh.vertices.min(axis=0)
@@ -193,12 +189,7 @@ def build_coupling(star: StarSet | None, mode: WeightedMode | AnisotropicMode,
     field = k_envelope(conj, box, res.eval_h)
 
     nodes = field.grid_points()
-    if star is not None:
-        in_E = star.contains(nodes)
-    else:
-        tree = cKDTree(mesh.vertices)
-        d, _ = tree.query(nodes)
-        in_E = d <= 2.0 * res.mesh_h
+    in_E = star.contains(nodes)
     if weighted:
         band_dist = weight.cone.boundary_distance(nodes)
         in_E &= band_dist > 1e-12  # the set lives in the open cone

@@ -516,6 +516,7 @@ class EnvelopeField:
 
 
 def _bilinear(xs, ys, F, pts):
+    """Bilinear interpolation of the node field F (ny, nx, c) at pts (n, 2)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     hx = xs[1] - xs[0]
     hy = ys[1] - ys[0]
@@ -526,8 +527,6 @@ def _bilinear(xs, ys, F, pts):
     tx = (fx - ix)[:, None]
     ty = (fy - iy)[:, None]
     vals = np.asarray(F, dtype=float)
-    if vals.ndim == 2:
-        vals = vals[:, :, None]
     f00 = vals[iy, ix]
     f10 = vals[iy, ix + 1]
     f01 = vals[iy + 1, ix]

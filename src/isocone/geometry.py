@@ -52,10 +52,6 @@ class StarSet:
             raise ValueError("radii exceed the declared cap")
 
     @property
-    def n_theta(self) -> int:
-        return len(self.thetas)
-
-    @property
     def periodic(self) -> bool:
         return self.cone.full_plane
 

@@ -158,31 +158,32 @@ class TriMesh:
 def _strip_triangles(inner, outer, n_wedges, ring):
     """Mirror-symmetric triangulation of the strip between rings ``ring`` and
     ``ring + 1`` of a graded fan mesh (the outer ring carries one extra node
-    per super-wedge).  Within each wedge the pattern pairs inner node j with
-    outer nodes j and j+1, which maps onto itself under angular reflection,
-    so symmetric data produce symmetric discrete solutions.
+    per super-wedge; ring 0 is the origin alone).  Wedge s pairs inner nodes
+    a_j = inner[s ring + j] with outer nodes b_j = outer[s (ring + 1) + j],
+    indices taken cyclically, and gives first the ``ring + 1`` triangles
+    (a_j, b_j, b_j+1), then the ``ring`` triangles (a_j, b_j+1, a_j+1).  The
+    pattern maps onto itself under angular reflection, so symmetric data
+    produce symmetric discrete solutions.  Returns an (n, 3) int64 array.
     """
-    tris = []
-    i = ring
-    n_in = len(inner)
-    n_out = len(outer)
-    for s in range(n_wedges):
-        a = [inner[(s * i + j) % n_in] for j in range(i + 1)]
-        b = [outer[(s * (i + 1) + j) % n_out] for j in range(i + 2)]
-        for j in range(i + 1):
-            tris.append((a[j], b[j], b[j + 1]))
-        for j in range(i):
-            tris.append((a[j], b[j + 1], a[j + 1]))
-    return tris
+    s = np.arange(n_wedges)[:, None]
+    j = np.arange(ring + 2)
+    a = inner[(s * ring + j[:-1]) % len(inner)]
+    b = outer[(s * (ring + 1) + j) % len(outer)]
+    up = np.stack([a, b[:, :-1], b[:, 1:]], axis=-1)
+    down = np.stack([a[:, :-1], b[:, 1:-1], a[:, 1:]], axis=-1)
+    return np.concatenate([up, down], axis=1).reshape(-1, 3)
 
 
 def fan_triangulate(star: StarSet, target_h: float, min_angle_deg: float = 20.0) -> TriMesh:
     """Graded fan/annular triangulation of a star-shaped set from the origin.
 
     Ring i carries proportionally more angular nodes, which keeps cells
-    roughly isotropic all the way to the vertex.  Boundary edges on the
-    outer polar curve are tagged FREE; for wedge cones the two radial
-    chains are tagged CONE (they lie on the boundary rays exactly).
+    roughly isotropic all the way to the vertex.  Ring 0 is the origin, and
+    every strip between rings i and i + 1, the center fan included, is
+    triangulated by :func:`_strip_triangles`.  Boundary edges on the outer
+    polar curve are tagged FREE; for wedge cones the two radial chains (the
+    first and the last node of each ring) are tagged CONE (they lie on the
+    boundary rays exactly).
     """
     cone = star.cone
     r_max = float(star.radii.max())
@@ -197,7 +198,7 @@ def fan_triangulate(star: StarSet, target_h: float, min_angle_deg: float = 20.0)
         n_r = max(2, int(math.ceil(math.sqrt(2.0) * scale * r_max / target_h)))
         n0 = max(3 if periodic else 2,
                  int(math.ceil(math.sqrt(2.0) * scale * arc_len / (target_h * n_r))))
-        verts = [np.zeros(2)]
+        verts = [np.zeros((1, 2))]
         rings = [np.array([0])]
         vid = 1
         for i in range(1, n_r + 1):
@@ -212,19 +213,10 @@ def fan_triangulate(star: StarSet, target_h: float, min_angle_deg: float = 20.0)
             verts.append(pts)
             rings.append(ids)
             vid += len(angles)
-        vertices = np.vstack([verts[0][None, :], *verts[1:]])
+        vertices = np.vstack(verts)
 
-        tris = []
-        first = rings[1]
-        if periodic:
-            for j in range(len(first)):
-                tris.append((0, first[j], first[(j + 1) % len(first)]))
-        else:
-            for j in range(len(first) - 1):
-                tris.append((0, first[j], first[j + 1]))
-        for i in range(1, n_r):
-            tris.extend(_strip_triangles(rings[i], rings[i + 1], n0, i))
-        triangles = np.array(tris, dtype=np.int64)
+        triangles = np.concatenate(
+            [_strip_triangles(rings[i], rings[i + 1], n0, i) for i in range(n_r)])
 
         outer = rings[-1]
         if periodic:
@@ -232,13 +224,10 @@ def fan_triangulate(star: StarSet, target_h: float, min_angle_deg: float = 20.0)
             cone_edges = np.zeros((0, 2), dtype=np.int64)
         else:
             free = np.column_stack([outer[:-1], outer[1:]])
-            lo_chain = [0] + [rings[i][0] for i in range(1, n_r + 1)]
-            hi_chain = [0] + [rings[i][-1] for i in range(1, n_r + 1)]
-            cone_edges = np.array(
-                [(lo_chain[i], lo_chain[i + 1]) for i in range(n_r)]
-                + [(hi_chain[i], hi_chain[i + 1]) for i in range(n_r)], dtype=np.int64)
+            chains = [np.array([ring[end] for ring in rings]) for end in (0, -1)]
+            cone_edges = np.concatenate([np.column_stack([c[:-1], c[1:]]) for c in chains])
 
-        mesh = TriMesh(vertices, triangles, free.astype(np.int64), cone_edges, rings)
+        mesh = TriMesh(vertices, triangles, free, cone_edges, rings)
         if mesh.max_diameter() <= target_h * (1.0 + 1e-9):
             if mesh.min_angle_deg() >= min_angle_deg:
                 return mesh

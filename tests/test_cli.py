@@ -118,6 +118,14 @@ class TestCheckers:
         assert code == EXIT_USAGE
         assert not (out / "envelope.csv").exists()
 
+    @pytest.mark.parametrize("box", [[[-2, 2]], [[2, -2], [-2, 2]], [[-2, "2"], [-2, 2]]])
+    def test_bad_box_rejected_before_work(self, tmp_path, box):
+        config = dict(BASE_CONFIG)
+        config["envelope"] = {"u": "quadratic", "h": 0.2, "n_points": 40, "box": box}
+        code, out = run(tmp_path, "envelope", config)
+        assert code == EXIT_USAGE
+        assert list(out.iterdir()) == []
+
 
 class TestEmit:
     def test_empty_result_set_header_only(self, tmp_path):
@@ -164,7 +172,9 @@ class TestCoupleVerb:
     @pytest.mark.parametrize("bad", [{"mesh_h": 0.0}, {"eval_h": -0.006},
                                      {"n_slope": [1, 192]}, {"n_slope": [512, 1]},
                                      {"n_theta": 0}, {"n_theta": 1}, {"n_theta": 2},
-                                     {"n_theta": 2.5}, {"n_theta": "64"}])
+                                     {"n_theta": 2.5}, {"n_theta": "64"},
+                                     {"mesh_h": "0.02"}, {"eval_h": None}, {"mesh_h": True},
+                                     {"n_slope": 512}])
     def test_bad_resolutions_rejected_before_work(self, tmp_path, bad):
         config = dict(BASE_CONFIG)
         config["resolutions"] = {**BASE_CONFIG["resolutions"], **bad}

@@ -69,6 +69,36 @@ class TestSupportFunction:
         assert fine.hull_gap() < coarse.hull_gap()
         assert fine.hull_gap() <= 2e-8
 
+    def test_full_plane_hull_gap_is_one_sagitta(self):
+        assert DISK.hull_gap() == pytest.approx(1.0 - math.cos(math.pi / 256), rel=1e-12)
+
+
+SEGMENT = SlopeBody.polygon([(-1.0, 0.0), (1.0, 0.0)])
+QUADRANT_DISK = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 32, 48)
+
+
+class TestNormalCone:
+    @pytest.mark.parametrize("body, xi, want", [
+        (SQUARE, (1.0, 1.0), [(1.0, 0.0), (0.0, 1.0)]),  # vertex: both edge normals
+        (SQUARE, (1.0, 0.0), [(1.0, 0.0)]),  # edge midpoint: one normal
+        (SQUARE, (0.2, -0.3), np.zeros((0, 2))),  # interior: {0}
+        (SEGMENT, (-1.0, 0.0), [(0.0, 1.0), (0.0, -1.0), (-1.0, 0.0)]),
+        (SEGMENT, (1.0, 0.0), [(0.0, 1.0), (0.0, -1.0), (1.0, 0.0)]),
+        (QUADRANT_DISK, (0.0, 0.0), [(0.0, -1.0), (-1.0, 0.0)]),  # origin: both rays
+        (QUADRANT_DISK, (0.5, 0.0), [(0.0, -1.0)]),  # on the ray at angle 0
+        (QUADRANT_DISK, (0.0, 0.5), [(-1.0, 0.0)]),  # on the ray at angle pi/2
+        (QUADRANT_DISK, (1.0, 0.0), [(0.0, -1.0), (1.0, 0.0)]),  # corner of ray and arc
+    ])
+    def test_generators(self, body, xi, want):
+        got = body.normal_cone(xi)
+        want = np.asarray(want, dtype=float).reshape(-1, 2)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, atol=1e-12)
+
+    def test_polygon_contains(self):
+        pts = [(0.2, -0.3), (1.0 + 1e-12, 0.5), (1.01, 0.0)]
+        assert SQUARE.contains(pts).tolist() == [True, True, False]
+
 
 class TestRestrictedConjugate:
     def test_single_point(self):

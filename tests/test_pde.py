@@ -66,6 +66,28 @@ class TestFanTriangulate:
         mesh = fan_triangulate(star, 0.02, min_angle_deg=15.0)
         assert mesh.min_angle_deg() >= 15.0
 
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_strip_rule_matches_loop(self, periodic, h):
+        # triangle order fixes the sparse assembly order and the PCG rounding
+        if periodic:
+            star = StarSet.ball(Cone.plane(), 1024)
+        else:
+            star = StarSet.perturbed_ball(QUADRANT, W_XY, 1024, 0.1, eta4)
+        mesh = fan_triangulate(star, h)
+        rings = mesh.rings
+        first = rings[1]
+        n0 = len(first) if periodic else len(first) - 1
+        tris = [(0, first[j], first[(j + 1) % len(first)]) for j in range(n0)]
+        for i in range(1, len(rings) - 1):
+            inner, outer = rings[i], rings[i + 1]
+            for s in range(n0):
+                a = [inner[(s * i + j) % len(inner)] for j in range(i + 1)]
+                b = [outer[(s * (i + 1) + j) % len(outer)] for j in range(i + 2)]
+                tris += [(a[j], b[j], b[j + 1]) for j in range(i + 1)]
+                tris += [(a[j], b[j + 1], a[j + 1]) for j in range(i)]
+        assert np.array_equal(mesh.triangles, np.array(tris))
+
     def test_polygon_mesh_square(self):
         mesh = triangulate_polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)], 0.05)
         assert mesh.min_angle_deg() >= 44.9
