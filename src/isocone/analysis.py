@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .cone_weight import Cone, HomWeight
+from .envelope import _BLOCK
 from .geometry import (
     GridSet,
     StarSet,
@@ -394,21 +395,50 @@ class CheegerResult:
     tau_minus_one: float
 
 
-def _cheeger_ratio_1d(F_endpoints, E: IntervalSet, alpha: float):
-    """(w(F), Per_w(F), shared boundary weight) for one candidate subset."""
-    e_bound = set()
-    for t in E.boundary():
-        e_bound.add(round(t, 12))
+def _atoms(ts, ia, ib, alpha: float, e_bound):
+    """Intervals [ts[ia], ts[ib]] as arrays (a, b, w(F), p_a, p_b, s_a, s_b).
+
+    p and s are each endpoint's perimeter weight t^alpha and its part on dE;
+    an endpoint at t <= 1e-14 carries none.  Powers and rounding are taken
+    once per value of ts, as scalars, and gathered: an array power may round
+    differently, and the ratio sums must not depend on it.
+    """
+    mass, per, shared = [], [], []
+    for t in ts:
+        w = 0.0 if t <= 1e-14 else t ** alpha
+        mass.append(t ** (alpha + 1.0))
+        per.append(w)
+        shared.append(w if round(t, 12) in e_bound else 0.0)
+    mass, per, shared = np.array(mass), np.array(per), np.array(shared)
+    vol = (mass[ib] - mass[ia]) / (alpha + 1.0)  # power_mass(a, b, alpha + 1)
+    return ts[ia], ts[ib], vol, per[ia], per[ib], shared[ia], shared[ib]
+
+
+def _cheeger_ratios(parts, half: float):
+    """Per_w(F) / H_w(dF cap dE) for each candidate F, inf where F is excluded.
+
+    ``parts`` holds one (atoms, index) pair per component position, left to
+    right.  The sums fold left over the components and, within one, over a
+    then b, so each ratio is the one a per-candidate loop computes.  F is
+    excluded unless 1e-14 < w(F) <= half (1 + 1e-12) and its boundary
+    shares weight with dE.
+    """
     vol = per = shared = 0.0
-    for a, b in F_endpoints:
-        vol += power_mass(a, b, alpha + 1.0)
-        for t in (a, b):
-            if t <= 1e-14:
-                continue
-            per += t ** alpha
-            if round(t, 12) in e_bound:
-                shared += t ** alpha
-    return vol, per, shared
+    for (_a, _b, w, p_a, p_b, s_a, s_b), idx in parts:
+        vol = vol + w[idx]
+        per = per + p_a[idx] + p_b[idx]
+        shared = shared + s_a[idx] + s_b[idx]
+    ok = (vol > 1e-14) & (vol <= half * (1.0 + 1e-12)) & (shared > 0)
+    return np.divide(per, shared, out=np.full(ok.shape, math.inf), where=ok)
+
+
+def _first_min(best, ratios, subset):
+    """(ratios[k], subset(k)) for the first least ratio k if it beats best[0]."""
+    if ratios.size:
+        k = int(np.argmin(ratios))
+        if ratios[k] < best[0]:
+            return ratios[k], subset(k)
+    return best
 
 
 _CHEEGER_GRID = 48  # endpoints per interval of the 1-D search grid
@@ -416,69 +446,69 @@ _CHEEGER_REFINE = 2  # rounds of local refinement around the best subset
 
 
 def _cheeger_1d(E: IntervalSet, alpha: float, max_components: int):
-    """Brute force over interval subsets with endpoints on per-interval grids."""
-    wE = E.measure(alpha)
-    half = wE / 2.0
+    """Brute force over interval subsets with endpoints on per-interval grids.
 
-    def evaluate(candidates):
-        best = (math.inf, None)
-        for cand in candidates:
-            vol, per, shared = _cheeger_ratio_1d(cand, E, alpha)
-            if vol <= 1e-14 or vol > half * (1.0 + 1e-12):
-                continue
-            if shared <= 0:
-                continue
-            ratio = per / shared
-            if ratio < best[0]:
-                best = (ratio, cand)
-        return best
-
-    atoms = []
-    for a, b in E.intervals:
-        g = np.linspace(a, b, _CHEEGER_GRID)
-        for i in range(len(g)):
-            for j in range(i + 1, len(g)):
-                atoms.append(((g[i], g[j]),))
-    candidates = list(atoms)
+    The candidates are each interval [g_i, g_j], i < j, of one interval's
+    grid, interval by interval, then, with two components, each disjoint
+    pair of those, rows i < j in the same order; the first candidate of
+    least ratio wins.  Each refinement round then moves the free endpoints
+    of the winner over 65 points each, on a grid 32 times finer.
+    """
+    half = E.measure(alpha) / 2.0
+    e_bound = {round(t, 12) for t in E.boundary()}
+    ts = np.concatenate([np.linspace(a, b, _CHEEGER_GRID) for a, b in E.intervals])
+    iu, ju = np.triu_indices(_CHEEGER_GRID, 1)
+    offsets = _CHEEGER_GRID * np.arange(len(E.intervals))[:, None]
+    atoms = _atoms(ts, (offsets + iu).ravel(), (offsets + ju).ravel(), alpha, e_bound)
+    a, b = atoms[:2]
+    best = _first_min((math.inf, None), _cheeger_ratios([(atoms, slice(None))], half),
+                      lambda k: ((a[k], b[k]),))
     if max_components >= 2:
-        singles = [c[0] for c in atoms]
-        for i in range(len(singles)):
-            for j in range(i + 1, len(singles)):
-                a1, b1 = singles[i]
-                a2, b2 = singles[j]
-                if b1 < a2 - 1e-14:
-                    candidates.append(((a1, b1), (a2, b2)))
-                elif b2 < a1 - 1e-14:
-                    candidates.append(((a2, b2), (a1, b1)))
-    best_ratio, best = evaluate(candidates)
+        n = len(a)
+        cols = np.arange(n)
+        gap = a - 1e-14
+        rows = max(1, _BLOCK // n)
+        for r0 in range(0, n, rows):
+            i = np.arange(r0, min(r0 + rows, n))[:, None]
+            before = b[i] < gap  # atom i ends left of atom j
+            ri, j = np.nonzero((cols > i) & (before | (b < gap[i])))
+            i = ri + r0
+            left = np.where(before[ri, j], i, j)
+            right = i + j - left
+            best = _first_min(best, _cheeger_ratios([(atoms, left), (atoms, right)], half),
+                              lambda k: ((a[left[k]], b[left[k]]), (a[right[k]], b[right[k]])))
 
-    step = max(b - a for a, b in E.intervals) / (_CHEEGER_GRID - 1)
+    lo = np.array([iv[0] for iv in E.intervals]) - 1e-12
+    hi = np.array([iv[1] for iv in E.intervals]) + 1e-12
+    locked = {round(t, 12) for iv in E.intervals for t in iv}
+    step = max(y - x for x, y in E.intervals) / (_CHEEGER_GRID - 1)
     for _ in range(_CHEEGER_REFINE):
-        if best is None:
+        if best[1] is None:
             break
         step /= 32.0
-        locked = {round(t, 12) for iv in E.intervals for t in iv}
-        variants = [()]
-        for a, b in best:
-            opts_a = [a] if round(a, 12) in locked else list(
-                np.linspace(a - 32 * step, a + 32 * step, 65))
-            opts_b = [b] if round(b, 12) in locked else list(
-                np.linspace(b - 32 * step, b + 32 * step, 65))
-            pairs = [(aa, bb) for aa in opts_a for bb in opts_b if bb > aa + 1e-14]
-            variants = [v + (pq,) for v in variants for pq in pairs]
-        inside = []
-        for cand in variants:
-            ok = all(
-                any(iv[0] - 1e-12 <= a and b <= iv[1] + 1e-12 for iv in E.intervals)
-                for a, b in cand
-            )
-            disjoint = all(cand[i][1] < cand[i + 1][0] + 1e-14 for i in range(len(cand) - 1))
-            if ok and disjoint:
-                inside.append(cand)
-        r2, b2 = evaluate(inside)
-        if r2 < best_ratio:
-            best_ratio, best = r2, b2
-    return CheegerResult(best_ratio, best, best_ratio - 1.0)
+        parts, inside = [], []
+        for end_a, end_b in best[1]:
+            opts_a, opts_b = (
+                np.array([t]) if round(t, 12) in locked
+                else np.linspace(t - 32 * step, t + 32 * step, 65)
+                for t in (end_a, end_b))
+            ia, ib = np.nonzero(opts_b > opts_a[:, None] + 1e-14)
+            comp = _atoms(np.concatenate([opts_a, opts_b]), ia, len(opts_a) + ib,
+                          alpha, e_bound)
+            parts.append(comp)
+            inside.append(((lo <= comp[0][:, None]) & (comp[1][:, None] <= hi)).any(axis=1))
+        shape = tuple(len(comp[0]) for comp in parts)
+        total = math.prod(shape)
+        for start in range(0, total, _BLOCK):
+            idx = np.unravel_index(np.arange(start, min(start + _BLOCK, total)), shape)
+            keep = np.logical_and.reduce([ok[k] for ok, k in zip(inside, idx)])
+            for c in range(len(parts) - 1):
+                keep &= parts[c][1][idx[c]] < parts[c + 1][0][idx[c + 1]] + 1e-14
+            idx = [k[keep] for k in idx]
+            best = _first_min(best, _cheeger_ratios(list(zip(parts, idx)), half),
+                              lambda k: tuple((comp[0][i[k]], comp[1][i[k]])
+                                              for comp, i in zip(parts, idx)))
+    return CheegerResult(best[0], best[1], best[0] - 1.0)
 
 
 def _enumerate_connected_subsets(adj):

@@ -290,13 +290,18 @@ def _run_check_amgm(config, out_dir):
 def _run_check_1d(config, out_dir):
     spec = config.get("one_dim", {})
     intervals = spec.get("intervals", [[0.0, 0.8]])
-    l = float(spec.get("l", 1.0))
-    gamma = float(spec.get("gamma", 2.0))
+    l, gamma = spec.get("l", 1.0), spec.get("gamma", 2.0)
+    for key, val in (("l", l), ("gamma", gamma)):
+        if not _is_a(val, (int, float)):
+            raise ConfigError(f"one_dim.{key} must be a number, got {val!r}")
+    l, gamma = float(l), float(gamma)
     E = IntervalSet(tuple((a, b) for a, b in intervals))
     lhs, den, ratio = one_dim_stability_check(E, l, gamma)
     emit_csv(os.path.join(out_dir, "one_dim.csv"),
              ("lhs", "denominator", "ratio"), [(lhs, den, ratio)])
-    bound = EXPECTATIONS["one_dim_Cgamma"].get(str(int(gamma)), math.inf)
+    # the constants are pinned per integer exponent; any other has no bound
+    bound = (EXPECTATIONS["one_dim_Cgamma"].get(str(int(gamma)), math.inf)
+             if gamma.is_integer() else math.inf)
     ok = (lhs == 0.0) or (den > 0 and ratio <= 1.01 * bound)
     return (EXIT_OK if ok else EXIT_VERIFICATION), ["one_dim.csv"]
 
@@ -327,9 +332,12 @@ def _run_check_fmp(config, out_dir):
 
 def _run_envelope(config, out_dir):
     spec = config.get("envelope", {})
-    h = float(spec.get("h", 0.05))
-    if not h > 0:
-        raise ConfigError(f"envelope.h must be positive, got {h!r}")
+    h = spec.get("h", 0.05)
+    if not (_is_a(h, (int, float)) and h > 0):
+        raise ConfigError(f"envelope.h must be a positive number, got {h!r}")
+    n_pts = spec.get("n_points", 60)
+    if not (_is_a(n_pts, int) and n_pts >= 2):
+        raise ConfigError(f"envelope.n_points must be an integer >= 2, got {n_pts!r}")
     box = spec.get("box", ((-2.0, 2.0), (-2.0, 2.0)))
     if not (_is_pair(box, (list, tuple))
             and all(_is_pair(pair, (int, float)) and pair[0] < pair[1] for pair in box)):
@@ -337,7 +345,6 @@ def _run_envelope(config, out_dir):
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     body = parse_body(spec.get("body", {"sector_disk": {"rho": 1.0}}))
     u_kind = spec.get("u", "quadratic")
-    n_pts = int(spec.get("n_points", 60))
     xs = np.linspace(box[0][0], box[0][1], n_pts)
     ys = np.linspace(box[1][0], box[1][1], n_pts)
     gx, gy = np.meshgrid(xs, ys)
@@ -349,7 +356,7 @@ def _run_envelope(config, out_dir):
     else:
         raise ConfigError(f"unknown envelope test function '{u_kind}'")
     conj = restricted_conjugate(pts, values, body)
-    field = k_envelope(conj, box, h)
+    field = k_envelope(conj, box, float(h))
     field.dump_csv(os.path.join(out_dir, "envelope.csv"))
     report = check_c11(field)
     emit_csv(os.path.join(out_dir, "envelope_c11.csv"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isocone import analysis
 from isocone.analysis import (
     HypothesisFailure,
     InadmissibleInputError,
@@ -27,7 +28,7 @@ from isocone.analysis import (
     translated_ball_control_check,
 )
 from isocone.cone_weight import Cone, HomWeight
-from isocone.geometry import GridSet, StarSet
+from isocone.geometry import GridSet, StarSet, power_mass
 
 QUADRANT = Cone.quadrant()
 W_XY = HomWeight.monomial(QUADRANT, 1, 1)
@@ -303,7 +304,137 @@ class TestTranslatedBallControl:
             translated_ball_control_check(star, W_XY, (0.3, 0.0))
 
 
+def _loop_ratio(F_endpoints, E, alpha):
+    """(w(F), Per_w(F), shared boundary weight) for one candidate subset."""
+    e_bound = set()
+    for t in E.boundary():
+        e_bound.add(round(t, 12))
+    vol = per = shared = 0.0
+    for a, b in F_endpoints:
+        vol += power_mass(a, b, alpha + 1.0)
+        for t in (a, b):
+            if t <= 1e-14:
+                continue
+            per += t ** alpha
+            if round(t, 12) in e_bound:
+                shared += t ** alpha
+    return vol, per, shared
+
+
+def _loop_cheeger_1d(E, alpha, max_components):
+    """The 1-D Cheeger search as a loop over candidate tuples, one at a time."""
+    grid = analysis._CHEEGER_GRID
+    half = E.measure(alpha) / 2.0
+
+    def evaluate(candidates):
+        best = (math.inf, None)
+        for cand in candidates:
+            vol, per, shared = _loop_ratio(cand, E, alpha)
+            if vol <= 1e-14 or vol > half * (1.0 + 1e-12):
+                continue
+            if shared <= 0:
+                continue
+            ratio = per / shared
+            if ratio < best[0]:
+                best = (ratio, cand)
+        return best
+
+    atoms = []
+    for a, b in E.intervals:
+        g = np.linspace(a, b, grid)
+        for i in range(len(g)):
+            for j in range(i + 1, len(g)):
+                atoms.append(((g[i], g[j]),))
+    candidates = list(atoms)
+    if max_components >= 2:
+        singles = [c[0] for c in atoms]
+        for i in range(len(singles)):
+            for j in range(i + 1, len(singles)):
+                a1, b1 = singles[i]
+                a2, b2 = singles[j]
+                if b1 < a2 - 1e-14:
+                    candidates.append(((a1, b1), (a2, b2)))
+                elif b2 < a1 - 1e-14:
+                    candidates.append(((a2, b2), (a1, b1)))
+    best_ratio, best = evaluate(candidates)
+
+    step = max(b - a for a, b in E.intervals) / (grid - 1)
+    for _ in range(analysis._CHEEGER_REFINE):
+        if best is None:
+            break
+        step /= 32.0
+        locked = {round(t, 12) for iv in E.intervals for t in iv}
+        variants = [()]
+        for a, b in best:
+            opts_a = [a] if round(a, 12) in locked else list(
+                np.linspace(a - 32 * step, a + 32 * step, 65))
+            opts_b = [b] if round(b, 12) in locked else list(
+                np.linspace(b - 32 * step, b + 32 * step, 65))
+            pairs = [(aa, bb) for aa in opts_a for bb in opts_b if bb > aa + 1e-14]
+            variants = [v + (pq,) for v in variants for pq in pairs]
+        inside = []
+        for cand in variants:
+            ok = all(
+                any(iv[0] - 1e-12 <= a and b <= iv[1] + 1e-12 for iv in E.intervals)
+                for a, b in cand
+            )
+            disjoint = all(cand[i][1] < cand[i + 1][0] + 1e-14 for i in range(len(cand) - 1))
+            if ok and disjoint:
+                inside.append(cand)
+        r2, b2 = evaluate(inside)
+        if r2 < best_ratio:
+            best_ratio, best = r2, b2
+    return best_ratio, best
+
+
+LIGHT_PIECE = ((0.001, 0.001000005), (1.0, 2.0))
+
+
 class TestCheeger1d:
+    @pytest.mark.parametrize("block", [7, analysis._BLOCK])
+    @pytest.mark.parametrize("grid", [4, 10])
+    @pytest.mark.parametrize("max_components", [1, 2])
+    @pytest.mark.parametrize("intervals, alpha", [
+        (((1.0, 2.0),), 2.0),
+        (((0.75, 2.8),), 2.5),  # array powers would move tau by an ulp here
+        (((0.0, 0.8),), 2.0),
+        (((0.5, 1.0), (1.5, 2.5)), 2.0),
+        (((0.0, 0.5), (0.7, 1.1)), 0.5),
+        (((0.2, 0.9), (1.0, 1.3), (1.6, 2.4)), 1.5),
+        (LIGHT_PIECE, 2.0),
+        (((0.3, 0.4), (0.5, 0.6)), 0.0),  # first piece above half by an ulp
+    ])
+    def test_matches_loop_oracle(self, monkeypatch, intervals, alpha, max_components,
+                                 grid, block):
+        # same candidates in the same order with the same sums: tau and the
+        # winner repeat the loop bit for bit, block boundaries included
+        monkeypatch.setattr(analysis, "_CHEEGER_GRID", grid)
+        monkeypatch.setattr(analysis, "_BLOCK", block)
+        E = IntervalSet(intervals)
+        tau, best = _loop_cheeger_1d(E, alpha, max_components)
+        res = cheeger_bruteforce(E, alpha, max_components)
+        assert repr(res.tau) == repr(tau)
+        assert res.best_subset == best
+        assert repr(res.best_subset) == repr(best)
+
+    def test_light_piece_rides_along(self, monkeypatch):
+        # a piece lighter than 1e-14 is no candidate alone, yet its boundary
+        # is all on dE, so adding it lowers any ratio above 1: the winner
+        # has two components
+        monkeypatch.setattr(analysis, "_CHEEGER_GRID", 10)
+        E = IntervalSet(LIGHT_PIECE)
+        assert len(_loop_cheeger_1d(E, 2.0, 2)[1]) == 2
+        assert cheeger_bruteforce(E, 2.0).best_subset[0] == LIGHT_PIECE[0]
+
+    def test_two_intervals_full_grid(self):
+        E = IntervalSet(((0.5, 1.0), (1.5, 2.5)))
+        res = cheeger_bruteforce(E, 2.0)
+        assert res.tau >= 1.0
+        ends = [t for f in res.best_subset for t in f]
+        assert any(abs(t - e) <= 1e-12 for t in ends for e in E.boundary())
+        assert all(any(a - 1e-12 <= lo and hi <= b + 1e-12 for a, b in E.intervals)
+                   for lo, hi in res.best_subset)
+
     def test_interval_reduction_value(self):
         # analytic reduction: F = (c, 2) with c^3 = 4.5 gives (c^2 + 4)/4
         E = IntervalSet(((1.0, 2.0),))

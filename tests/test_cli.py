@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from isocone.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+from isocone.expectations import EXPECTATIONS
 
 BASE_CONFIG = {
     "cone": {"angles": [0.0, math.pi / 2]},
@@ -110,13 +111,21 @@ class TestCheckers:
         assert header == "x,y,phi,xi1,xi2"
         assert (out / "envelope_c11.csv").exists()
 
-    @pytest.mark.parametrize("h", [0.0, -0.05])
+    @pytest.mark.parametrize("h", [0.0, -0.05, True, "0.05"])
     def test_nonpositive_step_rejected_before_work(self, tmp_path, h):
         config = dict(BASE_CONFIG)
         config["envelope"] = {"u": "quadratic", "h": h, "n_points": 40}
         code, out = run(tmp_path, "envelope", config)
         assert code == EXIT_USAGE
-        assert not (out / "envelope.csv").exists()
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("n_points", [7.9, True, 1, "40"])
+    def test_bad_point_count_rejected_before_work(self, tmp_path, n_points):
+        config = dict(BASE_CONFIG)
+        config["envelope"] = {"u": "quadratic", "h": 0.2, "n_points": n_points}
+        code, out = run(tmp_path, "envelope", config)
+        assert code == EXIT_USAGE
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("box", [[[-2, 2]], [[2, -2], [-2, 2]], [[-2, "2"], [-2, 2]]])
     def test_bad_box_rejected_before_work(self, tmp_path, box):
@@ -203,6 +212,26 @@ class TestVerificationExit:
         config["one_dim"] = {"intervals": [[0.01, 0.02]], "l": 1.2, "gamma": 2}
         code, _out = run(tmp_path, "check-1d", config)
         assert code == EXIT_VERIFICATION
+
+    @pytest.mark.parametrize("gamma, pinned", [(2.0, True), (1.5, False), (2.5, False)])
+    def test_bound_pinned_for_integer_exponents_only(self, tmp_path, gamma, pinned):
+        # C_1 and C_2 hold for gamma = 1 and 2 only; the ratio here exceeds
+        # the constant of the integer part of gamma, which must not judge a
+        # fractional gamma
+        config = dict(BASE_CONFIG)
+        config["one_dim"] = {"intervals": [[0.01, 0.02]], "l": 1.2, "gamma": gamma}
+        code, out = run(tmp_path, "check-1d", config)
+        ratio = float((out / "one_dim.csv").read_text().splitlines()[1].split(",")[2])
+        assert ratio > 1.01 * EXPECTATIONS["one_dim_Cgamma"][str(int(gamma))]
+        assert code == (EXIT_VERIFICATION if pinned else EXIT_OK)
+
+    @pytest.mark.parametrize("bad", [{"l": True}, {"gamma": True}, {"gamma": "2"}])
+    def test_bad_one_dim_numbers_rejected_before_work(self, tmp_path, bad):
+        config = dict(BASE_CONFIG)
+        config["one_dim"] = {"intervals": [[0.0, 0.8]], "l": 1.0, "gamma": 2, **bad}
+        code, out = run(tmp_path, "check-1d", config)
+        assert code == EXIT_USAGE
+        assert list(out.iterdir()) == []
 
 
 class TestSweepVerbs:
