@@ -103,8 +103,12 @@ def _is_a(val, kind) -> bool:
     return isinstance(val, kind) and not isinstance(val, bool)
 
 
+def _is_list(val, kind) -> bool:
+    return _is_a(val, (list, tuple)) and all(_is_a(x, kind) for x in val)
+
+
 def _is_pair(val, kind) -> bool:
-    return _is_a(val, (list, tuple)) and len(val) == 2 and all(_is_a(x, kind) for x in val)
+    return _is_list(val, kind) and len(val) == 2
 
 
 def parse_resolutions(spec) -> dict:
@@ -280,8 +284,13 @@ def _run_check_amgm(config, out_dir):
     spec = config.get("amgm", {})
     lam = spec.get("lambda", [1.0, 1.0])
     xs = spec.get("x", [1.2, 0.8])
-    c = float(spec.get("c", 1.0))
-    lhs, rhs, holds = quantitative_amgm_check(lam, xs, c)
+    c = spec.get("c", 1.0)
+    for key, val in (("lambda", lam), ("x", xs)):
+        if not _is_list(val, (int, float)):
+            raise ConfigError(f"amgm.{key} must be a list of numbers, got {val!r}")
+    if not _is_a(c, (int, float)):
+        raise ConfigError(f"amgm.c must be a number, got {c!r}")
+    lhs, rhs, holds = quantitative_amgm_check(lam, xs, float(c))
     emit_csv(os.path.join(out_dir, "amgm.csv"), ("lhs", "rhs", "holds"),
              [(lhs, rhs, "1" if holds else "0")])
     return (EXIT_OK if holds else EXIT_VERIFICATION), ["amgm.csv"]
@@ -291,6 +300,10 @@ def _run_check_1d(config, out_dir):
     spec = config.get("one_dim", {})
     intervals = spec.get("intervals", [[0.0, 0.8]])
     l, gamma = spec.get("l", 1.0), spec.get("gamma", 2.0)
+    if not (_is_a(intervals, (list, tuple))
+            and all(_is_pair(iv, (int, float)) for iv in intervals)):
+        raise ConfigError(f"one_dim.intervals must be a list of [a, b] number pairs, "
+                          f"got {intervals!r}")
     for key, val in (("l", l), ("gamma", gamma)):
         if not _is_a(val, (int, float)):
             raise ConfigError(f"one_dim.{key} must be a number, got {val!r}")
@@ -309,6 +322,8 @@ def _run_check_1d(config, out_dir):
 def _run_check_fmp(config, out_dir):
     spec = config.get("fmp", {})
     d_list = spec.get("D_list", [2.5, 3.0, 4.0, 7.2])
+    if not _is_list(d_list, (int, float)):
+        raise ConfigError(f"fmp.D_list must be a list of numbers, got {d_list!r}")
     rows = []
     ok = True
     for D in d_list:

@@ -14,11 +14,14 @@ unique.  Ties break deterministically, by a rule that depends on the path:
   * the dense paths (polygon bodies) keep the lowest index among exact
     optima;
   * the structured sector-disk argmax gives ties to the origin slope, then
-    to the first maximizer in ascending angle order (the lowest radius
-    within one angle), which need not be the lowest slope index;
-  * the structured sector-disk conjugate takes, per angle, the first
-    minimizer in Qhull's hull-vertex order, so ``argmin_index`` among tied
-    samples follows that order.  The intercepts themselves are exact.
+    to the lowest angle, then to the lowest radius within that angle (the
+    rule of a scan in ascending angle order), which need not be the lowest
+    slope index;
+  * the structured sector-disk conjugate takes, per angle, the lowest
+    sample index among the candidates it scores (the nodes its hull walk
+    reaches, or the vertices of that angle's hull), so ``argmin_index``
+    among tied samples need not be the lowest overall.  The intercepts
+    themselves are exact.
 
 Slope bodies come in two flavors: polygons (vertex list, counterclockwise;
 two vertices describe a segment) and sector-disks, i.e. the closure of
@@ -33,7 +36,7 @@ import math
 import numpy as np
 from scipy import ndimage
 from scipy.optimize import linprog
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .cone_weight import Cone, unit
 from .geometry import emit_csv
@@ -44,6 +47,8 @@ from .pde import fan_lattice
 # in a core's L2 cache, where a block of tens of MB sends each of those four
 # passes through main memory.
 _BLOCK = 1 << 18
+_ANGLE_BLOCK = 16  # sector-disk angles per argmax bound and per conjugate product
+_BOUND_KNOTS = 64  # knots of the chord bound of one block
 _HESS_WINDOW = 5  # grid nodes per side of the Hessian's least-squares window
 _NORMAL_CONE_TOL = 1e-9  # distance within which a slope lies on a face of K
 
@@ -308,45 +313,86 @@ def _argmax(conj: "RestrictedConjugate", pts):
 
 
 def _sector_argmax(conj: "RestrictedConjugate", pts):
-    """Structured argmax for sector-disk slope grids.
+    """Structured argmax for sector-disk slope grids, pruned by block bounds.
 
     Along each slope ray the intercept a(r * u(theta)) is a pointwise min of
-    lines in r, hence concave; the optimal radius for a point x is found by
-    a binary search on the (monotone) score differences.  Tie-breaking is
-    deterministic: the origin sample wins all ties, otherwise the first
-    maximizer in the ascending angle scan (lowest radius within an angle).
+    lines in r, hence concave; a point x scores an angle by a binary search
+    on the (monotone) score differences and the best of the three radii
+    around the crossing, as the per-angle scan always has.  The angles go in
+    blocks of ``_ANGLE_BLOCK``.  Each score is nondecreasing in c = x . u,
+    so a block scores at most its blockwise-max column's conjugate at the
+    block's largest c; that convex function is bounded by its chords between
+    knots, plus a rounding slack.  Each point scores its most promising block
+    first, then only the blocks whose bound reaches its best value so far.
+    Ties resolve as the sequential scan resolves them: the origin sample
+    wins all ties, then the lowest angle, then the lowest radius.
     """
     body = conj.body
     n_r, n_ang = body.polar_shape
     radii = np.linspace(0.0, body.rho, n_r)
     dr = radii[1] - radii[0]
-    thetas = body.cone.arc_grid(n_ang)
-    U = unit(thetas)
+    U = unit(body.cone.arc_grid(n_ang))
     a0 = conj.intercepts[0]
-    A = conj.intercepts[1:].reshape(n_r - 1, n_ang)
+    cols = np.empty((n_ang, n_r))
+    cols[:, 0] = a0
+    cols[:, 1:] = conj.intercepts[1:].reshape(n_r - 1, n_ang).T
+    gains = np.maximum.accumulate((cols[:, :-1] - cols[:, 1:]) / dr, axis=1)
     n = len(pts)
+    blocks = [range(b0, min(b0 + _ANGLE_BLOCK, n_ang))
+              for b0 in range(0, n_ang, _ANGLE_BLOCK)]
+    c_max = np.full((len(blocks), n), -np.inf)
+    for b, block in enumerate(blocks):
+        for j in block:
+            np.maximum(c_max[b], pts @ U[j], out=c_max[b])
+    bound = np.empty_like(c_max)
+    for b, block in enumerate(blocks):
+        bound[b] = _block_bound(cols[block.start:block.stop].max(axis=0), radii, c_max[b])
     best_val = np.full(n, a0)
     best_idx = np.zeros(n, dtype=np.int64)
-    idx_all = np.arange(n)
-    for j in range(n_ang):
-        col = np.empty(n_r)
-        col[0] = a0
-        col[1:] = A[:, j]
-        gain = np.maximum.accumulate((col[:-1] - col[1:]) / dr)
-        c = pts @ U[j]
-        pos = np.searchsorted(gain, c, side="right")
-        cand = np.stack([np.clip(pos - 1, 0, n_r - 1),
-                         np.clip(pos, 0, n_r - 1),
-                         np.clip(pos + 1, 0, n_r - 1)])
-        scores = col[cand] + radii[cand] * c[None, :]
-        pick = np.argmax(scores, axis=0)
-        k = cand[pick, idx_all]
-        val = scores[pick, idx_all]
-        better = val > best_val
-        gidx = np.where(k == 0, 0, 1 + (k - 1) * n_ang + j)
-        best_val = np.where(better, val, best_val)
-        best_idx = np.where(better, gidx, best_idx)
+    best_ang = np.full(n, -1)  # the origin, which wins every tie
+    top = np.argmax(bound, axis=0)
+    steps = np.arange(-1, 2)[:, None]  # the radii around each crossing
+    # each point's most promising block first, then its other blocks in order
+    for first in (True, False):
+        for b, block in enumerate(blocks):
+            sel = np.flatnonzero(((top == b) == first) & (bound[b] >= best_val))
+            if sel.size == 0:
+                continue
+            idx_sel = np.arange(sel.size)
+            for j in block:
+                # the product over all points, as the scan forms it: BLAS
+                # rounds the product of a subset differently
+                c = (pts @ U[j])[sel]
+                pos = np.searchsorted(gains[j], c, side="right")
+                cand = np.clip(pos + steps, 0, n_r - 1)
+                scores = cols[j][cand] + radii[cand] * c[None, :]
+                pick = np.argmax(scores, axis=0)
+                k = cand[pick, idx_sel]
+                val = scores[pick, idx_sel]
+                old = best_val[sel]
+                better = (val > old) | ((val == old) & (best_ang[sel] > j))
+                win = sel[better]
+                # radius 0 never wins: it scores a0, and the origin wins ties
+                best_val[win] = val[better]
+                best_idx[win] = 1 + (k[better] - 1) * n_ang + j
+                best_ang[win] = j
     return best_val, body.samples[best_idx], best_idx
+
+
+def _block_bound(col, radii, c):
+    """Upper bound at each c of g(c) = max_k col[k] + radii[k] * c.
+
+    g is convex and nondecreasing, so it lies below its chords between
+    ``_BOUND_KNOTS`` knots spanning c; g is exact at the knots, and the
+    slack covers the rounding of the chord and of the scores it bounds.
+    """
+    lo, hi = np.fmin.reduce(c, initial=np.inf), np.fmax.reduce(c, initial=-np.inf)
+    if not lo <= hi:
+        return np.full(len(c), np.inf)
+    knots = np.linspace(lo, hi, _BOUND_KNOTS)
+    g = np.max(col[:, None] + radii[:, None] * knots[None, :], axis=0)
+    slack = 1e-12 * (np.max(np.abs(col)) + radii[-1] * max(abs(lo), abs(hi)))
+    return np.interp(c, knots, g) + slack
 
 
 def restricted_conjugate(points, values, body: SlopeBody) -> RestrictedConjugate:
@@ -363,38 +409,138 @@ def restricted_conjugate(points, values, body: SlopeBody) -> RestrictedConjugate
 
 
 def _sector_conjugate(points, values, body):
-    """Per-angle conjugate via convex-hull reduction.
+    """Per-angle conjugate over the nodes a lifted-hull walk reaches.
 
     For slopes r * u(theta) with fixed theta, the intercept minimizes the
-    linear functional u(y) - r * (u(theta) . y) over the sample cloud, so
-    only vertices of the convex hull of {(u(theta) . y, u(y))} can attain
-    it; the dense minimum over all samples is recovered exactly.  Among
-    tied samples the argmin is the first in Qhull's vertex order.  A cloud
-    Qhull cannot hull (under three points, or flat) keeps the extremes of
-    u(theta) . y and the minimum of u, which attain the same minima.
+    linear functional u(y) - r * (u(theta) . y) over the sample cloud.  As r
+    grows from 0 the minimizer moves along edges of the lower convex hull of
+    the lifted cloud (y, u(y)), so one 3-D hull serves every angle: the walk
+    (``_walk_candidates``) collects, per angle, the hull vertices it visits
+    and their hull neighbours, and ``_dense_min`` takes the minimum over
+    them for all radii, with the same float operations as the dense
+    minimum.  An angle whose walk meets a hull edge across the ray, and
+    every angle of a cloud Qhull cannot hull in 3-D, takes the vertices of
+    the 2-D hull of {(u(theta) . y, u(y))} instead (``_hull_vertices``).
+    Among tied candidates the argmin is the lowest sample index.
     """
-    from scipy.spatial import ConvexHull, QhullError
-
     n_r, n_ang = body.polar_shape
     radii = np.linspace(0.0, body.rho, n_r)[1:]
-    thetas = body.cone.arc_grid(n_ang)
-    dots = points @ unit(thetas).T  # (P, n_ang)
+    U = unit(body.cone.arc_grid(n_ang))
+    graph = _lower_hull_graph(points, values)
+    walked = [None] * n_ang if graph is None else _walk_candidates(
+        graph, points, values, U, radii[-1])
     m = len(body.samples)
     intercepts = np.empty(m)
     argmin = np.empty(m, dtype=np.int64)
     i0 = int(np.argmin(values))
     intercepts[0] = values[i0]
     argmin[0] = i0
-    for j in range(n_ang):
-        d = dots[:, j]
-        try:
-            hv = ConvexHull(np.column_stack([d, values])).vertices
-        except (QhullError, ValueError):
-            hv = np.unique([int(np.argmin(d)), int(np.argmax(d)), i0])
-        cols = slice(1 + j, m, n_ang)
-        intercepts[cols], loc = _dense_min(d[hv, None], values[hv], radii[:, None])
-        argmin[cols] = hv[loc]
+    # d = u(theta) . y comes from products of ``_ANGLE_BLOCK`` angles at a
+    # time, not one (P, n_ang) array; as in _dense_min, the last block is
+    # moved back to full width, because a one-column product rounds
+    # otherwise, and each column is then the same floats whatever the block
+    width = min(_ANGLE_BLOCK, n_ang)
+    for b0 in range(0, n_ang, width):
+        s0 = min(b0, n_ang - width)
+        dots = points @ U[s0:s0 + width].T
+        for j in range(b0, min(b0 + width, n_ang)):
+            d = dots[:, j - s0]
+            cand = walked[j]
+            if cand is None:
+                cand = _hull_vertices(d, values, i0)
+            cols = slice(1 + j, m, n_ang)
+            intercepts[cols], loc = _dense_min(d[cand, None], values[cand], radii[:, None])
+            argmin[cols] = cand[loc]
     return intercepts, argmin
+
+
+def _hull_vertices(d, values, i0):
+    """Sorted vertices of the 2-D hull of {(d, values)}, which hold every
+    minimizer of values - r * d.  A cloud Qhull cannot hull (under three
+    points, or flat) keeps the extremes of d and the minimum of values,
+    which attain the same minima."""
+    try:
+        return np.sort(ConvexHull(np.column_stack([d, values])).vertices)
+    except (QhullError, ValueError):
+        return np.unique([int(np.argmin(d)), int(np.argmax(d)), i0])
+
+
+def _lower_hull_graph(points, values):
+    """Edge graph of the lower hull of the lifted cloud (y, u(y)), as CSR
+    arrays (indptr, neighbours), or None when Qhull cannot hull the cloud
+    in 3-D: under four points, collinear points or a flat lifting."""
+    try:
+        hull = ConvexHull(np.column_stack([points, values]))
+    except (QhullError, ValueError):
+        return None
+    n_pts = len(points)
+    tri = hull.simplices[hull.equations[:, 2] < 0].astype(np.int64)
+    src = tri.ravel()
+    dst = tri[:, [1, 2, 0]].ravel()
+    key = _sorted_unique(np.concatenate([src * n_pts + dst, dst * n_pts + src]))
+    indptr = np.searchsorted(key, np.arange(n_pts + 1) * n_pts)
+    return indptr, np.remainder(key, n_pts, out=key)
+
+
+def _walk_candidates(graph, points, values, U, r_max):
+    """Per angle (row of ``U``), the sorted nodes a radius walk on the lower
+    hull visits, together with their hull neighbours.
+
+    With d = U[j] . y, the walk starts at the lowest hull vertex, the
+    minimizer at r = 0.  At a vertex v the ray leaves v's slope region
+    where the first neighbour n with d_n > d_v takes over, at
+    r = (u_n - u_v) / (d_n - d_v); the walk moves there until that radius
+    passes ``r_max``.  d grows at every step, so each walk ends.  All angles
+    step together.  An angle whose walk meets an edge with
+    |d_n - d_v| <= 1e-12 * max |y| (one across the ray, whose crossing
+    radius rounding decides) gets None.
+    """
+    indptr, nbrs = graph
+    n_pts, n_ang = len(points), len(U)
+    tol = 1e-12 * float(np.max(np.abs(points)))
+    deg = np.diff(indptr)
+    start = int(np.argmin(np.where(deg > 0, values, np.inf)))
+    cur = np.full(n_ang, start)
+    active = np.arange(n_ang)
+    flat = np.zeros(n_ang, dtype=bool)
+    seen = [active * n_pts + start]
+    while active.size:
+        v = cur[active]
+        cnt = deg[v]
+        ends = np.cumsum(cnt)
+        firsts = ends - cnt
+        slot = np.arange(ends[-1])
+        nb = nbrs[np.repeat(indptr[v] - firsts, cnt) + slot]
+        ang = np.repeat(active, cnt)
+        vv = np.repeat(v, cnt)
+        seen.append(ang * n_pts + nb)
+        edge = points[nb] - points[vv]
+        dd = edge[:, 0] * U[ang, 0] + edge[:, 1] * U[ang, 1]
+        ahead = dd > tol
+        cross = np.full(len(nb), np.inf)
+        cross[ahead] = (values[nb[ahead]] - values[vv[ahead]]) / dd[ahead]
+        r_next = np.minimum.reduceat(cross, firsts)
+        first = np.minimum.reduceat(
+            np.where(cross == np.repeat(r_next, cnt), slot, len(slot)), firsts)
+        across = np.logical_or.reduceat(np.abs(dd) <= tol, firsts)
+        flat[active[across]] = True
+        go = (r_next <= r_max) & ~across
+        cur[active[go]] = nb[first[go]]
+        active = active[go]
+    key = np.concatenate(seen)
+    del seen
+    key = _sorted_unique(key)
+    bounds = np.searchsorted(key, np.arange(n_ang + 1) * n_pts)
+    nodes = np.remainder(key, n_pts, out=key)
+    return [None if flat[j] else nodes[bounds[j]:bounds[j + 1]] for j in range(n_ang)]
+
+
+def _sorted_unique(keys):
+    """np.unique of a scratch int array, which it sorts in place.  On 10^5
+    int64 keys NumPy 2.4's hashed np.unique took about 30 times as long
+    (2-core x86-64)."""
+    keys.sort()
+    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
 
 
 @dataclasses.dataclass

@@ -233,6 +233,39 @@ class TestVerificationExit:
         assert code == EXIT_USAGE
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("intervals", [[[False, True]], [["0", "1"]], [[0.1]], "0,1"])
+    def test_bad_intervals_rejected_before_work(self, tmp_path, intervals):
+        config = dict(BASE_CONFIG)
+        config["one_dim"] = {"intervals": intervals, "l": 1.0, "gamma": 2}
+        code, out = run(tmp_path, "check-1d", config)
+        assert code == EXIT_USAGE
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [{"lambda": [True, 1.0]}, {"lambda": 1.0},
+                                     {"x": ["1.2", 0.8]}, {"c": True}, {"c": "1"}])
+    def test_bad_amgm_numbers_rejected_before_work(self, tmp_path, bad):
+        config = dict(BASE_CONFIG)
+        config["amgm"] = {"lambda": [1.0, 1.0], "x": [1.2, 0.8], "c": 1.0, **bad}
+        code, out = run(tmp_path, "check-amgm", config)
+        assert code == EXIT_USAGE
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("d_list", [["3"], [True], [2.5, None], 3.0])
+    def test_bad_fmp_d_list_rejected_before_work(self, tmp_path, d_list):
+        config = dict(BASE_CONFIG)
+        config["fmp"] = {"D_list": d_list}
+        code, out = run(tmp_path, "check-fmp", config)
+        assert code == EXIT_USAGE
+        assert list(out.iterdir()) == []
+
+    def test_integer_d_list_runs(self, tmp_path):
+        config = dict(BASE_CONFIG)
+        config["fmp"] = {"D_list": [3, 4.0]}
+        code, out = run(tmp_path, "check-fmp", config)
+        assert code == EXIT_OK
+        rows = (out / "fmp.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["D", "3", "4"]
+
 
 class TestSweepVerbs:
     def test_sharpness_verb(self, tmp_path):

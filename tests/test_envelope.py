@@ -9,14 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isocone import envelope
-from isocone.cone_weight import Cone
+from isocone.cone_weight import Cone, HomWeight, unit
 from isocone.envelope import (
+    RestrictedConjugate,
     SlopeBody,
     check_c11,
     contact_data,
     k_envelope,
     restricted_conjugate,
 )
+from isocone.geometry import StarSet
+from isocone.pde import WeightedMode, fan_triangulate, solve_neumann
 
 DISK = SlopeBody.disk(1.0, 128, 256)
 SQUARE = SlopeBody.polygon([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
@@ -148,6 +151,201 @@ class TestRestrictedConjugate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             restricted_conjugate(np.zeros((0, 2)), np.zeros(0), DISK)
+
+
+def _loop_sector_conjugate(points, values, body):
+    """The sector-disk conjugate as one 2-D hull per angle."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    n_r, n_ang = body.polar_shape
+    radii = np.linspace(0.0, body.rho, n_r)[1:]
+    thetas = body.cone.arc_grid(n_ang)
+    dots = points @ unit(thetas).T  # (P, n_ang)
+    m = len(body.samples)
+    intercepts = np.empty(m)
+    argmin = np.empty(m, dtype=np.int64)
+    i0 = int(np.argmin(values))
+    intercepts[0] = values[i0]
+    argmin[0] = i0
+    for j in range(n_ang):
+        d = dots[:, j]
+        try:
+            hv = ConvexHull(np.column_stack([d, values])).vertices
+        except (QhullError, ValueError):
+            hv = np.unique([int(np.argmin(d)), int(np.argmax(d)), i0])
+        cols = slice(1 + j, m, n_ang)
+        intercepts[cols], loc = envelope._dense_min(d[hv, None], values[hv], radii[:, None])
+        argmin[cols] = hv[loc]
+    return intercepts, argmin
+
+
+def _loop_sector_argmax(conj, pts):
+    """The sector-disk argmax as a sequential scan over every angle."""
+    body = conj.body
+    n_r, n_ang = body.polar_shape
+    radii = np.linspace(0.0, body.rho, n_r)
+    dr = radii[1] - radii[0]
+    thetas = body.cone.arc_grid(n_ang)
+    U = unit(thetas)
+    a0 = conj.intercepts[0]
+    A = conj.intercepts[1:].reshape(n_r - 1, n_ang)
+    n = len(pts)
+    best_val = np.full(n, a0)
+    best_idx = np.zeros(n, dtype=np.int64)
+    idx_all = np.arange(n)
+    for j in range(n_ang):
+        col = np.empty(n_r)
+        col[0] = a0
+        col[1:] = A[:, j]
+        gain = np.maximum.accumulate((col[:-1] - col[1:]) / dr)
+        c = pts @ U[j]
+        pos = np.searchsorted(gain, c, side="right")
+        cand = np.stack([np.clip(pos - 1, 0, n_r - 1),
+                         np.clip(pos, 0, n_r - 1),
+                         np.clip(pos + 1, 0, n_r - 1)])
+        scores = col[cand] + radii[cand] * c[None, :]
+        pick = np.argmax(scores, axis=0)
+        k = cand[pick, idx_all]
+        val = scores[pick, idx_all]
+        better = val > best_val
+        gidx = np.where(k == 0, 0, 1 + (k - 1) * n_ang + j)
+        best_val = np.where(better, val, best_val)
+        best_idx = np.where(better, gidx, best_idx)
+    return best_val, body.samples[best_idx], best_idx
+
+
+def _neumann_cloud():
+    weight = HomWeight.monomial(Cone.quadrant(), 1, 1)
+    mesh = fan_triangulate(StarSet.ball(Cone.quadrant(), 1024), 0.05)
+    return mesh.vertices, solve_neumann(mesh, WeightedMode(weight)).values
+
+
+def _with_values(pts, f):
+    return pts, f(pts)
+
+
+def _paraboloid(pts):
+    return 0.5 * np.einsum("ij,ij->i", pts, pts) + 0.3 * pts[:, 0]
+
+
+SMALL = quad_cloud(n_ang=60, n_rad=21)
+QUADRANT_BODY = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 48, 33)
+# 60 cloud rays 6 degrees apart; the disk's odd rays bisect two of them, so
+# the edges between their rings' neighbours run across those rays
+BISECTING_DISK = SlopeBody.disk(1.0, 40, 120)
+SECTOR_CASES = {
+    "fan-mesh-neumann": (_neumann_cloud, SlopeBody.sector_disk(Cone.quadrant(), 1.0, 96, 40)),
+    "quad_cloud": (lambda: _with_values(quad_cloud(), _paraboloid), DISK),
+    "1": (lambda: _with_values(SMALL[:1], _paraboloid), QUADRANT_BODY),
+    "2": (lambda: _with_values(SMALL[:2], _paraboloid), QUADRANT_BODY),
+    "3-collinear": (lambda: _with_values(np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]]),
+                                         _paraboloid), QUADRANT_BODY),
+    "15": (lambda: _with_values(SMALL[:15], _paraboloid), QUADRANT_BODY),
+    "linear": (lambda: _with_values(SMALL, lambda p: p @ np.array([0.3, -0.2])), DISK),
+    "bisecting-rays": (lambda: _with_values(SMALL, _paraboloid), BISECTING_DISK),
+}
+
+
+class TestSectorKernelsMatchLoops:
+    @pytest.fixture(scope="class", params=sorted(SECTOR_CASES))
+    def case(self, request):
+        make, body = SECTOR_CASES[request.param]
+        pts, vals = make()
+        return request.param, pts, vals, body
+
+    def test_conjugate_bitwise(self, case):
+        _name, pts, vals, body = case
+        conj = restricted_conjugate(pts, vals, body)
+        want, _argmin = _loop_sector_conjugate(pts, vals, body)
+        assert np.array_equal(conj.intercepts, want)
+        # argmin_index attains its intercept, with the kernel's float operations
+        n_r, n_ang = body.polar_shape
+        radii = np.linspace(0.0, body.rho, n_r)[1:]
+        dots = pts @ unit(body.cone.arc_grid(n_ang)).T
+        idx = conj.argmin_index[1:].reshape(n_r - 1, n_ang)
+        cols = np.arange(n_ang)
+        attained = vals[idx] - radii[:, None] * dots[idx, cols[None, :]]
+        assert np.array_equal(attained.ravel(), conj.intercepts[1:])
+        assert vals[conj.argmin_index[0]] == conj.intercepts[0]
+
+    def test_argmax_bitwise(self, case):
+        _name, pts, vals, body = case
+        conj = restricted_conjugate(pts, vals, body)
+        lo, hi = pts.min(axis=0) - 0.1, pts.max(axis=0) + 0.1
+        grid = np.stack(np.meshgrid(np.linspace(lo[0], hi[0], 41),
+                                    np.linspace(lo[1], hi[1], 37)), -1).reshape(-1, 2)
+        for probe in (grid, pts):
+            phi, xi, idx = conj.envelope_at(probe)
+            want_phi, want_xi, want_idx = _loop_sector_argmax(conj, probe)
+            assert np.array_equal(phi, want_phi)
+            assert np.array_equal(idx, want_idx)
+            assert np.array_equal(xi, want_xi)
+
+    @pytest.mark.parametrize("block", [2, 3, 7, 10 ** 6])
+    def test_angle_block_does_not_change_results(self, case, monkeypatch, block):
+        # the conjugate's column products and the argmax's bounds come in
+        # angle blocks; no block size, ragged or not, moves a bit
+        _name, pts, vals, body = case
+        want = restricted_conjugate(pts, vals, body)
+        want_phi, _xi, want_idx = want.envelope_at(pts)
+        monkeypatch.setattr(envelope, "_ANGLE_BLOCK", block)
+        got = restricted_conjugate(pts, vals, body)
+        phi, _xi, idx = got.envelope_at(pts)
+        assert np.array_equal(got.intercepts, want.intercepts)
+        assert np.array_equal(got.argmin_index, want.argmin_index)
+        assert np.array_equal(phi, want_phi)
+        assert np.array_equal(idx, want_idx)
+
+    def test_fallback_paths_are_taken(self):
+        # the bisecting disk falls back per angle, the linear lifting as a whole
+        n_r, n_ang = BISECTING_DISK.polar_shape
+        vals = _paraboloid(SMALL)
+        U = unit(BISECTING_DISK.cone.arc_grid(n_ang))
+        graph = envelope._lower_hull_graph(SMALL, vals)
+        walked = envelope._walk_candidates(graph, SMALL, vals, U, BISECTING_DISK.rho)
+        flat = [j for j, cand in enumerate(walked) if cand is None]
+        assert 0 < len(flat) < n_ang
+        assert envelope._lower_hull_graph(SMALL, SMALL @ np.array([0.3, -0.2])) is None
+
+
+class TestSectorArgmaxTies:
+    """Each tie class of the argmax rule at x = 0, where every score is a
+    column entry: value first, then the origin, then the lowest angle, then
+    the lowest radius.  Three radii (0, 1/2, 1) and 64 angles in four blocks
+    of 16; the intercepts are -1 except where a case sets a column."""
+
+    BODY = SlopeBody.disk(1.0, 3, 64)
+
+    def argmax(self, columns):
+        intercepts = np.full(1 + 2 * 64, -1.0)
+        intercepts[0] = 0.0
+        for j, (a1, a2) in columns.items():
+            intercepts[1 + j] = a1
+            intercepts[1 + 64 + j] = a2
+        conj = RestrictedConjugate(self.BODY, np.zeros((1, 2)), np.zeros(1), intercepts,
+                                   np.zeros(len(intercepts), dtype=np.int64))
+        origin = np.zeros((1, 2))
+        got = conj.envelope_at(origin)
+        want = _loop_sector_argmax(conj, origin)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        return float(got[0][0]), int(got[2][0])
+
+    def test_value_first(self):
+        assert self.argmax({5: (1.0, 0.0), 40: (2.0, 0.0)}) == (2.0, 1 + 40)
+
+    def test_origin_wins_a_tie(self):
+        # angle 7 reaches the origin's intercept 0 at both radii
+        assert self.argmax({7: (0.0, 0.0)}) == (0.0, 0)
+
+    def test_lowest_angle_wins_across_blocks(self):
+        # angle 45 lifts its block's bound to 5, so block 2 is scored first,
+        # but its search stops at radius 0 and angle 40 ties angle 5 at 1
+        got = self.argmax({5: (1.0, 0.0), 40: (1.0, 0.0), 45: (-1.0, 5.0)})
+        assert got == (1.0, 1 + 5)
+
+    def test_lowest_radius_wins_within_an_angle(self):
+        assert self.argmax({9: (1.0, 1.0)}) == (1.0, 1 + 9)
 
 
 class TestDenseMin:
