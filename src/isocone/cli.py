@@ -5,14 +5,17 @@ Usage: isocone <verb> --config path [--out dir] [--seed n]
 Verbs: measure | couple | sweep | sharpness | diag | check-amgm | check-1d
        | check-fmp | envelope.
 
-Exit codes: 0 success, 1 usage/config error, 2 verification failure (an
-inequality that must hold did not; the highest-severity signal).  The seed
-is recorded in manifest.json; every verb is deterministic without it.
+Each verb returns its outputs and one ``Check`` per inequality it tests;
+``main`` alone turns the checks into the exit code: 0 success, 1 usage/config
+error, 2 verification failure (some check did not hold; the highest-severity
+signal).  The seed is recorded in manifest.json; every verb is deterministic
+without it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -32,7 +35,6 @@ from .analysis import (
 )
 from .cone_weight import Cone, HomWeight
 from .coupling import (
-    MinimizerDegenerateError,
     Resolutions,
     abp_chain_check,
     build_coupling,
@@ -41,6 +43,7 @@ from .coupling import (
 from .envelope import SlopeBody, check_c11, k_envelope, restricted_conjugate
 from .expectations import EXPECTATIONS
 from .experiments import (
+    MINIMIZER_ASYM_TOL,
     default_corpus,
     eta_fourier_cos,
     sharpness_sweep,
@@ -54,76 +57,130 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 
+# the scalars of a coupling, in couple.csv's column order; report.json has them too
+COUPLE_FIELDS = ("mode", "delta", "b_E", "sup_violation", "hessian_l1", "boundary_term",
+                 "grad_range_hausdorff", "lip_grad", "convexity_violation", "slope_spacing")
+
 
 class ConfigError(ValueError):
     pass
 
 
-def parse_cone(spec) -> Cone:
+@dataclasses.dataclass(frozen=True)
+class Check:
+    """One tested inequality: its verdict and the two numbers it compared."""
+
+    name: str
+    value: float
+    bound: float
+    ok: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "ok", bool(self.ok))  # not a NumPy bool
+
+
+_REQUIRED = object()
+_NOUNS = {float: "number", int: "integer", str: "string", bool: "true/false", dict: "object"}
+# _read options for a box [[x_lo, x_hi], [y_lo, y_hi]]
+_BOX = dict(shape=(2, 2), test=lambda box: all(lo < hi for lo, hi in box), need=" with lo < hi")
+
+
+def _conform(val, kind, shape):
+    """The JSON value as ``kind`` (float takes any number, and a bool is no
+    number), or as tuples of it nested as ``shape`` says; None if it is not."""
+    if shape:
+        if not (isinstance(val, list) and shape[0] in (None, len(val))):
+            return None
+        items = tuple(_conform(x, kind, shape[1:]) for x in val)
+        return None if None in items else items
+    if not isinstance(val, (int, float) if kind is float else kind) or (
+            kind is not bool and isinstance(val, bool)):
+        return None
+    return float(val) if kind is float else val
+
+
+def _describe(kind, shape) -> str:
+    """The expected JSON value, as in "[number, number]"."""
+    if not shape:
+        return _NOUNS[kind]
+    inner = _describe(kind, shape[1:])
+    return f"[{inner}, ...]" if shape[0] is None else f"[{', '.join([inner] * shape[0])}]"
+
+
+def _read(config, path, kind=float, shape=(), default=_REQUIRED, test=None, need=""):
+    """The config value at the dotted ``path``, or ``default`` if absent;
+    ``shape`` gives nested list lengths (None: any) and ``test`` a further
+    condition, worded by ``need``.  Numbers come back as floats, lists as
+    tuples; anything else raises ConfigError naming the path."""
+    section, _, key = path.rpartition(".")
+    spec = _read(config, section, dict, default={}) if section else config
+    if key not in spec:
+        if default is _REQUIRED:
+            raise ConfigError(f"{path} is required")
+        return default
+    val = _conform(spec[key], kind, shape)
+    if val is None or not (test is None or test(val)):
+        raise ConfigError(f"{path} must be {_describe(kind, shape)}{need}, got {spec[key]!r}")
+    return val
+
+
+def parse_cone(config, path) -> Cone:
+    spec = _read(config, path, dict)
     if "angles" in spec:
-        lo, hi = spec["angles"]
-        return Cone(float(lo), float(hi))
-    if spec.get("full_plane"):
+        return Cone(*_read(config, f"{path}.angles", shape=(2,)))
+    if _read(config, f"{path}.full_plane", bool, default=False):
         return Cone.plane()
-    raise ConfigError("cone spec needs 'angles' or 'full_plane'")
+    raise ConfigError(f"{path} needs 'angles' or 'full_plane'")
 
 
-def parse_weight(cone: Cone, spec) -> HomWeight:
+def parse_weight(config) -> HomWeight:
+    """The weight on the config's cone, which it keeps as ``.cone``."""
+    cone = parse_cone(config, "cone")
+    spec = _read(config, "weight", dict)
     if "monomial" in spec:
-        a1, a2 = spec["monomial"]
-        return HomWeight.monomial(cone, float(a1), float(a2))
+        return HomWeight.monomial(cone, *_read(config, "weight.monomial", shape=(2,)))
     if "profile" in spec:
-        p = spec["profile"]
-        thetas = np.asarray(p["thetas"], dtype=float)
-        values = np.asarray(p["values"], dtype=float)
-        return HomWeight.from_profile(cone, thetas, values, float(p["alpha"]))
-    raise ConfigError("weight spec needs 'monomial' or 'profile'")
+        thetas = np.asarray(_read(config, "weight.profile.thetas", shape=(None,)), dtype=float)
+        values = np.asarray(_read(config, "weight.profile.values", shape=(None,)), dtype=float)
+        return HomWeight.from_profile(cone, thetas, values, _read(config, "weight.profile.alpha"))
+    raise ConfigError("weight needs 'monomial' or 'profile'")
 
 
-def parse_set(cone: Cone, weight, spec, n_theta: int) -> StarSet:
+def parse_set(cone: Cone, weight, config, n_theta: int) -> StarSet:
+    spec = _read(config, "set", dict)
     if "ball" in spec:
-        b = spec["ball"]
-        return StarSet.ball(cone, n_theta, r=float(b.get("r", 1.0)),
-                            center=tuple(b.get("center", (0.0, 0.0))))
+        r = _read(config, "set.ball.r", default=1.0)
+        center = _read(config, "set.ball.center", shape=(2,), default=(0.0, 0.0))
+        return StarSet.ball(cone, n_theta, r=r, center=center)
     if "star" in spec:
         if weight is None:
             raise ConfigError("star sets need a weight for the zero-mean projection")
-        s = spec["star"]
-        eps = float(s["eps"])
-        eta = s.get("eta", {})
-        if "fourier_cos" not in eta:
-            raise ConfigError("star spec needs eta.fourier_cos")
-        return StarSet.perturbed_ball(cone, weight, n_theta, eps,
-                                      eta_fourier_cos(cone, int(eta["fourier_cos"])))
-    raise ConfigError("set spec needs 'ball' or 'star'")
+        eps = _read(config, "set.star.eps")
+        mode = _read(config, "set.star.eta.fourier_cos", int)
+        return StarSet.perturbed_ball(cone, weight, n_theta, eps, eta_fourier_cos(cone, mode))
+    raise ConfigError("set needs 'ball' or 'star'")
 
 
-def _is_a(val, kind) -> bool:
-    """isinstance for JSON values, where a bool does not count as a number."""
-    return isinstance(val, kind) and not isinstance(val, bool)
+def parse_body(config, path) -> SlopeBody:
+    spec = _read(config, path, dict)
+    if "polygon" in spec:
+        return SlopeBody.polygon(np.asarray(_read(config, f"{path}.polygon", shape=(None, 2))))
+    if "sector_disk" in spec:
+        disk = f"{path}.sector_disk"
+        cone = (parse_cone(config, f"{disk}.cone") if "cone" in _read(config, disk, dict)
+                else Cone.plane())
+        return SlopeBody.sector_disk(cone, _read(config, f"{disk}.rho", default=1.0))
+    raise ConfigError(f"{path} needs 'polygon' or 'sector_disk'")
 
 
-def _is_list(val, kind) -> bool:
-    return _is_a(val, (list, tuple)) and all(_is_a(x, kind) for x in val)
-
-
-def _is_pair(val, kind) -> bool:
-    return _is_list(val, kind) and len(val) == 2
-
-
-def parse_resolutions(spec) -> dict:
-    res = {"n_theta": 4096, "mesh_h": 0.02, "n_slope": (192, 384), "eval_h": 0.0085}
-    res.update({key: spec[key] for key in res if key in spec})
-    if not _is_a(res["n_theta"], int) or res["n_theta"] < 3:
-        raise ConfigError(f"resolutions.n_theta must be an integer >= 3, got {res['n_theta']!r}")
-    for key in ("mesh_h", "eval_h"):
-        if not _is_a(res[key], (int, float)):
-            raise ConfigError(f"resolutions.{key} must be a number, got {res[key]!r}")
-    if not _is_pair(res["n_slope"], int):
-        raise ConfigError(
-            f"resolutions.n_slope must be a list of two integers, got {res['n_slope']!r}")
-    res["n_slope"] = tuple(res["n_slope"])
-    return res
+def parse_resolutions(config):
+    """(the angular node count of star sets, the coupling's Resolutions)."""
+    n_theta = _read(config, "resolutions.n_theta", int, default=4096,
+                    test=lambda n: n >= 3, need=" >= 3")
+    return n_theta, Resolutions(
+        mesh_h=_read(config, "resolutions.mesh_h", default=0.02),
+        n_slope=_read(config, "resolutions.n_slope", int, (2,), default=(192, 384)),
+        eval_h=_read(config, "resolutions.eval_h", default=0.0085))
 
 
 def emit_json(path, payload) -> None:
@@ -144,60 +201,44 @@ def write_manifest(out_dir, config, verb, seed, outputs) -> None:
 
 
 def _run_measure(config, out_dir):
-    res = parse_resolutions(config.get("resolutions", {}))
-    cone = parse_cone(config["cone"])
-    weight = parse_weight(cone, config["weight"])
-    star = parse_set(cone, weight, config["set"], res["n_theta"])
+    n_theta, _ = parse_resolutions(config)
+    weight = parse_weight(config)
+    star = parse_set(weight.cone, weight, config, n_theta)
     rep = deficit(star, weight)
     a, x0 = asymmetry(star, weight)
     emit_csv(os.path.join(out_dir, "measure.csv"),
              ("w_volume", "w_perimeter", "delta_w", "r_eq", "asym", "x0_1", "x0_2"),
              [(rep.w_volume, rep.w_perimeter, rep.deficit, rep.r_eq, a, x0[0], x0[1])])
-    ok = rep.deficit >= -5.0 / res["n_theta"]
-    return (EXIT_OK if ok else EXIT_VERIFICATION), ["measure.csv"]
+    floor = -5.0 / n_theta
+    return ["measure.csv"], [Check("deficit", rep.deficit, floor, rep.deficit >= floor)]
 
 
 def _run_couple(config, out_dir):
-    res_spec = parse_resolutions(config.get("resolutions", {}))
-    cone = parse_cone(config["cone"])
-    resolutions = Resolutions(mesh_h=res_spec["mesh_h"],
-                              n_slope=res_spec["n_slope"],
-                              eval_h=res_spec["eval_h"])
-    mode_name = config.get("mode", "weighted")
-    if mode_name == "weighted":
-        weight = parse_weight(cone, config["weight"])
-        star = parse_set(cone, weight, config["set"], res_spec["n_theta"])
-        report = build_coupling(star, WeightedMode(weight), resolutions)
+    n_theta, resolutions = parse_resolutions(config)
+    mode = _read(config, "mode", str, default="weighted",
+                 test=("weighted", "anisotropic").__contains__, need=" (weighted or anisotropic)")
+    if mode == "weighted":
+        weight = parse_weight(config)
+        q = _read(config, "Q", default=((0.2, 0.6), (0.2, 0.6)), **_BOX)
+        cone, pde_mode = weight.cone, WeightedMode(weight)
     else:
-        body = parse_body(config["body"])
-        star = parse_set(cone, None, config["set"], res_spec["n_theta"])
-        report = build_coupling(star, AnisotropicMode(body), resolutions)
+        cone, weight = parse_cone(config, "cone"), None
+        pde_mode = AnisotropicMode(parse_body(config, "body"))
+    report = build_coupling(parse_set(cone, weight, config, n_theta), pde_mode, resolutions)
 
-    rows = [(report.mode, report.delta, report.b_E, report.sup_violation,
-             report.hessian_l1, report.boundary_term, report.grad_range_hausdorff,
-             report.lip_grad, report.convexity_violation, report.slope_spacing)]
-    emit_csv(os.path.join(out_dir, "couple.csv"),
-             ("mode", "delta", "b_E", "sup_violation", "hessian_l1", "boundary_term",
-              "grad_range_hausdorff", "lip_grad", "convexity_violation",
-              "slope_spacing"), rows)
+    scalars = {name: getattr(report, name) for name in COUPLE_FIELDS}
+    emit_csv(os.path.join(out_dir, "couple.csv"), COUPLE_FIELDS, [tuple(scalars.values())])
     report.field.dump_csv(os.path.join(out_dir, "envelope.csv"))
-    outputs = ["couple.csv", "envelope.csv"]
 
-    tol = EXPECTATIONS["coupling_sup_violation_C"] * (
-        resolutions.mesh_h + report.slope_spacing)
-    ok = (report.sup_violation <= tol
-          and report.grad_range_hausdorff <= 2.0 * report.slope_spacing)
+    tol = EXPECTATIONS["coupling_sup_violation_C"] * (resolutions.mesh_h + report.slope_spacing)
+    checks = [
+        Check("grad_range_hausdorff", report.grad_range_hausdorff, 2.0 * report.slope_spacing,
+              report.grad_range_hausdorff <= 2.0 * report.slope_spacing),
+        Check("sup_violation", report.sup_violation, tol, report.sup_violation <= tol),
+    ]
     payload = {
-        "mode": report.mode,
-        "delta": report.delta,
-        "b_E": report.b_E,
-        "sup_violation": report.sup_violation,
+        **scalars,
         "sup_violation_tol": tol,
-        "hessian_l1": report.hessian_l1,
-        "boundary_term": report.boundary_term,
-        "grad_range_hausdorff": report.grad_range_hausdorff,
-        "slope_spacing": report.slope_spacing,
-        "lip_grad": report.lip_grad,
         "n_interior_nodes": int(report.interior.sum()),
         "pcg_iterations": report.u.iterations,
         "pcg_residual": report.u.residual,
@@ -205,7 +246,9 @@ def _run_couple(config, out_dir):
     }
     if report.mode == "weighted":
         chain = abp_chain_check(report)
-        ok = ok and chain.ordered
+        links = ("image_jacobian", "jacobian_amgm", "amgm_terminal")
+        checks += [Check(f"chain_{link}", v, chain.tol_chain, v <= chain.tol_chain)
+                   for link, v in zip(links, chain.link_violations)]
         payload["chain"] = {
             "values": list(chain.values()),
             "link_violations": list(chain.link_violations),
@@ -213,125 +256,83 @@ def _run_couple(config, out_dir):
             "ordered": chain.ordered,
             "amgm_field_violation": chain.amgm_field_violation,
             "n_precondition_failures": chain.n_precondition_failures,
+            "n_midpoints": chain.n_midpoints,
         }
-        if report.delta > 1e-10:
-            q = config.get("Q", ((0.2, 0.6), (0.2, 0.6)))
-            try:
-                payload["ratio_table"] = verify_coupling_estimates(report, q)
-            except MinimizerDegenerateError:
-                payload["ratio_table"] = None
+        if report.delta > 1e-10:  # the ratios divide by the deficit
+            payload["ratio_table"] = verify_coupling_estimates(report, q)
     emit_json(os.path.join(out_dir, "report.json"), payload)
-    outputs.append("report.json")
-    return (EXIT_OK if ok else EXIT_VERIFICATION), outputs
-
-
-def parse_body(spec) -> SlopeBody:
-    if "polygon" in spec:
-        return SlopeBody.polygon(np.asarray(spec["polygon"], dtype=float))
-    if "sector_disk" in spec:
-        s = spec["sector_disk"]
-        cone = parse_cone(s.get("cone", {"full_plane": True}))
-        return SlopeBody.sector_disk(cone, float(s.get("rho", 1.0)))
-    raise ConfigError("body spec needs 'polygon' or 'sector_disk'")
+    return ["couple.csv", "envelope.csv", "report.json"], checks
 
 
 def _run_sweep(config, out_dir):
-    res = parse_resolutions(config.get("resolutions", {}))
-    cone = parse_cone(config["cone"])
-    weight = parse_weight(cone, config["weight"])
-    corpus = default_corpus(cone, weight, res["n_theta"])
-    result = stability_sweep(corpus, weight)
+    n_theta, _ = parse_resolutions(config)
+    weight = parse_weight(config)
+    result = stability_sweep(default_corpus(weight.cone, weight, n_theta), weight)
     result.to_csv(os.path.join(out_dir, "sweep.csv"))
-    cmax = EXPECTATIONS.get("stability_Cmax_quadrant_xy", math.inf)
-    ok = result.manifest["probe_ok"] and (
-        math.isnan(result.manifest["max_ratio"])
-        or result.manifest["max_ratio"] <= 1.25 * cmax)
-    return (EXIT_OK if ok else EXIT_VERIFICATION), ["sweep.csv"]
+    m = result.manifest
+    cmax = 1.25 * EXPECTATIONS.get("stability_Cmax_quadrant_xy", math.inf)
+    return ["sweep.csv"], [
+        Check("minimizer_probe", m["probe_max_asym"], MINIMIZER_ASYM_TOL, m["probe_ok"]),
+        Check("max_ratio", m["max_ratio"], cmax,
+              math.isnan(m["max_ratio"]) or m["max_ratio"] <= cmax),
+    ]
 
 
 def _run_sharpness(config, out_dir):
-    res = parse_resolutions(config.get("resolutions", {}))
-    cone = parse_cone(config["cone"])
-    weight = parse_weight(cone, config["weight"])
-    spec = config.get("sharpness", {})
-    mode = int(spec.get("eta", {}).get("fourier_cos", 4))
-    eps_list = spec.get("eps_list", [0.02, 0.04, 0.08, 0.16])
-    result, slope = sharpness_sweep(cone, weight, eta_fourier_cos(cone, mode),
-                                    eps_list, n_theta=res["n_theta"])
+    n_theta, _ = parse_resolutions(config)
+    weight = parse_weight(config)
+    mode = _read(config, "sharpness.eta.fourier_cos", int, default=4)
+    eps_list = _read(config, "sharpness.eps_list", shape=(None,), default=(0.02, 0.04, 0.08, 0.16))
+    result, slope = sharpness_sweep(weight.cone, weight, eta_fourier_cos(weight.cone, mode),
+                                    eps_list, n_theta=n_theta)
     result.to_csv(os.path.join(out_dir, "sharpness.csv"))
-    ok = 0.45 <= slope <= 0.55
-    return (EXIT_OK if ok else EXIT_VERIFICATION), ["sharpness.csv"]
+    return ["sharpness.csv"], [Check("slope_lower", slope, 0.45, 0.45 <= slope),
+                               Check("slope_upper", slope, 0.55, slope <= 0.55)]
 
 
 def _run_diag(config, out_dir):
-    cone = parse_cone(config["cone"])
-    weight = parse_weight(cone, config["weight"])
-    spec = config.get("diag", {})
-    t_list = spec.get("t_list", [0.05, 0.1, 0.2])
-    box = spec.get("box")
-    if box is not None:
-        box = ((box[0][0], box[0][1]), (box[1][0], box[1][1]))
-    result = translation_diagnostics(cone, weight, t_list, box=box)
+    weight = parse_weight(config)
+    t_list = _read(config, "diag.t_list", shape=(None,), default=(0.05, 0.1, 0.2))
+    box = _read(config, "diag.box", default=None, **_BOX)
+    result = translation_diagnostics(weight.cone, weight, t_list, box=box)
     result.to_csv(os.path.join(out_dir, "diag.csv"))
-    ok = True
-    for name, t, growth, sep in result.rows:
-        if name.startswith("C") and not math.isnan(sep) and abs(sep) > 1e-14:
-            ok = False
-    return (EXIT_OK if ok else EXIT_VERIFICATION), ["diag.csv"]
+    # a constancy direction must leave the weight exactly unshifted
+    return ["diag.csv"], [
+        Check(f"separation[{name},{t:.12g}]", sep, 1e-14, math.isnan(sep) or abs(sep) <= 1e-14)
+        for name, t, _growth, sep in result.rows if name.startswith("C")]
 
 
 def _run_check_amgm(config, out_dir):
-    spec = config.get("amgm", {})
-    lam = spec.get("lambda", [1.0, 1.0])
-    xs = spec.get("x", [1.2, 0.8])
-    c = spec.get("c", 1.0)
-    for key, val in (("lambda", lam), ("x", xs)):
-        if not _is_list(val, (int, float)):
-            raise ConfigError(f"amgm.{key} must be a list of numbers, got {val!r}")
-    if not _is_a(c, (int, float)):
-        raise ConfigError(f"amgm.c must be a number, got {c!r}")
-    lhs, rhs, holds = quantitative_amgm_check(lam, xs, float(c))
+    lam = _read(config, "amgm.lambda", shape=(None,), default=(1.0, 1.0))
+    xs = _read(config, "amgm.x", shape=(None,), default=(1.2, 0.8))
+    lhs, rhs, holds = quantitative_amgm_check(lam, xs, _read(config, "amgm.c", default=1.0))
     emit_csv(os.path.join(out_dir, "amgm.csv"), ("lhs", "rhs", "holds"),
              [(lhs, rhs, "1" if holds else "0")])
-    return (EXIT_OK if holds else EXIT_VERIFICATION), ["amgm.csv"]
+    return ["amgm.csv"], [Check("amgm", lhs, rhs, holds)]
 
 
 def _run_check_1d(config, out_dir):
-    spec = config.get("one_dim", {})
-    intervals = spec.get("intervals", [[0.0, 0.8]])
-    l, gamma = spec.get("l", 1.0), spec.get("gamma", 2.0)
-    if not (_is_a(intervals, (list, tuple))
-            and all(_is_pair(iv, (int, float)) for iv in intervals)):
-        raise ConfigError(f"one_dim.intervals must be a list of [a, b] number pairs, "
-                          f"got {intervals!r}")
-    for key, val in (("l", l), ("gamma", gamma)):
-        if not _is_a(val, (int, float)):
-            raise ConfigError(f"one_dim.{key} must be a number, got {val!r}")
-    l, gamma = float(l), float(gamma)
-    E = IntervalSet(tuple((a, b) for a, b in intervals))
-    lhs, den, ratio = one_dim_stability_check(E, l, gamma)
+    intervals = _read(config, "one_dim.intervals", shape=(None, 2), default=((0.0, 0.8),))
+    l, gamma = _read(config, "one_dim.l", default=1.0), _read(config, "one_dim.gamma", default=2.0)
+    lhs, den, ratio = one_dim_stability_check(IntervalSet(intervals), l, gamma)
     emit_csv(os.path.join(out_dir, "one_dim.csv"),
              ("lhs", "denominator", "ratio"), [(lhs, den, ratio)])
     # the constants are pinned per integer exponent; any other has no bound
     bound = (EXPECTATIONS["one_dim_Cgamma"].get(str(int(gamma)), math.inf)
              if gamma.is_integer() else math.inf)
     ok = (lhs == 0.0) or (den > 0 and ratio <= 1.01 * bound)
-    return (EXIT_OK if ok else EXIT_VERIFICATION), ["one_dim.csv"]
+    return ["one_dim.csv"], [Check("stability_ratio", ratio, 1.01 * bound, ok)]
 
 
 def _run_check_fmp(config, out_dir):
-    spec = config.get("fmp", {})
-    d_list = spec.get("D_list", [2.5, 3.0, 4.0, 7.2])
-    if not _is_list(d_list, (int, float)):
-        raise ConfigError(f"fmp.D_list must be a list of numbers, got {d_list!r}")
-    rows = []
-    ok = True
+    d_list = _read(config, "fmp.D_list", shape=(None,), default=(2.5, 3.0, 4.0, 7.2))
+    rows, checks = [], []
     for D in d_list:
-        fc = psi_k(float(D))
+        fc = psi_k(D)
         t = np.linspace(0.0, 0.5, 1000)
         margin = float(np.min(fc.psi(t) - 3.0 * fc.k * t ** ((D - 1.0) / D)))
         rows.append((D, fc.k, margin))
-        ok = ok and margin >= -1e-12
+        checks.append(Check(f"psi_margin[{D:.12g}]", margin, -1e-12, margin >= -1e-12))
     emit_csv(os.path.join(out_dir, "fmp.csv"), ("D", "k", "psi_margin"), rows)
 
     E = IntervalSet(((1.0, 2.0),))
@@ -341,37 +342,30 @@ def _run_check_fmp(config, out_dir):
     emit_csv(os.path.join(out_dir, "fmp_worked.csv"),
              ("tau", "lhs", "trace_rhs", "poincare_rhs"),
              [(tau, rep.lhs, rep.trace_rhs, rep.poincare_rhs)])
-    ok = ok and rep.trace_holds and rep.poincare_holds
-    return (EXIT_OK if ok else EXIT_VERIFICATION), ["fmp.csv", "fmp_worked.csv"]
+    checks += [Check("trace", rep.lhs, rep.trace_rhs, rep.trace_holds),
+               Check("poincare", rep.lhs, rep.poincare_rhs, rep.poincare_holds)]
+    return ["fmp.csv", "fmp_worked.csv"], checks
 
 
 def _run_envelope(config, out_dir):
-    spec = config.get("envelope", {})
-    h = spec.get("h", 0.05)
-    if not (_is_a(h, (int, float)) and h > 0):
-        raise ConfigError(f"envelope.h must be a positive number, got {h!r}")
-    n_pts = spec.get("n_points", 60)
-    if not (_is_a(n_pts, int) and n_pts >= 2):
-        raise ConfigError(f"envelope.n_points must be an integer >= 2, got {n_pts!r}")
-    box = spec.get("box", ((-2.0, 2.0), (-2.0, 2.0)))
-    if not (_is_pair(box, (list, tuple))
-            and all(_is_pair(pair, (int, float)) and pair[0] < pair[1] for pair in box)):
-        raise ConfigError(f"envelope.box must be two [lo, hi] pairs with lo < hi, got {box!r}")
-    box = tuple((float(lo), float(hi)) for lo, hi in box)
-    body = parse_body(spec.get("body", {"sector_disk": {"rho": 1.0}}))
-    u_kind = spec.get("u", "quadratic")
-    xs = np.linspace(box[0][0], box[0][1], n_pts)
-    ys = np.linspace(box[1][0], box[1][1], n_pts)
-    gx, gy = np.meshgrid(xs, ys)
+    h = _read(config, "envelope.h", default=0.05, test=lambda h: h > 0, need=" > 0")
+    n_pts = _read(config, "envelope.n_points", int, default=60,
+                  test=lambda n: n >= 2, need=" >= 2")
+    box = _read(config, "envelope.box", default=((-2.0, 2.0), (-2.0, 2.0)), **_BOX)
+    body = (parse_body(config, "envelope.body")
+            if "body" in _read(config, "envelope", dict, default={})
+            else SlopeBody.sector_disk(Cone.plane(), 1.0))
+    u_kind = _read(config, "envelope.u", str, default="quadratic",
+                   test=("quadratic", "double_well").__contains__,
+                   need=" (quadratic or double_well)")
+    gx, gy = np.meshgrid(np.linspace(*box[0], n_pts), np.linspace(*box[1], n_pts))
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     if u_kind == "quadratic":
         values = 0.5 * np.einsum("ij,ij->i", pts, pts)
-    elif u_kind == "double_well":
-        values = pts[:, 0] ** 4 - pts[:, 0] ** 2 + 4.0 * pts[:, 1] ** 2
     else:
-        raise ConfigError(f"unknown envelope test function '{u_kind}'")
+        values = pts[:, 0] ** 4 - pts[:, 0] ** 2 + 4.0 * pts[:, 1] ** 2
     conj = restricted_conjugate(pts, values, body)
-    field = k_envelope(conj, box, float(h))
+    field = k_envelope(conj, box, h)
     field.dump_csv(os.path.join(out_dir, "envelope.csv"))
     report = check_c11(field)
     emit_csv(os.path.join(out_dir, "envelope_c11.csv"),
@@ -380,9 +374,13 @@ def _run_envelope(config, out_dir):
                report.n_distinct_slopes)])
     phi_at_samples, _xi, _idx = conj.envelope_at(conj.points)
     scale = max(1.0, float(np.max(np.abs(conj.values))))
-    below = bool(np.all(phi_at_samples <= conj.values + 1e-9 * scale))
-    ok = report.convexity_violation <= 1e-9 * scale and below
-    return (EXIT_OK if ok else EXIT_VERIFICATION), ["envelope.csv", "envelope_c11.csv"]
+    tol = 1e-9 * scale
+    return ["envelope.csv", "envelope_c11.csv"], [
+        Check("convexity_violation", report.convexity_violation, tol,
+              report.convexity_violation <= tol),
+        Check("below_data", float(np.max(phi_at_samples - conj.values)), tol,
+              np.all(phi_at_samples <= conj.values + 1e-9 * scale)),
+    ]
 
 
 RUNNERS = {
@@ -421,14 +419,16 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     os.makedirs(args.out, exist_ok=True)
-    runner = RUNNERS[args.verb]
     try:
-        code, outputs = runner(config, args.out)
-    except (KeyError, ValueError) as exc:
+        if not isinstance(config, dict):
+            raise ConfigError("the config must be a JSON object")
+        outputs, checks = RUNNERS[args.verb](config, args.out)
+    except ValueError as exc:  # config errors, and domain errors of the input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    write_manifest(args.out, config, args.verb, args.seed, outputs)
-    return code
+    emit_json(os.path.join(args.out, "checks.json"), [dataclasses.asdict(c) for c in checks])
+    write_manifest(args.out, config, args.verb, args.seed, outputs + ["checks.json"])
+    return EXIT_VERIFICATION if any(not c.ok for c in checks) else EXIT_OK
 
 
 if __name__ == "__main__":

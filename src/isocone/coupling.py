@@ -295,6 +295,7 @@ class ChainRecord:
     link_violations: tuple
     amgm_field_violation: float
     n_precondition_failures: int
+    n_midpoints: int  # band-interior midpoints the precondition was tested on
 
     @property
     def ordered(self) -> bool:
@@ -363,4 +364,4 @@ def abp_chain_check(report: CouplingReport) -> ChainRecord:
         max(0.0, amgm_integral - terminal),
     )
     return ChainRecord(image_volume, jacobian_integral, amgm_integral, terminal,
-                       tol, violations, amgm_violation, n_pre_fail)
+                       tol, violations, amgm_violation, n_pre_fail, len(pre_ok))

@@ -540,7 +540,9 @@ def _sorted_unique(keys):
     int64 keys NumPy 2.4's hashed np.unique took about 30 times as long
     (2-core x86-64)."""
     keys.sort()
-    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 @dataclasses.dataclass
@@ -629,9 +631,9 @@ class EnvelopeField:
         selected nodes.
         """
         idx = self.slope_index.ravel()
-        if mask is not None:
-            idx = idx[mask.ravel()]
-        return self.body.samples[np.unique(idx)]
+        # ravel is a view here and a fancy index a copy; the sort is in place
+        idx = idx.copy() if mask is None else idx[mask.ravel()]
+        return self.body.samples[_sorted_unique(idx)]
 
     def range_hausdorff(self, mask: np.ndarray | None = None):
         """(distance from the body's samples to the achieved slopes, their count).

@@ -1,12 +1,15 @@
 """CLI dispatch, exit codes, output schemas, determinism."""
 
+import ast
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
+from isocone import cli
 from isocone.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from isocone.expectations import EXPECTATIONS
 
@@ -44,7 +47,7 @@ class TestMeasure:
         _code, out = run(tmp_path, "measure", BASE_CONFIG)
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest) == {"config_sha256", "version", "verb", "seed", "outputs"}
-        assert manifest["verb"] == "measure" and manifest["outputs"] == ["measure.csv"]
+        assert manifest["verb"] == "measure" and manifest["outputs"] == ["checks.json", "measure.csv"]
 
     def test_determinism_double_run(self, tmp_path):
         _c1, out1 = run(tmp_path, "measure", BASE_CONFIG, out="o1")
@@ -174,6 +177,10 @@ class TestCoupleVerb:
                                               "weight_ratio"}
         assert report["n_interior_nodes"] > 0
         assert report["pcg_iterations"] > 0
+        assert 0 <= report["chain"]["n_precondition_failures"] <= report["chain"]["n_midpoints"]
+        assert report["chain"]["n_midpoints"] > 0
+        header = (out / "couple.csv").read_text().splitlines()[0].split(",")
+        assert set(header) <= set(report)  # one field list feeds both
         assert (out / "envelope.csv").exists()
         back = json.loads(json.dumps(report))
         assert back == report  # round-trips to equal values
@@ -294,3 +301,126 @@ class TestSweepVerbs:
         assert code == EXIT_OK
         rows = (out / "diag.csv").read_text().splitlines()
         assert rows[0] == "direction,t,growth,separation"
+
+
+ENVELOPE = {"u": "quadratic", "h": 0.2, "n_points": 40}
+
+
+class TestConfigReader:
+    """Every config value is type-checked by one reader, before any output."""
+
+    @pytest.mark.parametrize("verb, patch, key", [
+        # tracebacks before the reader
+        ("measure", {"cone": {"angles": 5}}, "cone.angles"),
+        ("diag", {"diag": {"box": [[0.3]]}}, "diag.box"),
+        ("diag", {"diag": {"t_list": ["0.05", 0.1]}}, "diag.t_list"),
+        # silently accepted before the reader
+        ("measure", {"cone": {"angles": [0, True]}}, "cone.angles"),
+        ("measure", {"cone": {"angles": ["0", "1.5"]}}, "cone.angles"),
+        ("measure", {"weight": {"monomial": [True, True]}}, "weight.monomial"),
+        ("measure", {"set": {"ball": {"r": "0.9"}}}, "set.ball.r"),
+        ("measure", {"set": {"star": {"eps": "0.1", "eta": {"fourier_cos": 4}}}},
+         "set.star.eps"),
+        ("measure", {"set": {"star": {"eps": 0.1, "eta": {"fourier_cos": 2.7}}}},
+         "set.star.eta.fourier_cos"),
+        ("measure", {"set": {"star": {"eps": 0.1, "eta": {"fourier_cos": True}}}},
+         "set.star.eta.fourier_cos"),
+        ("sharpness", {"sharpness": {"eps_list": ["0.02", 0.04, 0.08]}}, "sharpness.eps_list"),
+        ("envelope", {"envelope": {**ENVELOPE, "body": {"sector_disk": {"rho": True}}}},
+         "envelope.body.sector_disk.rho"),
+        ("envelope", {"envelope": {**ENVELOPE,
+                                   "body": {"polygon": [[-1, 0], [1, "1"], [0, 1]]}}},
+         "envelope.body.polygon"),
+        # a misleading message before the reader ("error: 'body'")
+        ("couple", {"mode": "weigthed"}, "mode"),
+        # a JSON bool for the one flag, and sections that are not objects
+        ("envelope", {"envelope": {**ENVELOPE, "body": {"sector_disk": {
+            "cone": {"full_plane": 1}}}}}, "envelope.body.sector_disk.cone.full_plane"),
+        ("measure", {"set": {"ball": 1.0}}, "set.ball"),
+        ("check-1d", {"one_dim": [0.0, 0.8]}, "one_dim"),
+    ])
+    def test_bad_value_names_its_key_before_any_output(self, tmp_path, capsys, verb, patch,
+                                                       key):
+        code, out = run(tmp_path, verb, {**BASE_CONFIG, **patch})
+        assert code == EXIT_USAGE
+        assert f"error: {key} " in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("verb, drop", [("measure", "weight"), ("measure", "cone"),
+                                            ("couple", "set")])
+    def test_missing_required_key_is_a_config_error(self, tmp_path, capsys, verb, drop):
+        config = {k: v for k, v in BASE_CONFIG.items() if k != drop}
+        code, out = run(tmp_path, verb, config)
+        assert code == EXIT_USAGE
+        assert f"error: {drop} is required" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_config_must_be_an_object(self, tmp_path):
+        code, out = run(tmp_path, "measure", [BASE_CONFIG])
+        assert code == EXIT_USAGE
+        assert list(out.iterdir()) == []
+
+    def test_integers_and_plane_flag_accepted(self, tmp_path):
+        config = {**BASE_CONFIG, "cone": {"angles": [0, 1]}, "set": {"ball": {"r": 1}}}
+        assert run(tmp_path, "measure", config, out="m")[0] == EXIT_OK
+        config = {**BASE_CONFIG, "envelope": {**ENVELOPE, "h": 1, "box": [[-2, 2], [-2, 2]],
+                                              "body": {"sector_disk": {
+                                                  "rho": 1, "cone": {"full_plane": True}}}}}
+        assert run(tmp_path, "envelope", config, out="e")[0] == EXIT_OK
+
+    def test_library_key_error_propagates(self, tmp_path, monkeypatch):
+        def broken(config, out_dir):
+            return {}["missing"]
+
+        monkeypatch.setitem(cli.RUNNERS, "measure", broken)
+        with pytest.raises(KeyError):
+            run(tmp_path, "measure", BASE_CONFIG)
+
+
+COUPLE_POLYGON = {  # exits 2: grad_range_hausdorff exceeds 2 * slope_spacing by rounding
+    "body": {"polygon": [[1.0, 0.0], [0.5, 0.866025], [-0.5, 0.866025], [-1.0, 0.0],
+                         [-0.5, -0.866025], [0.5, -0.866025]]},
+    "cone": {"full_plane": True}, "mode": "anisotropic",
+    "resolutions": {"eval_h": 0.02, "mesh_h": 0.04},
+    "set": {"ball": {"center": [-0.2, 0.2], "r": 0.8}},
+}
+CONTRACT = {
+    "measure": (BASE_CONFIG, []),
+    "couple": (COUPLE_POLYGON, ["grad_range_hausdorff"]),
+    "sweep": ({**BASE_CONFIG, "resolutions": {"n_theta": 1024}}, []),
+    "sharpness": ({**BASE_CONFIG, "sharpness": {"eps_list": [0.02, 0.04, 0.08]}}, []),
+    "diag": ({**BASE_CONFIG, "weight": {"monomial": [1, 0]}, "diag": {"t_list": [0.05, 0.1]}},
+             []),
+    "check-amgm": (BASE_CONFIG, []),
+    "check-1d": ({**BASE_CONFIG, "one_dim": {"intervals": [[0.01, 0.02]], "l": 1.2,
+                                             "gamma": 2.0}}, ["stability_ratio"]),
+    "check-fmp": (BASE_CONFIG, []),
+    "envelope": ({**BASE_CONFIG, "envelope": ENVELOPE}, []),
+}
+
+
+class TestChecksContract:
+    @pytest.mark.parametrize("verb", sorted(CONTRACT))
+    def test_checks_decide_the_exit_code(self, tmp_path, verb):
+        config, failing = CONTRACT[verb]
+        code, out = run(tmp_path, verb, config, out="o1")
+        _code, out2 = run(tmp_path, verb, config, out="o2")
+        checks = json.loads((out / "checks.json").read_text())
+        assert checks and all(set(c) == {"name", "value", "bound", "ok"} for c in checks)
+        assert all(isinstance(c["ok"], bool) for c in checks)
+        assert [c["name"] for c in checks if not c["ok"]] == failing
+        assert code == (EXIT_VERIFICATION if failing else EXIT_OK)
+        assert "checks.json" in json.loads((out / "manifest.json").read_text())["outputs"]
+        assert (out / "checks.json").read_bytes() == (out2 / "checks.json").read_bytes()
+
+
+def test_only_main_names_the_verdict_exit_codes():
+    """Runners return checks; only main may turn them into an exit code."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    main_def = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = {id(node) for node in ast.walk(main_def)}
+    outside = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and node.id in ("EXIT_OK", "EXIT_VERIFICATION")
+               and isinstance(node.ctx, ast.Load) and id(node) not in in_main]
+    assert outside == []

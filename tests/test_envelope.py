@@ -507,11 +507,14 @@ class TestAchievedSlopes:
                            0.05)
         xi = field.xi.reshape(-1, 2)
         mask = field.grid_points()[:, 1] > 0.3
+        index = field.slope_index.copy()
         for m in (None, mask, mask.reshape(field.phi.shape)):
             got = field.achieved_slopes(m)
             want = np.unique(xi if m is None else xi[m.ravel()], axis=0)
             assert len(got) == len(want)
             assert np.array_equal(np.unique(got, axis=0), want)
+        assert np.array_equal(field.slope_index, index)  # sorted on a copy, not in place
+        assert field.achieved_slopes(np.zeros_like(mask)).shape == (0, 2)
 
 
 class TestContactData:

@@ -6,6 +6,7 @@ import pytest
 from isocone import experiments
 from isocone.cone_weight import Cone, HomWeight
 from isocone.experiments import (
+    MINIMIZER_ASYM_TOL,
     FitRejectedError,
     default_corpus,
     eta_fourier_cos,
@@ -65,6 +66,7 @@ class TestStability:
                   if c[0].startswith("ball_")]
         res = stability_sweep(corpus, W_XY)
         assert res.manifest["probe_ok"]
+        assert 0.0 <= res.manifest["probe_max_asym"] <= MINIMIZER_ASYM_TOL
         assert all(np.isnan(row[3]) for row in res.rows)
 
     def test_full_corpus_ratio_matches_pinned(self):
