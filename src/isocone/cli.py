@@ -220,6 +220,9 @@ def _run_couple(config, out_dir):
     if mode == "weighted":
         weight = parse_weight(config)
         q = _read(config, "Q", default=((0.2, 0.6), (0.2, 0.6)), **_BOX)
+        corners = np.array([(x, y) for x in q[0] for y in q[1]])
+        if float(np.min(weight.cone.boundary_distance(corners))) <= 0:  # default Q too
+            raise ConfigError(f"Q must lie compactly inside the cone, got {q!r}")
         cone, pde_mode = weight.cone, WeightedMode(weight)
     else:
         cone, weight = parse_cone(config, "cone"), None
@@ -240,8 +243,7 @@ def _run_couple(config, out_dir):
         **scalars,
         "sup_violation_tol": tol,
         "n_interior_nodes": int(report.interior.sum()),
-        "pcg_iterations": report.u.iterations,
-        "pcg_residual": report.u.residual,
+        "solve_residual": report.u.residual,
         "files": {"scalars": "couple.csv", "envelope": "envelope.csv"},
     }
     if report.mode == "weighted":
@@ -292,7 +294,8 @@ def _run_sharpness(config, out_dir):
 
 def _run_diag(config, out_dir):
     weight = parse_weight(config)
-    t_list = _read(config, "diag.t_list", shape=(None,), default=(0.05, 0.1, 0.2))
+    t_list = _read(config, "diag.t_list", shape=(None,), default=(0.05, 0.1, 0.2),
+                   test=len, need=" with at least one entry")
     box = _read(config, "diag.box", default=None, **_BOX)
     result = translation_diagnostics(weight.cone, weight, t_list, box=box)
     result.to_csv(os.path.join(out_dir, "diag.csv"))

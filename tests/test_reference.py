@@ -1,4 +1,4 @@
-"""Output drift guard: twelve fast configs checked against perfbench/reference.json.
+"""Output drift guard: thirteen configs checked against perfbench/reference.json.
 
 Each config runs through ``isocone.cli.main`` and its outputs are compared
 with the recorded reference entry by ``perfbench/reference.check``, which
@@ -26,6 +26,8 @@ CASES = {
     "polygon_envelope": ("envelope", workloads.envelope_polygon(workloads.DIAMOND)),
     "quadrant_couple_readme": ("couple",
                                workloads.couple_weighted("quadrant_xy", "readme", 0.05, 3)),
+    # 48,510 mesh nodes: the largest Neumann system the benchmark solves
+    "half_plane_couple_fine": ("couple", workloads.couple_weighted("half_y", "fine", 0.05, 3)),
     "polygon_couple_coarse": ("couple", workloads.couple_anisotropic(
         workloads.SEEDED_POLYGONS[0], eval_h=0.02, mesh_h=0.04, r=0.8, center=[-0.2, 0.2])),
     "polygon_couple_fine_eval": ("couple", workloads.couple_anisotropic(
