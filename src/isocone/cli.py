@@ -140,9 +140,13 @@ def parse_weight(config) -> HomWeight:
     if "monomial" in spec:
         return HomWeight.monomial(cone, *_read(config, "weight.monomial", shape=(2,)))
     if "profile" in spec:
-        thetas = np.asarray(_read(config, "weight.profile.thetas", shape=(None,)), dtype=float)
-        values = np.asarray(_read(config, "weight.profile.values", shape=(None,)), dtype=float)
-        return HomWeight.from_profile(cone, thetas, values, _read(config, "weight.profile.alpha"))
+        thetas = _read(config, "weight.profile.thetas", shape=(None,),
+                       test=lambda t: len(t) >= 2 and all(a < b for a, b in zip(t, t[1:])),
+                       need=" with at least two strictly increasing angles")
+        values = _read(config, "weight.profile.values", shape=(None,),
+                       test=lambda v: len(v) == len(thetas), need=" with one value per angle")
+        return HomWeight.from_profile(cone, np.array(thetas), np.array(values),
+                                      _read(config, "weight.profile.alpha"))
     raise ConfigError("weight needs 'monomial' or 'profile'")
 
 
@@ -226,7 +230,10 @@ def _run_couple(config, out_dir):
         cone, pde_mode = weight.cone, WeightedMode(weight)
     else:
         cone, weight = parse_cone(config, "cone"), None
-        pde_mode = AnisotropicMode(parse_body(config, "body"))
+        body = parse_body(config, "body")
+        if not body.area() > 0:
+            raise ConfigError(f"body must have positive area, got {config['body']!r}")
+        pde_mode = AnisotropicMode(body)
     report = build_coupling(parse_set(cone, weight, config, n_theta), pde_mode, resolutions)
 
     scalars = {name: getattr(report, name) for name in COUPLE_FIELDS}

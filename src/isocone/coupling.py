@@ -73,7 +73,6 @@ class Resolutions:
 class CouplingReport:
     mode: str
     weight: HomWeight | None
-    mesh: TriMesh
     u: NodalField
     field: EnvelopeField
     hessians: np.ndarray
@@ -118,6 +117,8 @@ def star_area(star: StarSet) -> float:
 
 def anisotropic_deficit(star: StarSet, body: SlopeBody) -> float:
     """Per_K(E) / (n |K|^(1/n) |E|^((n-1)/n)) - 1 in the plane (n = 2)."""
+    if not body.area() > 0:
+        raise ValueError("the anisotropic deficit needs a body of positive area")
     return deficit_value(anisotropic_perimeter(star, body), star_area(star), body.area(), 2.0)
 
 
@@ -231,7 +232,7 @@ def build_coupling(star: StarSet, mode: WeightedMode | AnisotropicMode,
 
     return CouplingReport(
         mode="weighted" if weighted else "anisotropic",
-        weight=weight, mesh=mesh, u=u, field=field,
+        weight=weight, u=u, field=field,
         hessians=hess, delta=float(delta), b_E=u.b_E, sup_violation=sup_violation,
         hessian_l1=hessian_l1, boundary_term=boundary_term,
         grad_range_hausdorff=grad_range_hausdorff, lip_grad=field.lip_grad(),
@@ -250,7 +251,7 @@ def weight_shift_term(report: CouplingReport, Q) -> float:
     corners = np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]])
     if float(np.min(weight.cone.boundary_distance(corners))) <= 0:
         raise ValueError("Q must be compactly inside the cone")
-    mids, areas3 = report.mesh.midpoint_rule()
+    mids, areas3 = report.u.mesh.midpoint_rule()
     inside = ((mids[:, 0] >= x0) & (mids[:, 0] <= x1)
               & (mids[:, 1] >= y0) & (mids[:, 1] <= y1))
     if not inside.any():
@@ -323,7 +324,7 @@ def abp_chain_check(report: CouplingReport) -> ChainRecord:
     D = weight.D
     res = report.resolutions
 
-    mids, areas3 = report.mesh.midpoint_rule()
+    mids, areas3 = report.u.mesh.midpoint_rule()
     band_ok = weight.cone.boundary_distance(mids) > res.eval_h
     mids_b = mids[band_ok]
     areas_b = areas3[band_ok]

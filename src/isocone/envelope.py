@@ -19,9 +19,8 @@ unique.  Ties break deterministically, by a rule that depends on the path:
     slope index;
   * the structured sector-disk conjugate takes, per angle, the lowest
     sample index among the candidates it scores (the nodes its hull walk
-    reaches, or the vertices of that angle's hull), so ``argmin_index``
-    among tied samples need not be the lowest overall.  The intercepts
-    themselves are exact.
+    reaches, or all nodes), so ``argmin_index`` among tied samples need
+    not be the lowest overall.  The intercepts themselves are exact.
 
 Slope bodies come in two flavors: polygons (vertex list, counterclockwise;
 two vertices describe a segment) and sector-disks, i.e. the closure of
@@ -57,12 +56,12 @@ _NORMAL_CONE_TOL = 1e-9  # distance within which a slope lies on a face of K
 class SlopeBody:
     """Compact convex slope constraint with a finite sample grid.
 
-    Sector-disk bodies carry ``polar_shape = (n_radial, n_angular)``; their
-    samples are ordered origin first, then radius-major over the angular
-    grid, which the structured argmax in this module relies on.
+    Sector-disk bodies carry ``polar_shape = (n_radial, n_angular)``, and
+    polygons None; sector-disk samples are ordered origin first, then
+    radius-major over the angular grid, which the structured argmax in this
+    module relies on.
     """
 
-    kind: str  # "polygon" or "sector_disk"
     vertices: np.ndarray | None
     cone: Cone | None
     rho: float
@@ -94,12 +93,12 @@ class SlopeBody:
             ts = np.linspace(0.0, 1.0, k)
             samples = v[0] + ts[:, None] * seg
             spacing = float(np.linalg.norm(seg)) / (k - 1)
-            return SlopeBody("polygon", v, None, 0.0, samples, spacing)
+            return SlopeBody(v, None, 0.0, samples, spacing)
         k = max(2, int(math.ceil(math.sqrt(2.0 * n_samples / len(v)))))
         spokes_and_sides = np.vstack([v - v.mean(axis=0), v - np.roll(v, -1, axis=0)])
         spacing = max(np.linalg.norm(e) for e in spokes_and_sides) / k
         samples, _ids = fan_lattice(v, k)
-        return SlopeBody("polygon", v, None, 0.0, samples, float(spacing))
+        return SlopeBody(v, None, 0.0, samples, float(spacing))
 
     @staticmethod
     def sector_disk(cone: Cone, rho: float = 1.0, n_radial: int = 256,
@@ -118,7 +117,7 @@ class SlopeBody:
             darc = rho * (2.0 * math.pi / n_angular)
         else:
             darc = rho * (cone.opening / (n_angular - 1))
-        return SlopeBody("sector_disk", None, cone, float(rho), samples,
+        return SlopeBody(None, cone, float(rho), samples,
                          float(max(dr, darc)), polar_shape=(n_radial, n_angular))
 
     @staticmethod
@@ -132,7 +131,7 @@ class SlopeBody:
         v = np.asarray(v, dtype=float)
         single = v.ndim == 1
         vv = np.atleast_2d(v)
-        if self.kind == "polygon":
+        if self.polar_shape is None:
             out = np.max(vv @ self.vertices.T, axis=1)
         else:
             if self.cone.full_plane:
@@ -149,7 +148,7 @@ class SlopeBody:
         return float(out[0]) if single else out
 
     def area(self) -> float:
-        if self.kind == "polygon":
+        if self.polar_shape is None:
             v = self.vertices
             if len(v) == 2:
                 return 0.0
@@ -159,7 +158,7 @@ class SlopeBody:
 
     def contains(self, pts, tol: float = 1e-9) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.kind == "sector_disk":
+        if self.polar_shape is not None:
             r_ok = np.hypot(pts[:, 0], pts[:, 1]) <= self.rho + tol
             return r_ok & self.cone.contains(pts, tol=tol)
         v = self.vertices
@@ -179,7 +178,7 @@ class SlopeBody:
     def normal_cone(self, xi) -> np.ndarray:
         """Generators of the normal cone at xi (empty array means {0})."""
         xi = np.asarray(xi, dtype=float)
-        if self.kind == "sector_disk":
+        if self.polar_shape is not None:
             return self._normal_cone_sector(xi, _NORMAL_CONE_TOL)
         return self._normal_cone_polygon(xi, _NORMAL_CONE_TOL)
 
@@ -242,7 +241,7 @@ class SlopeBody:
         Zero for polygons (vertices are sampled); for sector-disks it is the
         sagitta of one angular step of the outer arc.
         """
-        if self.kind == "polygon":
+        if self.polar_shape is None:
             return 0.0
         _n_r, n_ang = self.polar_shape
         if self.cone.full_plane:
@@ -419,9 +418,9 @@ def _sector_conjugate(points, values, body):
     and their hull neighbours, and ``_dense_min`` takes the minimum over
     them for all radii, with the same float operations as the dense
     minimum.  An angle whose walk meets a hull edge across the ray, and
-    every angle of a cloud Qhull cannot hull in 3-D, takes the vertices of
-    the 2-D hull of {(u(theta) . y, u(y))} instead (``_hull_vertices``).
-    Among tied candidates the argmin is the lowest sample index.
+    every angle of a cloud Qhull cannot hull in 3-D, takes the same minimum
+    over all nodes.  Among tied candidates the argmin is the lowest sample
+    index.
     """
     n_r, n_ang = body.polar_shape
     radii = np.linspace(0.0, body.rho, n_r)[1:]
@@ -429,6 +428,7 @@ def _sector_conjugate(points, values, body):
     graph = _lower_hull_graph(points, values)
     walked = [None] * n_ang if graph is None else _walk_candidates(
         graph, points, values, U, radii[-1])
+    every = np.arange(len(points))
     m = len(body.samples)
     intercepts = np.empty(m)
     argmin = np.empty(m, dtype=np.int64)
@@ -445,24 +445,11 @@ def _sector_conjugate(points, values, body):
         dots = points @ U[s0:s0 + width].T
         for j in range(b0, min(b0 + width, n_ang)):
             d = dots[:, j - s0]
-            cand = walked[j]
-            if cand is None:
-                cand = _hull_vertices(d, values, i0)
+            cand = every if walked[j] is None else walked[j]
             cols = slice(1 + j, m, n_ang)
             intercepts[cols], loc = _dense_min(d[cand, None], values[cand], radii[:, None])
             argmin[cols] = cand[loc]
     return intercepts, argmin
-
-
-def _hull_vertices(d, values, i0):
-    """Sorted vertices of the 2-D hull of {(d, values)}, which hold every
-    minimizer of values - r * d.  A cloud Qhull cannot hull (under three
-    points, or flat) keeps the extremes of d and the minimum of values,
-    which attain the same minima."""
-    try:
-        return np.sort(ConvexHull(np.column_stack([d, values])).vertices)
-    except (QhullError, ValueError):
-        return np.unique([int(np.argmin(d)), int(np.argmax(d)), i0])
 
 
 def _lower_hull_graph(points, values):

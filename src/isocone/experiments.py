@@ -130,7 +130,6 @@ def stability_sweep(corpus, weight: HomWeight):
         "max_ratio": max(ratios) if ratios else float("nan"),
         "probe_ok": all(a <= MINIMIZER_ASYM_TOL for a in near_minimizers),
         "probe_max_asym": max(near_minimizers, default=0.0),
-        "n_members": len(rows),
     }
     return SweepResult(("param", "delta_w", "asym", "ratio"), rows, manifest)
 
@@ -155,10 +154,8 @@ def translation_diagnostics(cone: Cone, weight: HomWeight, t_list, box=None):
         center = depth * np.array([math.cos(mid), math.sin(mid)])
         box = ((center[0] - 0.08, center[0] + 0.08), (center[1] - 0.08, center[1] + 0.08))
     rows = []
-    fits = {}
     for tag, d in directions:
         name = f"{tag}({d[0]:+.6f},{d[1]:+.6f})"
-        growths, seps = [], []
         for t in sorted(t_list):
             g = ball_volume_growth(cone, weight, t * d) if t > 0 else 0.0
             try:
@@ -166,15 +163,5 @@ def translation_diagnostics(cone: Cone, weight: HomWeight, t_list, box=None):
             except InadmissibleInputError:
                 sep = float("nan")
             rows.append((name, t, g, sep))
-            growths.append(g)
-            seps.append(sep)
-        ts = np.array(sorted(t_list), dtype=float)
-        if len(ts) >= 2 and ts[-1] > 0:
-            fits[name] = {
-                "growth_slope": float(np.polyfit(ts, growths, 1)[0]),
-                "separation_slope": float(np.polyfit(ts, seps, 1)[0])
-                if not any(math.isnan(s) for s in seps) else float("nan"),
-            }
     rows.sort(key=lambda r: (r[0], r[1]))
-    return SweepResult(("direction", "t", "growth", "separation"), rows,
-                       {"fits": fits, "box": box})
+    return SweepResult(("direction", "t", "growth", "separation"), rows, {"box": box})

@@ -345,6 +345,20 @@ class TestConfigReader:
                     "set": {"star": {"eps": 0.1, "eta": {"fourier_cos": 4}}}}, "Q"),
         ("couple", {"cone": {"angles": [math.pi / 2, math.pi]}, "weight": {"monomial": [0, 1]},
                     "set": {"star": {"eps": 0.1, "eta": {"fourier_cos": 4}}}}, "Q"),
+        # profile samples: IndexError with 0 or 1, numpy's message for unequal
+        # lengths, "weight vanishes identically" for decreasing angles
+        ("measure", {"weight": {"profile": {"thetas": [], "values": [], "alpha": 2}}},
+         "weight.profile.thetas"),
+        ("measure", {"weight": {"profile": {"thetas": [0.7], "values": [1.0], "alpha": 2}}},
+         "weight.profile.thetas"),
+        ("measure", {"weight": {"profile": {"thetas": [0.0, 0.7, 1.5], "values": [1.0, 1.0],
+                                            "alpha": 2}}}, "weight.profile.values"),
+        ("measure", {"weight": {"profile": {"thetas": [1.5, 0.7, 0.0], "values": [1.0, 1.0, 1.0],
+                                            "alpha": 2}}}, "weight.profile.thetas"),
+        # a zero-area body: ZeroDivisionError in the deficit after meshing
+        ("couple", {"mode": "anisotropic", "cone": {"full_plane": True},
+                    "body": {"polygon": [[-1, 0], [1, 0]]}, "set": {"ball": {"r": 0.8}},
+                    "resolutions": {"eval_h": 0.02, "mesh_h": 0.04}}, "body"),
     ])
     def test_bad_value_names_its_key_before_any_output(self, tmp_path, capsys, verb, patch,
                                                        key):
@@ -374,6 +388,12 @@ class TestConfigReader:
                                               "body": {"sector_disk": {
                                                   "rho": 1, "cone": {"full_plane": True}}}}}
         assert run(tmp_path, "envelope", config, out="e")[0] == EXIT_OK
+
+    def test_profile_weight_accepted(self, tmp_path):
+        thetas = np.linspace(0.0, math.pi / 2, 257)
+        weight = {"profile": {"thetas": thetas.tolist(),
+                              "values": (np.cos(thetas) * np.sin(thetas)).tolist(), "alpha": 2}}
+        assert run(tmp_path, "measure", {**BASE_CONFIG, "weight": weight})[0] == EXIT_OK
 
     def test_library_key_error_propagates(self, tmp_path, monkeypatch):
         def broken(config, out_dir):

@@ -206,6 +206,12 @@ class TestAnisotropic:
         assert star_area(star) == pytest.approx(4.0, abs=1e-12)
         assert abs(anisotropic_deficit(star, body)) <= 1e-9
 
+    def test_zero_area_body_rejected(self):
+        star = StarSet.ball(Cone.plane(), 256)
+        for verts in ([(-1.0, 0.0), (1.0, 0.0)], [(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)]):
+            with pytest.raises(ValueError, match="positive area"):
+                anisotropic_deficit(star, SlopeBody.polygon(verts))
+
     def test_wulff_square_coupling(self):
         def square_r(th):
             return 1.0 / np.maximum(np.abs(np.cos(th)), np.abs(np.sin(th)))

@@ -305,7 +305,23 @@ class TestSectorKernelsMatchLoops:
         walked = envelope._walk_candidates(graph, SMALL, vals, U, BISECTING_DISK.rho)
         flat = [j for j, cand in enumerate(walked) if cand is None]
         assert 0 < len(flat) < n_ang
-        assert envelope._lower_hull_graph(SMALL, SMALL @ np.array([0.3, -0.2])) is None
+        self.assert_dense_over_all_nodes(SMALL, vals, BISECTING_DISK, flat)
+        linear = SMALL @ np.array([0.3, -0.2])
+        assert envelope._lower_hull_graph(SMALL, linear) is None
+        self.assert_dense_over_all_nodes(SMALL, linear, DISK, range(DISK.polar_shape[1]))
+
+    @staticmethod
+    def assert_dense_over_all_nodes(pts, vals, body, angles):
+        """Each listed angle's intercepts and argmins are _dense_min's over
+        every node, on the full product's column of that angle."""
+        conj = restricted_conjugate(pts, vals, body)
+        n_r, n_ang = body.polar_shape
+        radii = np.linspace(0.0, body.rho, n_r)[1:]
+        dots = pts @ unit(body.cone.arc_grid(n_ang)).T
+        for j in angles:
+            want, loc = envelope._dense_min(dots[:, j, None], vals, radii[:, None])
+            assert np.array_equal(conj.intercepts[1 + j::n_ang], want)
+            assert np.array_equal(conj.argmin_index[1 + j::n_ang], loc)
 
 
 class TestSectorArgmaxTies:
