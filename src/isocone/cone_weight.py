@@ -184,6 +184,11 @@ class HomWeight:
         if profile_thetas is not None:
             self.profile_thetas = np.asarray(profile_thetas, dtype=float)
             self.profile_values = np.asarray(profile_values, dtype=float)
+            t, v = self.profile_thetas, self.profile_values
+            if t.ndim != 1 or len(t) < 2 or v.shape != t.shape or not np.all(np.diff(t) > 0):
+                raise InadmissibleWeightError("profile needs two or more strictly increasing "
+                                              f"angles, one value each: thetas {t.tolist()}, "
+                                              f"values {v.tolist()}")
             self._profile_slopes = np.gradient(self.profile_values, self.profile_thetas)
         else:
             self.profile_thetas = None

@@ -9,10 +9,12 @@ intercept
 
 and the envelope is phi(x) = max over sampled slopes of a(xi) + xi . x.
 The maximizing slope is the envelope's gradient wherever that argmax is
-unique.  Ties break deterministically, by a rule that depends on the path:
+unique.  On polygons both run through ``_dense_min``, which scores each tile
+of queries only at the sites a bound cannot rule out; its elementwise scores
+moved polygon outputs off the BLAS products they replaced by rounding only.
+Ties break deterministically, by a rule that depends on the path:
 
-  * the dense paths (polygon bodies) keep the lowest index among exact
-    optima;
+  * the polygon paths keep the lowest index among exact optima;
   * the structured sector-disk argmax gives ties to the origin slope, then
     to the lowest angle, then to the lowest radius within that angle (the
     rule of a scan in ascending angle order), which need not be the lowest
@@ -41,11 +43,13 @@ from .cone_weight import Cone, unit
 from .geometry import emit_csv
 from .pde import fan_lattice
 
-# float64 entries of the one scratch block _dense_min reuses (2^18, 2 MB): the
-# product, the subtraction, the argmin and the gather over a block then stay
-# in a core's L2 cache, where a block of tens of MB sends each of those four
-# passes through main memory.
+# float64 entries of the block _dense_min scores in (2^18, 2 MB): its passes
+# then stay in a core's L2 cache, not in main memory as tens of MB would.
 _BLOCK = 1 << 18
+_TILE_QUERIES = 64  # queries per last-level tile of _dense_min
+_TILE_SPLIT = 4  # cells along the longest side of a tile of _dense_min it splits into
+_TILE_MIN_SITES = 1024  # _dense_min scans fewer sites than this untiled
+_TILE_SLACK = 1e-11  # rounding slack of _dense_min's tile bound, per unit of score scale
 _ANGLE_BLOCK = 16  # sector-disk angles per argmax bound and per conjugate product
 _BOUND_KNOTS = 64  # knots of the chord bound of one block
 _HESS_WINDOW = 5  # grid nodes per side of the Hessian's least-squares window
@@ -271,35 +275,68 @@ class RestrictedConjugate:
 
 
 def _dense_min(sites, f, queries):
-    """min over sites p of f(p) - q . p for every query q, in blocks.
+    """min over sites p of f(p) - q . p for every query q, tile by tile.
 
-    Returns the minima and the lowest site index attaining each.  This is
-    the dense form of both the conjugate (sites are samples, queries are
-    slopes) and the envelope argmax (sites are slopes with f = -intercept);
-    the sector-disk conjugate runs it per angle with radii as queries.
-    Queries run in blocks of rows through one reused scratch array of about
-    ``_BLOCK`` entries.  A product has two rows or more unless there is
-    only one query: NumPy sends a one-row product to BLAS's matrix-vector
-    routine, which rounds otherwise, so the last block is moved back to
-    full size instead of left ragged.
-    Each query's scores are then the same floats whatever the block, and
-    the results do not depend on it.
+    Returns the minima and the lowest site index attaining each: conjugates
+    (sites are samples, queries slopes, per angle radii) and the polygon
+    argmax (sites are slopes, f = -intercept).  A score is f - (q_0 p_0 +
+    q_1 p_1) formed elementwise, not by BLAS, whose rounding depends on a
+    product's shape; so it is one float in any tile (in 1-D, BLAS's float).
+    A tile of queries with centre c and half-widths w scores only the sites
+    p with g(p) - g(p*) - sum_d w_d |p_d - p*_d| <= slack, g = f - c . p,
+    p* = argmin g, which bounds s(q, p) - s(q, p*) below on the tile: every
+    site tying a minimum is kept, in index order.  The slack, ``_TILE_SLACK``
+    (max|f| + sum_d max|q_d| max|p_d|), is 1000 times the rounding of g, the
+    bound and the scores (a few roundings of terms under 4 times that scale).
+    Tiles split and prune down to about ``_TILE_QUERIES`` queries; under
+    ``_TILE_MIN_SITES`` sites or with a non-finite input, one scan is untiled.
     """
-    m = len(queries)
-    vals = np.empty(m)
-    idx = np.empty(m, dtype=np.int64)
-    rows = max(2, _BLOCK // max(len(sites), 1))
-    sites_t = np.ascontiguousarray(sites.T)
-    scratch = np.empty((min(rows, m), len(sites)))
+    q_max = np.max(np.abs(queries), axis=0, initial=0.0)
+    scale = np.max(np.abs(f), initial=0.0) + q_max @ np.max(np.abs(sites), axis=0, initial=0.0)
+    tiled = len(sites) >= _TILE_MIN_SITES and np.isfinite(scale)
+    return _tiled_min(sites, f, queries, _TILE_SLACK * scale if tiled else None)
+
+
+def _tiled_min(sites, f, queries, slack):
+    """``_dense_min`` with a tile slack (None: untiled), in ``_BLOCK`` blocks."""
+    m, n = len(queries), len(sites)
+    vals, idx = np.empty(m), np.empty(m, dtype=np.int64)
+    tiles = _tile_members(queries) if slack is not None and m >= 2 * _TILE_QUERIES else []
+    if len(tiles) > 1:
+        for sel in tiles:
+            q = queries[sel]
+            lo, hi = q.min(axis=0), q.max(axis=0)
+            g = f - sites @ (0.5 * (lo + hi))
+            best = np.argmin(g)
+            gap = g - g[best] - np.abs(sites - sites[best]) @ (0.5 * (hi - lo))
+            keep = np.flatnonzero(gap <= slack)
+            vals[sel], loc = _tiled_min(sites[keep], f[keep], q, slack)
+            idx[sel] = keep[loc]
+        return vals, idx
+    cols = np.ascontiguousarray(sites.T)
+    rows = max(1, _BLOCK // max(n * len(cols), 1))  # the block and a product term
+    score = np.empty((min(rows, m), n))
     for s0 in range(0, m, rows):
-        s0 = min(s0, m - len(scratch))
-        s1 = s0 + len(scratch)
-        np.matmul(queries[s0:s1], sites_t, out=scratch)
-        np.subtract(f, scratch, out=scratch)
-        loc = np.argmin(scratch, axis=1)
-        vals[s0:s1] = np.take_along_axis(scratch, loc[:, None], axis=1)[:, 0]
-        idx[s0:s1] = loc
+        q = queries[s0:s0 + rows]
+        s = np.multiply(q[:, :1], cols[0], out=score[:len(q)])
+        for d in range(1, len(cols)):
+            s += q[:, d:d + 1] * cols[d]
+        np.subtract(f, s, out=s)
+        loc = np.argmin(s, axis=1)
+        vals[s0:s0 + len(q)], idx[s0:s0 + len(q)] = s[np.arange(len(q)), loc], loc
     return vals, idx
+
+
+def _tile_members(queries):
+    """Query indices per nonempty square cell, ``_TILE_SPLIT`` along the longest side."""
+    lo = queries.min(axis=0)
+    side = np.max(queries.max(axis=0) - lo) / _TILE_SPLIT
+    if not side > 0:
+        return [np.arange(len(queries))]
+    cell = np.minimum((queries - lo) // side, _TILE_SPLIT - 1).astype(np.int64)
+    tile = np.ravel_multi_index(cell.T, (_TILE_SPLIT,) * queries.shape[1])
+    order = np.argsort(tile, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(tile[order])) + 1)
 
 
 def _argmax(conj: "RestrictedConjugate", pts):
@@ -416,11 +453,9 @@ def _sector_conjugate(points, values, body):
     the lifted cloud (y, u(y)), so one 3-D hull serves every angle: the walk
     (``_walk_candidates``) collects, per angle, the hull vertices it visits
     and their hull neighbours, and ``_dense_min`` takes the minimum over
-    them for all radii, with the same float operations as the dense
-    minimum.  An angle whose walk meets a hull edge across the ray, and
-    every angle of a cloud Qhull cannot hull in 3-D, takes the same minimum
-    over all nodes.  Among tied candidates the argmin is the lowest sample
-    index.
+    them for all radii.  An angle whose walk meets a hull edge across the
+    ray, and every angle of a cloud Qhull cannot hull in 3-D, takes it over
+    all nodes.  Among tied candidates the argmin is the lowest sample index.
     """
     n_r, n_ang = body.polar_shape
     radii = np.linspace(0.0, body.rho, n_r)[1:]
@@ -436,9 +471,9 @@ def _sector_conjugate(points, values, body):
     intercepts[0] = values[i0]
     argmin[0] = i0
     # d = u(theta) . y comes from products of ``_ANGLE_BLOCK`` angles at a
-    # time, not one (P, n_ang) array; as in _dense_min, the last block is
-    # moved back to full width, because a one-column product rounds
-    # otherwise, and each column is then the same floats whatever the block
+    # time, not one (P, n_ang) array; the last block is moved back to full
+    # width, as a one-column product rounds otherwise, so no column depends
+    # on the block
     width = min(_ANGLE_BLOCK, n_ang)
     for b0 in range(0, n_ang, width):
         s0 = min(b0, n_ang - width)

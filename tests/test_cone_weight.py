@@ -107,6 +107,18 @@ class TestHomWeight:
         with pytest.raises(InadmissibleWeightError):
             HomWeight.from_profile(QUADRANT, thetas, values, alpha=2.0)
 
+    @pytest.mark.parametrize("thetas, values", [
+        ([], []),  # no samples
+        ([0.7], [1.0]),  # one sample
+        ([0.0, 0.7, 1.5], [1.0, 1.0]),  # unequal lengths
+        ([1.5, 0.7, 0.0], [1.0, 1.0, 1.0]),  # decreasing angles
+        ([0.0, 0.7, 0.7, 1.5], [1.0, 1.0, 1.0, 1.0]),  # a repeated angle
+    ])
+    def test_malformed_profile_samples_rejected(self, thetas, values):
+        with pytest.raises(InadmissibleWeightError, match="profile needs") as err:
+            HomWeight.from_profile(QUADRANT, thetas, values, alpha=2.0)
+        assert f"thetas {[float(t) for t in thetas]}," in str(err.value)
+
     def test_negative_exponents_rejected(self):
         with pytest.raises(InadmissibleWeightError):
             HomWeight.monomial(QUADRANT, -1, 2)

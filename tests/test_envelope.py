@@ -1,6 +1,8 @@
 """Slope bodies, restricted conjugates, envelopes, contact sets."""
 
+import functools
 import math
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -30,6 +32,21 @@ def quad_cloud(radius=2.0, n_ang=180, n_rad=81):
     rr = np.linspace(0.0, radius, n_rad)[1:]
     pts = (rr[:, None, None] * np.stack([np.cos(th), np.sin(th)], -1)[None]).reshape(-1, 2)
     return np.vstack([[[0.0, 0.0]], pts])
+
+
+def _scan_all(sites, f, queries):
+    """The untiled elementwise scan that ``_dense_min`` reproduces bit for
+    bit: each score f - (q_0 p_0 + q_1 p_1), the lowest index among minima."""
+    vals, idx = [], []
+    for q in np.array_split(queries, max(1, len(queries) // 64)):
+        score = q[:, :1] * sites[:, 0]
+        for d in range(1, sites.shape[1]):
+            score = score + q[:, d:d + 1] * sites[:, d]
+        score = f - score
+        loc = np.argmin(score, axis=1)
+        vals.append(score[np.arange(len(q)), loc])
+        idx.append(loc)
+    return np.concatenate(vals), np.concatenate(idx)
 
 
 class TestSupportFunction:
@@ -144,8 +161,7 @@ class TestRestrictedConjugate:
         vals = 0.5 * np.einsum("ij,ij->i", pts, pts) + 0.3 * pts[:, 0]
         body = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 48, 33)
         conj = restricted_conjugate(pts, vals, body)
-        from isocone.envelope import _dense_min
-        dense_a, _ = _dense_min(pts, vals, body.samples)
+        dense_a, _ = _scan_all(pts, vals, body.samples)
         assert np.max(np.abs(conj.intercepts - dense_a)) <= 1e-12
 
     def test_empty_rejected(self):
@@ -174,7 +190,7 @@ def _loop_sector_conjugate(points, values, body):
         except (QhullError, ValueError):
             hv = np.unique([int(np.argmin(d)), int(np.argmax(d)), i0])
         cols = slice(1 + j, m, n_ang)
-        intercepts[cols], loc = envelope._dense_min(d[hv, None], values[hv], radii[:, None])
+        intercepts[cols], loc = _scan_all(d[hv, None], values[hv], radii[:, None])
         argmin[cols] = hv[loc]
     return intercepts, argmin
 
@@ -310,16 +326,53 @@ class TestSectorKernelsMatchLoops:
         assert envelope._lower_hull_graph(SMALL, linear) is None
         self.assert_dense_over_all_nodes(SMALL, linear, DISK, range(DISK.polar_shape[1]))
 
+    def test_unsettled_angles_take_the_tile_bound(self, monkeypatch):
+        # 1,801 nodes and 255 radii: an angle the walk cannot settle scores
+        # every node through the tile bound, and must match the untiled scan
+        pts = quad_cloud(n_ang=60, n_rad=31)
+        vals = _paraboloid(pts)
+        body = SlopeBody.disk(1.0, 256, 120)
+        n_ang = body.polar_shape[1]
+        walked = envelope._walk_candidates(envelope._lower_hull_graph(pts, vals), pts, vals,
+                                           unit(body.cone.arc_grid(n_ang)), body.rho)
+        flat = [j for j, cand in enumerate(walked) if cand is None]
+        assert 0 < len(flat) < n_ang
+        bounded = []
+        tiled_min = envelope._tiled_min
+
+        def record(sites, f, queries, slack):
+            bounded.append(len(sites) if slack is not None else None)
+            return tiled_min(sites, f, queries, slack)
+
+        monkeypatch.setattr(envelope, "_tiled_min", record)
+        self.assert_dense_over_all_nodes(pts, vals, body, flat)
+        assert bounded.count(len(pts)) == len(flat)
+
+    def test_walk_candidates_keep_hull_neighbours(self):
+        # the five inner nodes lift onto one facet of slope (1/2, 0), so at
+        # angle 0 and radius 1/2 they tie exactly; the walk passes node 0,
+        # the lowest tied index, which only its hull neighbours bring in
+        pts = np.array([
+            [-0.5625, -0.625], [-2.1875, 1.25], [-2.1875, -1.25], [0.0, -2.5], [0.0, 2.5],
+            [-2.5, 0.0], [1.25, -2.1875], [-1.25, 2.1875], [0.6875, 0.4375], [-1.25, -2.1875],
+            [2.1875, -1.25], [0.8125, 0.1875], [1.25, 2.1875], [-0.625, -0.5625],
+            [-0.8125, 0.1875], [2.1875, 1.25], [2.5, 0.0]])
+        vals = 0.5 * pts[:, 0] + (np.hypot(pts[:, 0], pts[:, 1]) > 2.0)
+        body = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 5, 3)
+        self.assert_dense_over_all_nodes(pts, vals, body, range(3))
+        conj = restricted_conjugate(pts, vals, body)
+        assert conj.intercepts[1 + 3] == 0.0 and conj.argmin_index[1 + 3] == 0
+
     @staticmethod
     def assert_dense_over_all_nodes(pts, vals, body, angles):
-        """Each listed angle's intercepts and argmins are _dense_min's over
-        every node, on the full product's column of that angle."""
+        """Each listed angle's intercepts and argmins are the untiled scan's
+        over every node, on the full product's column of that angle."""
         conj = restricted_conjugate(pts, vals, body)
         n_r, n_ang = body.polar_shape
         radii = np.linspace(0.0, body.rho, n_r)[1:]
         dots = pts @ unit(body.cone.arc_grid(n_ang)).T
         for j in angles:
-            want, loc = envelope._dense_min(dots[:, j, None], vals, radii[:, None])
+            want, loc = _scan_all(dots[:, j, None], vals, radii[:, None])
             assert np.array_equal(conj.intercepts[1 + j::n_ang], want)
             assert np.array_equal(conj.argmin_index[1 + j::n_ang], loc)
 
@@ -364,52 +417,159 @@ class TestSectorArgmaxTies:
         assert self.argmax({9: (1.0, 1.0)}) == (1.0, 1 + 9)
 
 
-class TestDenseMin:
-    @staticmethod
-    def problem(n_sites=200, n_queries=101, seed=11):
-        rng = np.random.default_rng(seed)
-        return (rng.uniform(-1.0, 1.0, (n_sites, 2)), rng.normal(size=n_sites),
-                rng.uniform(-2.0, 2.0, (n_queries, 2)))
+def _polygon_reference_calls():
+    """The (sites, f, queries) of both ``_dense_min`` calls, conjugate then
+    argmax, of the two polygon ``couple`` configs of tests/test_reference.py."""
+    import json
+    import os
 
-    def test_block_size_does_not_change_results(self, monkeypatch):
-        sites, f, queries = self.problem()
-        monkeypatch.setattr(envelope, "_BLOCK", 10 ** 9)
-        ref_vals, ref_idx = envelope._dense_min(sites, f, queries)
-        # the smallest blocks (two rows, also when one row exceeds the block)
-        # and 7-row blocks; each query count leaves its own remainder (a lone
-        # query goes through the matrix-vector route however it is blocked)
-        for block in (1, 7 * len(sites)):
-            monkeypatch.setattr(envelope, "_BLOCK", block)
-            for m in range(2, len(queries) + 1):
-                vals, idx = envelope._dense_min(sites, f, queries[:m])
-                assert np.array_equal(vals, ref_vals[:m])
-                assert np.array_equal(idx, ref_idx[:m])
+    from test_reference import CASES
+
+    from isocone.cli import main
+
+    calls = []
+    kernel = envelope._dense_min
+
+    def record(sites, f, queries):
+        calls.append((sites, f, queries))
+        return kernel(sites, f, queries)
+
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(envelope, "_dense_min", record)
+        for name in ("polygon_couple_coarse", "polygon_couple_fine_eval"):
+            verb, config = CASES[name]
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            main([verb, "--config", path, "--out", os.path.join(tmp, name)])
+    return calls
+
+
+def _lattice(n, lo=-1.0, hi=1.0):
+    """n x n points of a square lattice on [lo, hi]^2, row-major."""
+    xs = np.linspace(lo, hi, n)
+    return np.stack(np.meshgrid(xs, xs), -1).reshape(-1, 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_cases():
+    """Named (sites, f, queries) problems for the kernel; callers copy to mutate."""
+    rng = np.random.default_rng(11)
+    sites = _lattice(65)  # steps of 1/32: every score below is exact
+    cone_cloud, cone_vals = _neumann_cloud()
+    radii = np.linspace(0.0, 1.0, 256)[1:, None]
+    fine = _lattice(61)  # steps of 1/30: scores that tie exactly differ by rounding
+    return {
+        # u linear: the lifting is flat, and the tiles around xi0 tie throughout
+        "linear": (sites, sites @ np.array([0.25, -0.5]), _lattice(129, -0.75, 0.25)),
+        "linear-rounded": (fine, fine @ np.array([0.3, -0.7]), _lattice(121, -0.7, 1.3)),
+        # grid points on the sites and halfway between: exact two- and four-way ties
+        "coinciding-grid": (sites, 0.5 * np.einsum("ij,ij->i", sites, sites),
+                            _lattice(129)),
+        "coinciding-grid-rounded": (fine, 0.5 * np.einsum("ij,ij->i", fine, fine)
+                                    + 0.1 * fine[:, 0], _lattice(121, -0.9, 1.1)),
+        # every site twice, and random scores with near ties
+        "duplicated-sites": (np.vstack([sites, sites]), np.tile(rng.normal(size=len(sites)), 2),
+                             rng.uniform(-2.0, 2.0, (3000, 2))),
+        # 1-D sites, one angle's projections, with the radii as queries
+        "radii": (cone_cloud[:, :1], cone_vals, radii),
+        # a lone far query gets a tile of its own
+        "lone-query": (sites, sites[:, 0] ** 2 + sites[:, 1] ** 4,
+                       np.vstack([rng.uniform(-0.5, 0.5, (600, 2)), [[7.0, -3.0]]])),
+    }
+
+
+class TestDenseMin:
+    @pytest.fixture(scope="class")
+    def reference_calls(self):
+        return _polygon_reference_calls()
+
+    @pytest.mark.parametrize("call", range(4))
+    def test_polygon_reference_clouds_match_untiled_scan(self, reference_calls, call):
+        sites, f, queries = reference_calls[call]
+        assert len(sites) >= envelope._TILE_MIN_SITES
+        vals, idx = envelope._dense_min(sites, f, queries)
+        want_vals, want_idx = _scan_all(sites, f, queries)
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(idx, want_idx)
+
+    @pytest.mark.parametrize("case", sorted(_kernel_cases()))
+    @pytest.mark.parametrize("tile", [1, 64])
+    def test_matches_untiled_scan(self, monkeypatch, case, tile):
+        # tile 1 splits the queries down to tiles of one query each
+        sites, f, queries = _kernel_cases()[case]
+        monkeypatch.setattr(envelope, "_TILE_QUERIES", tile)
+        vals, idx = envelope._dense_min(sites, f, queries)
+        want_vals, want_idx = _scan_all(sites, f, queries)
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(idx, want_idx)
 
     @pytest.mark.parametrize("block", [1, 10 ** 9])
     def test_ties_go_to_lowest_site_index(self, monkeypatch, block):
         monkeypatch.setattr(envelope, "_BLOCK", block)
-        sites, f, queries = self.problem()
-        # every site twice: each query ties between copies i and i + 200
-        vals, idx = envelope._dense_min(np.vstack([sites, sites]), np.concatenate([f, f]),
-                                        queries)
-        ref_vals, ref_idx = envelope._dense_min(sites, f, queries)
-        assert np.array_equal(vals, ref_vals)
-        assert np.array_equal(idx, ref_idx)
-        # the zero query ties all sites of a constant f
-        vals, idx = envelope._dense_min(sites, np.full(len(sites), 0.5), np.zeros((3, 2)))
-        assert np.array_equal(vals, np.full(3, 0.5))
-        assert np.array_equal(idx, np.zeros(3, dtype=np.int64))
+        sites, f, queries = _kernel_cases()["duplicated-sites"]
+        _vals, idx = envelope._dense_min(sites, f, queries)
+        assert np.all(idx < len(sites) // 2)
+        # the linear u ties every site at xi0 = (1/4, -1/2), a query here
+        sites, f, queries = _kernel_cases()["linear"]
+        at = np.flatnonzero((queries == [0.25, -0.5]).all(axis=1))
+        vals, idx = envelope._dense_min(sites, f, queries)
+        assert at.size == 1 and vals[at[0]] == 0.0 and idx[at[0]] == 0
+
+    @pytest.mark.parametrize("case", ["coinciding-grid", "duplicated-sites", "radii"])
+    def test_a_query_does_not_depend_on_the_others(self, case):
+        sites, f, queries = _kernel_cases()[case]
+        vals, idx = envelope._dense_min(sites, f, queries)
+        rng = np.random.default_rng(3)
+        perm = rng.permutation(len(queries))
+        got_vals, got_idx = envelope._dense_min(sites, f, queries[perm])
+        assert np.array_equal(got_vals, vals[perm])
+        assert np.array_equal(got_idx, idx[perm])
+        for sub in (perm[:300], perm[:129], np.sort(perm[: len(perm) // 2])):
+            got_vals, got_idx = envelope._dense_min(sites, f, queries[sub])
+            assert np.array_equal(got_vals, vals[sub])
+            assert np.array_equal(got_idx, idx[sub])
+
+    @pytest.mark.parametrize("where", ["f", "sites", "queries"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_scanned_untiled(self, monkeypatch, where, bad):
+        sites, f, queries = (a.copy() for a in _kernel_cases()["coinciding-grid"])
+        queries = queries[:300]
+        {"f": f, "sites": sites[:, 1], "queries": queries[:, 0]}[where][7] = bad
+
+        def refuse(*_args):
+            raise AssertionError("a non-finite input reached the tile bound")
+
+        monkeypatch.setattr(envelope, "_tile_members", refuse)
+        with np.errstate(invalid="ignore"):  # inf * 0 in a score
+            vals, idx = envelope._dense_min(sites, f, queries)
+            want_vals, want_idx = _scan_all(sites, f, queries)
+        assert np.array_equal(vals, want_vals, equal_nan=True)
+        assert np.array_equal(idx, want_idx)
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        # one-row blocks, also where one row exceeds the block, and 7-row blocks
+        sites, f, queries = _kernel_cases()["duplicated-sites"]
+        want_vals, want_idx = envelope._dense_min(sites, f, queries)
+        for block in (1, 7 * len(sites)):
+            monkeypatch.setattr(envelope, "_BLOCK", block)
+            for m in (1, 2, 200, len(queries)):
+                vals, idx = envelope._dense_min(sites, f, queries[:m])
+                assert np.array_equal(vals, want_vals[:m])
+                assert np.array_equal(idx, want_idx[:m])
 
     def test_scratch_memory_stays_near_one_block(self):
-        sites, f, queries = self.problem(n_sites=20_000, n_queries=2_000)
+        rng = np.random.default_rng(11)
+        sites, f = rng.uniform(-1.0, 1.0, (20_000, 2)), rng.normal(size=20_000)
+        queries = rng.uniform(-2.0, 2.0, (2_000, 2))
         tracemalloc.start()
         try:
             envelope._dense_min(sites, f, queries)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one 2 MB block, the contiguous sites and the outputs; a full
-        # 2,000 x 20,000 score matrix would be 320 MB
+        # one 2 MB block (scores and a product term), the tile bound's site
+        # arrays and the outputs; a full 2,000 x 20,000 score matrix would be 320 MB
         assert peak < 16 * 2 ** 20
 
 
