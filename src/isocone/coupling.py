@@ -52,9 +52,10 @@ class MinimizerDegenerateError(ValueError):
 class Resolutions:
     """Discretization knobs: mesh size, slope grid (radial, angular), eval grid.
 
-    The radial slope count is cheap (the structured argmax is logarithmic in
-    it) and controls how closely the gradient image reaches the outer arc;
-    the angular count sets the reported slope spacing.  The eval step is
+    The radial slope count controls how closely the gradient image reaches
+    the outer arc, and the angular count sets the reported slope spacing.
+    The conjugate scores every slope sample, so it pays for both counts; the
+    structured argmax is logarithmic in the radial one.  The eval step is
     also the width of the band along the cone's rays.
     """
 
@@ -150,7 +151,8 @@ def _poly_weighted_measure(vertices, weight: HomWeight) -> float:
     pieces = TriMesh(tri.reshape(-1, 2), np.arange(3 * len(tri)).reshape(-1, 3),
                      no_edges, no_edges)
     nodes, wq = pieces.midpoint_rule()
-    return float(wq @ np.clip(weight(nodes), 0.0, None))
+    # a sum, not a BLAS dot, whose last bit follows the thread count
+    return float(np.sum(wq * np.clip(weight(nodes), 0.0, None)))
 
 
 def build_coupling(star: StarSet, mode: WeightedMode | AnisotropicMode,

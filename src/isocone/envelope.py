@@ -9,20 +9,16 @@ intercept
 
 and the envelope is phi(x) = max over sampled slopes of a(xi) + xi . x.
 The maximizing slope is the envelope's gradient wherever that argmax is
-unique.  On polygons both run through ``_dense_min``, which scores each tile
-of queries only at the sites a bound cannot rule out; its elementwise scores
-moved polygon outputs off the BLAS products they replaced by rounding only.
-Ties break deterministically, by a rule that depends on the path:
+unique.  The conjugate on every body, and the argmax on polygons, run through
+``_dense_min``, which scores each tile of queries only at the sites a bound
+cannot rule out.  Ties break deterministically, by one of two rules:
 
-  * the polygon paths keep the lowest index among exact optima;
+  * every conjugate and the polygon argmax keep the lowest index among
+    exact optima;
   * the structured sector-disk argmax gives ties to the origin slope, then
     to the lowest angle, then to the lowest radius within that angle (the
     rule of a scan in ascending angle order), which need not be the lowest
-    slope index;
-  * the structured sector-disk conjugate takes, per angle, the lowest
-    sample index among the candidates it scores (the nodes its hull walk
-    reaches, or all nodes), so ``argmin_index`` among tied samples need
-    not be the lowest overall.  The intercepts themselves are exact.
+    slope index.
 
 Slope bodies come in two flavors: polygons (vertex list, counterclockwise;
 two vertices describe a segment) and sector-disks, i.e. the closure of
@@ -37,7 +33,7 @@ import math
 import numpy as np
 from scipy import ndimage
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import cKDTree
 
 from .cone_weight import Cone, unit
 from .geometry import emit_csv
@@ -46,11 +42,10 @@ from .pde import fan_lattice
 # float64 entries of the block _dense_min scores in (2^18, 2 MB): its passes
 # then stay in a core's L2 cache, not in main memory as tens of MB would.
 _BLOCK = 1 << 18
-_TILE_QUERIES = 64  # queries per last-level tile of _dense_min
 _TILE_SPLIT = 4  # cells along the longest side of a tile of _dense_min it splits into
 _TILE_MIN_SITES = 1024  # _dense_min scans fewer sites than this untiled
 _TILE_SLACK = 1e-11  # rounding slack of _dense_min's tile bound, per unit of score scale
-_ANGLE_BLOCK = 16  # sector-disk angles per argmax bound and per conjugate product
+_ANGLE_BLOCK = 16  # sector-disk angles per argmax bound
 _BOUND_KNOTS = 64  # knots of the chord bound of one block
 _HESS_WINDOW = 5  # grid nodes per side of the Hessian's least-squares window
 _NORMAL_CONE_TOL = 1e-9  # distance within which a slope lies on a face of K
@@ -278,18 +273,20 @@ def _dense_min(sites, f, queries):
     """min over sites p of f(p) - q . p for every query q, tile by tile.
 
     Returns the minima and the lowest site index attaining each: conjugates
-    (sites are samples, queries slopes, per angle radii) and the polygon
-    argmax (sites are slopes, f = -intercept).  A score is f - (q_0 p_0 +
-    q_1 p_1) formed elementwise, not by BLAS, whose rounding depends on a
-    product's shape; so it is one float in any tile (in 1-D, BLAS's float).
+    (sites are samples, queries slopes) and the polygon argmax (sites are
+    slopes, f = -intercept).  A score is f - (q_0 p_0 + q_1 p_1) formed
+    elementwise, not by BLAS, whose rounding depends on a product's shape;
+    so it is one float in any tile.
     A tile of queries with centre c and half-widths w scores only the sites
     p with g(p) - g(p*) - sum_d w_d |p_d - p*_d| <= slack, g = f - c . p,
     p* = argmin g, which bounds s(q, p) - s(q, p*) below on the tile: every
     site tying a minimum is kept, in index order.  The slack, ``_TILE_SLACK``
     (max|f| + sum_d max|q_d| max|p_d|), is 1000 times the rounding of g, the
     bound and the scores (a few roundings of terms under 4 times that scale).
-    Tiles split and prune down to about ``_TILE_QUERIES`` queries; under
-    ``_TILE_MIN_SITES`` sites or with a non-finite input, one scan is untiled.
+    A tile of m queries that kept n sites splits no further once scanning it
+    fits one block, m * n <= ``_BLOCK``, or when it cannot split (one query,
+    or zero width); under ``_TILE_MIN_SITES`` sites or with a non-finite
+    input, one scan is untiled.
     """
     q_max = np.max(np.abs(queries), axis=0, initial=0.0)
     scale = np.max(np.abs(f), initial=0.0) + q_max @ np.max(np.abs(sites), axis=0, initial=0.0)
@@ -301,7 +298,7 @@ def _tiled_min(sites, f, queries, slack):
     """``_dense_min`` with a tile slack (None: untiled), in ``_BLOCK`` blocks."""
     m, n = len(queries), len(sites)
     vals, idx = np.empty(m), np.empty(m, dtype=np.int64)
-    tiles = _tile_members(queries) if slack is not None and m >= 2 * _TILE_QUERIES else []
+    tiles = _tile_members(queries) if slack is not None and m * n > _BLOCK else []
     if len(tiles) > 1:
         for sel in tiles:
             q = queries[sel]
@@ -360,8 +357,10 @@ def _sector_argmax(conj: "RestrictedConjugate", pts):
     block's largest c; that convex function is bounded by its chords between
     knots, plus a rounding slack.  Each point scores its most promising block
     first, then only the blocks whose bound reaches its best value so far.
-    Ties resolve as the sequential scan resolves them: the origin sample
-    wins all ties, then the lowest angle, then the lowest radius.
+    c is formed elementwise, x_0 u_0 + x_1 u_1, so it rounds the same for a
+    point whichever points a pass scores with it.  Ties resolve as the
+    sequential scan resolves them: the origin sample wins all ties, then the
+    lowest angle, then the lowest radius.
     """
     body = conj.body
     n_r, n_ang = body.polar_shape
@@ -379,7 +378,7 @@ def _sector_argmax(conj: "RestrictedConjugate", pts):
     c_max = np.full((len(blocks), n), -np.inf)
     for b, block in enumerate(blocks):
         for j in block:
-            np.maximum(c_max[b], pts @ U[j], out=c_max[b])
+            np.maximum(c_max[b], pts[:, 0] * U[j, 0] + pts[:, 1] * U[j, 1], out=c_max[b])
     bound = np.empty_like(c_max)
     for b, block in enumerate(blocks):
         bound[b] = _block_bound(cols[block.start:block.stop].max(axis=0), radii, c_max[b])
@@ -395,10 +394,9 @@ def _sector_argmax(conj: "RestrictedConjugate", pts):
             if sel.size == 0:
                 continue
             idx_sel = np.arange(sel.size)
+            p = pts[sel]
             for j in block:
-                # the product over all points, as the scan forms it: BLAS
-                # rounds the product of a subset differently
-                c = (pts @ U[j])[sel]
+                c = p[:, 0] * U[j, 0] + p[:, 1] * U[j, 1]
                 pos = np.searchsorted(gains[j], c, side="right")
                 cand = np.clip(pos + steps, 0, n_r - 1)
                 scores = cols[j][cand] + radii[cand] * c[None, :]
@@ -437,124 +435,8 @@ def restricted_conjugate(points, values, body: SlopeBody) -> RestrictedConjugate
     values = np.asarray(values, dtype=float)
     if len(points) == 0:
         raise ValueError("conjugate needs at least one sample point")
-    if body.polar_shape is not None:
-        intercepts, argmin = _sector_conjugate(points, values, body)
-    else:
-        intercepts, argmin = _dense_min(points, values, body.samples)
+    intercepts, argmin = _dense_min(points, values, body.samples)
     return RestrictedConjugate(body, points, values, intercepts, argmin)
-
-
-def _sector_conjugate(points, values, body):
-    """Per-angle conjugate over the nodes a lifted-hull walk reaches.
-
-    For slopes r * u(theta) with fixed theta, the intercept minimizes the
-    linear functional u(y) - r * (u(theta) . y) over the sample cloud.  As r
-    grows from 0 the minimizer moves along edges of the lower convex hull of
-    the lifted cloud (y, u(y)), so one 3-D hull serves every angle: the walk
-    (``_walk_candidates``) collects, per angle, the hull vertices it visits
-    and their hull neighbours, and ``_dense_min`` takes the minimum over
-    them for all radii.  An angle whose walk meets a hull edge across the
-    ray, and every angle of a cloud Qhull cannot hull in 3-D, takes it over
-    all nodes.  Among tied candidates the argmin is the lowest sample index.
-    """
-    n_r, n_ang = body.polar_shape
-    radii = np.linspace(0.0, body.rho, n_r)[1:]
-    U = unit(body.cone.arc_grid(n_ang))
-    graph = _lower_hull_graph(points, values)
-    walked = [None] * n_ang if graph is None else _walk_candidates(
-        graph, points, values, U, radii[-1])
-    every = np.arange(len(points))
-    m = len(body.samples)
-    intercepts = np.empty(m)
-    argmin = np.empty(m, dtype=np.int64)
-    i0 = int(np.argmin(values))
-    intercepts[0] = values[i0]
-    argmin[0] = i0
-    # d = u(theta) . y comes from products of ``_ANGLE_BLOCK`` angles at a
-    # time, not one (P, n_ang) array; the last block is moved back to full
-    # width, as a one-column product rounds otherwise, so no column depends
-    # on the block
-    width = min(_ANGLE_BLOCK, n_ang)
-    for b0 in range(0, n_ang, width):
-        s0 = min(b0, n_ang - width)
-        dots = points @ U[s0:s0 + width].T
-        for j in range(b0, min(b0 + width, n_ang)):
-            d = dots[:, j - s0]
-            cand = every if walked[j] is None else walked[j]
-            cols = slice(1 + j, m, n_ang)
-            intercepts[cols], loc = _dense_min(d[cand, None], values[cand], radii[:, None])
-            argmin[cols] = cand[loc]
-    return intercepts, argmin
-
-
-def _lower_hull_graph(points, values):
-    """Edge graph of the lower hull of the lifted cloud (y, u(y)), as CSR
-    arrays (indptr, neighbours), or None when Qhull cannot hull the cloud
-    in 3-D: under four points, collinear points or a flat lifting."""
-    try:
-        hull = ConvexHull(np.column_stack([points, values]))
-    except (QhullError, ValueError):
-        return None
-    n_pts = len(points)
-    tri = hull.simplices[hull.equations[:, 2] < 0].astype(np.int64)
-    src = tri.ravel()
-    dst = tri[:, [1, 2, 0]].ravel()
-    key = _sorted_unique(np.concatenate([src * n_pts + dst, dst * n_pts + src]))
-    indptr = np.searchsorted(key, np.arange(n_pts + 1) * n_pts)
-    return indptr, np.remainder(key, n_pts, out=key)
-
-
-def _walk_candidates(graph, points, values, U, r_max):
-    """Per angle (row of ``U``), the sorted nodes a radius walk on the lower
-    hull visits, together with their hull neighbours.
-
-    With d = U[j] . y, the walk starts at the lowest hull vertex, the
-    minimizer at r = 0.  At a vertex v the ray leaves v's slope region
-    where the first neighbour n with d_n > d_v takes over, at
-    r = (u_n - u_v) / (d_n - d_v); the walk moves there until that radius
-    passes ``r_max``.  d grows at every step, so each walk ends.  All angles
-    step together.  An angle whose walk meets an edge with
-    |d_n - d_v| <= 1e-12 * max |y| (one across the ray, whose crossing
-    radius rounding decides) gets None.
-    """
-    indptr, nbrs = graph
-    n_pts, n_ang = len(points), len(U)
-    tol = 1e-12 * float(np.max(np.abs(points)))
-    deg = np.diff(indptr)
-    start = int(np.argmin(np.where(deg > 0, values, np.inf)))
-    cur = np.full(n_ang, start)
-    active = np.arange(n_ang)
-    flat = np.zeros(n_ang, dtype=bool)
-    seen = [active * n_pts + start]
-    while active.size:
-        v = cur[active]
-        cnt = deg[v]
-        ends = np.cumsum(cnt)
-        firsts = ends - cnt
-        slot = np.arange(ends[-1])
-        nb = nbrs[np.repeat(indptr[v] - firsts, cnt) + slot]
-        ang = np.repeat(active, cnt)
-        vv = np.repeat(v, cnt)
-        seen.append(ang * n_pts + nb)
-        edge = points[nb] - points[vv]
-        dd = edge[:, 0] * U[ang, 0] + edge[:, 1] * U[ang, 1]
-        ahead = dd > tol
-        cross = np.full(len(nb), np.inf)
-        cross[ahead] = (values[nb[ahead]] - values[vv[ahead]]) / dd[ahead]
-        r_next = np.minimum.reduceat(cross, firsts)
-        first = np.minimum.reduceat(
-            np.where(cross == np.repeat(r_next, cnt), slot, len(slot)), firsts)
-        across = np.logical_or.reduceat(np.abs(dd) <= tol, firsts)
-        flat[active[across]] = True
-        go = (r_next <= r_max) & ~across
-        cur[active[go]] = nb[first[go]]
-        active = active[go]
-    key = np.concatenate(seen)
-    del seen
-    key = _sorted_unique(key)
-    bounds = np.searchsorted(key, np.arange(n_ang + 1) * n_pts)
-    nodes = np.remainder(key, n_pts, out=key)
-    return [None if flat[j] else nodes[bounds[j]:bounds[j + 1]] for j in range(n_ang)]
 
 
 def _sorted_unique(keys):

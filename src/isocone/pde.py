@@ -384,8 +384,11 @@ def solve_neumann(mesh: TriMesh, mode: WeightedMode | AnisotropicMode) -> NodalF
     # pin the gauge at the last node; the rest of a connected mesh is nonsingular
     lu = splu(A[:-1, :-1].tocsc(), permc_spec="MMD_AT_PLUS_A")
     u = np.append(lu.solve(rhs[:-1]), 0.0)
-    u -= float(mass_vec @ u) / total_mass
-    residual = float(np.linalg.norm(A @ u - rhs) / np.linalg.norm(rhs))
+    # sums, not BLAS dots or norms: OpenBLAS splits a long one across threads,
+    # so its last bit would follow the thread count
+    u -= float(np.sum(mass_vec * u)) / total_mass
+    r = A @ u - rhs
+    residual = math.sqrt(float(np.sum(r * r))) / math.sqrt(float(np.sum(rhs * rhs)))
     return NodalField(mesh, u, b_E, 1, residual)
 
 

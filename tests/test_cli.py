@@ -5,6 +5,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -184,6 +186,24 @@ class TestCoupleVerb:
         assert (out / "envelope.csv").exists()
         back = json.loads(json.dumps(report))
         assert back == report  # round-trips to equal values
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS splits a long dot product across threads, which can move
+        # its last bit; this config's solve and gradient-image volume did
+        config = {"cone": {"angles": [0.0, math.pi / 2]}, "weight": {"monomial": [1, 1]},
+                  "set": {"star": {"eps": 0.2, "eta": {"fourier_cos": 4}}}}
+        cfg = write_config(tmp_path, config)
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-c",
+                            "import sys; from isocone.cli import main; sys.exit(main(sys.argv[1:]))",
+                            "couple", "--config", cfg, "--out", str(out)], env=env)
+            trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert "envelope.csv" in trees[0] and trees[0] == trees[1]
 
     @pytest.mark.parametrize("bad", [{"mesh_h": 0.0}, {"eval_h": -0.006},
                                      {"n_slope": [1, 192]}, {"n_slope": [512, 1]},

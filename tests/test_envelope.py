@@ -169,32 +169,6 @@ class TestRestrictedConjugate:
             restricted_conjugate(np.zeros((0, 2)), np.zeros(0), DISK)
 
 
-def _loop_sector_conjugate(points, values, body):
-    """The sector-disk conjugate as one 2-D hull per angle."""
-    from scipy.spatial import ConvexHull, QhullError
-
-    n_r, n_ang = body.polar_shape
-    radii = np.linspace(0.0, body.rho, n_r)[1:]
-    thetas = body.cone.arc_grid(n_ang)
-    dots = points @ unit(thetas).T  # (P, n_ang)
-    m = len(body.samples)
-    intercepts = np.empty(m)
-    argmin = np.empty(m, dtype=np.int64)
-    i0 = int(np.argmin(values))
-    intercepts[0] = values[i0]
-    argmin[0] = i0
-    for j in range(n_ang):
-        d = dots[:, j]
-        try:
-            hv = ConvexHull(np.column_stack([d, values])).vertices
-        except (QhullError, ValueError):
-            hv = np.unique([int(np.argmin(d)), int(np.argmax(d)), i0])
-        cols = slice(1 + j, m, n_ang)
-        intercepts[cols], loc = _scan_all(d[hv, None], values[hv], radii[:, None])
-        argmin[cols] = hv[loc]
-    return intercepts, argmin
-
-
 def _loop_sector_argmax(conj, pts):
     """The sector-disk argmax as a sequential scan over every angle."""
     body = conj.body
@@ -214,7 +188,7 @@ def _loop_sector_argmax(conj, pts):
         col[0] = a0
         col[1:] = A[:, j]
         gain = np.maximum.accumulate((col[:-1] - col[1:]) / dr)
-        c = pts @ U[j]
+        c = pts[:, 0] * U[j, 0] + pts[:, 1] * U[j, 1]
         pos = np.searchsorted(gain, c, side="right")
         cand = np.stack([np.clip(pos - 1, 0, n_r - 1),
                          np.clip(pos, 0, n_r - 1),
@@ -230,9 +204,10 @@ def _loop_sector_argmax(conj, pts):
     return best_val, body.samples[best_idx], best_idx
 
 
-def _neumann_cloud():
+def _neumann_cloud(mesh_h=0.05):
+    """Mesh nodes and the Neumann solution of the x y weight on the quadrant ball."""
     weight = HomWeight.monomial(Cone.quadrant(), 1, 1)
-    mesh = fan_triangulate(StarSet.ball(Cone.quadrant(), 1024), 0.05)
+    mesh = fan_triangulate(StarSet.ball(Cone.quadrant(), 1024), mesh_h)
     return mesh.vertices, solve_neumann(mesh, WeightedMode(weight)).values
 
 
@@ -249,6 +224,13 @@ QUADRANT_BODY = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 48, 33)
 # 60 cloud rays 6 degrees apart; the disk's odd rays bisect two of them, so
 # the edges between their rings' neighbours run across those rays
 BISECTING_DISK = SlopeBody.disk(1.0, 40, 120)
+# u = x / 2 on the five inner nodes, so at angle 0 and radius 1/2 (slope
+# index 1 + 3) their scores tie exactly at 0, node 0 among them
+FLAT_FACET = np.array([
+    [-0.5625, -0.625], [-2.1875, 1.25], [-2.1875, -1.25], [0.0, -2.5], [0.0, 2.5],
+    [-2.5, 0.0], [1.25, -2.1875], [-1.25, 2.1875], [0.6875, 0.4375], [-1.25, -2.1875],
+    [2.1875, -1.25], [0.8125, 0.1875], [1.25, 2.1875], [-0.625, -0.5625],
+    [-0.8125, 0.1875], [2.1875, 1.25], [2.5, 0.0]])
 SECTOR_CASES = {
     "fan-mesh-neumann": (_neumann_cloud, SlopeBody.sector_disk(Cone.quadrant(), 1.0, 96, 40)),
     "quad_cloud": (lambda: _with_values(quad_cloud(), _paraboloid), DISK),
@@ -259,6 +241,12 @@ SECTOR_CASES = {
     "15": (lambda: _with_values(SMALL[:15], _paraboloid), QUADRANT_BODY),
     "linear": (lambda: _with_values(SMALL, lambda p: p @ np.array([0.3, -0.2])), DISK),
     "bisecting-rays": (lambda: _with_values(SMALL, _paraboloid), BISECTING_DISK),
+    # 1,801 nodes: over _TILE_MIN_SITES, so the conjugate takes the tile bound
+    "1801": (lambda: _with_values(quad_cloud(n_ang=60, n_rad=31), _paraboloid),
+             SlopeBody.disk(1.0, 256, 120)),
+    "flat-facet": (lambda: _with_values(
+        FLAT_FACET, lambda p: 0.5 * p[:, 0] + (np.hypot(p[:, 0], p[:, 1]) > 2.0)),
+        SlopeBody.sector_disk(Cone.quadrant(), 1.0, 5, 3)),
 }
 
 
@@ -272,17 +260,9 @@ class TestSectorKernelsMatchLoops:
     def test_conjugate_bitwise(self, case):
         _name, pts, vals, body = case
         conj = restricted_conjugate(pts, vals, body)
-        want, _argmin = _loop_sector_conjugate(pts, vals, body)
+        want, want_argmin = _scan_all(pts, vals, body.samples)
         assert np.array_equal(conj.intercepts, want)
-        # argmin_index attains its intercept, with the kernel's float operations
-        n_r, n_ang = body.polar_shape
-        radii = np.linspace(0.0, body.rho, n_r)[1:]
-        dots = pts @ unit(body.cone.arc_grid(n_ang)).T
-        idx = conj.argmin_index[1:].reshape(n_r - 1, n_ang)
-        cols = np.arange(n_ang)
-        attained = vals[idx] - radii[:, None] * dots[idx, cols[None, :]]
-        assert np.array_equal(attained.ravel(), conj.intercepts[1:])
-        assert vals[conj.argmin_index[0]] == conj.intercepts[0]
+        assert np.array_equal(conj.argmin_index, want_argmin)
 
     def test_argmax_bitwise(self, case):
         _name, pts, vals, body = case
@@ -299,8 +279,8 @@ class TestSectorKernelsMatchLoops:
 
     @pytest.mark.parametrize("block", [2, 3, 7, 10 ** 6])
     def test_angle_block_does_not_change_results(self, case, monkeypatch, block):
-        # the conjugate's column products and the argmax's bounds come in
-        # angle blocks; no block size, ragged or not, moves a bit
+        # the argmax's bounds come in angle blocks; no block size, ragged or
+        # not, moves a bit
         _name, pts, vals, body = case
         want = restricted_conjugate(pts, vals, body)
         want_phi, _xi, want_idx = want.envelope_at(pts)
@@ -312,69 +292,10 @@ class TestSectorKernelsMatchLoops:
         assert np.array_equal(phi, want_phi)
         assert np.array_equal(idx, want_idx)
 
-    def test_fallback_paths_are_taken(self):
-        # the bisecting disk falls back per angle, the linear lifting as a whole
-        n_r, n_ang = BISECTING_DISK.polar_shape
-        vals = _paraboloid(SMALL)
-        U = unit(BISECTING_DISK.cone.arc_grid(n_ang))
-        graph = envelope._lower_hull_graph(SMALL, vals)
-        walked = envelope._walk_candidates(graph, SMALL, vals, U, BISECTING_DISK.rho)
-        flat = [j for j, cand in enumerate(walked) if cand is None]
-        assert 0 < len(flat) < n_ang
-        self.assert_dense_over_all_nodes(SMALL, vals, BISECTING_DISK, flat)
-        linear = SMALL @ np.array([0.3, -0.2])
-        assert envelope._lower_hull_graph(SMALL, linear) is None
-        self.assert_dense_over_all_nodes(SMALL, linear, DISK, range(DISK.polar_shape[1]))
-
-    def test_unsettled_angles_take_the_tile_bound(self, monkeypatch):
-        # 1,801 nodes and 255 radii: an angle the walk cannot settle scores
-        # every node through the tile bound, and must match the untiled scan
-        pts = quad_cloud(n_ang=60, n_rad=31)
-        vals = _paraboloid(pts)
-        body = SlopeBody.disk(1.0, 256, 120)
-        n_ang = body.polar_shape[1]
-        walked = envelope._walk_candidates(envelope._lower_hull_graph(pts, vals), pts, vals,
-                                           unit(body.cone.arc_grid(n_ang)), body.rho)
-        flat = [j for j, cand in enumerate(walked) if cand is None]
-        assert 0 < len(flat) < n_ang
-        bounded = []
-        tiled_min = envelope._tiled_min
-
-        def record(sites, f, queries, slack):
-            bounded.append(len(sites) if slack is not None else None)
-            return tiled_min(sites, f, queries, slack)
-
-        monkeypatch.setattr(envelope, "_tiled_min", record)
-        self.assert_dense_over_all_nodes(pts, vals, body, flat)
-        assert bounded.count(len(pts)) == len(flat)
-
-    def test_walk_candidates_keep_hull_neighbours(self):
-        # the five inner nodes lift onto one facet of slope (1/2, 0), so at
-        # angle 0 and radius 1/2 they tie exactly; the walk passes node 0,
-        # the lowest tied index, which only its hull neighbours bring in
-        pts = np.array([
-            [-0.5625, -0.625], [-2.1875, 1.25], [-2.1875, -1.25], [0.0, -2.5], [0.0, 2.5],
-            [-2.5, 0.0], [1.25, -2.1875], [-1.25, 2.1875], [0.6875, 0.4375], [-1.25, -2.1875],
-            [2.1875, -1.25], [0.8125, 0.1875], [1.25, 2.1875], [-0.625, -0.5625],
-            [-0.8125, 0.1875], [2.1875, 1.25], [2.5, 0.0]])
-        vals = 0.5 * pts[:, 0] + (np.hypot(pts[:, 0], pts[:, 1]) > 2.0)
-        body = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 5, 3)
-        self.assert_dense_over_all_nodes(pts, vals, body, range(3))
-        conj = restricted_conjugate(pts, vals, body)
+    def test_flat_facet_tie_goes_to_lowest_index(self):
+        pts, vals = SECTOR_CASES["flat-facet"][0]()
+        conj = restricted_conjugate(pts, vals, SECTOR_CASES["flat-facet"][1])
         assert conj.intercepts[1 + 3] == 0.0 and conj.argmin_index[1 + 3] == 0
-
-    @staticmethod
-    def assert_dense_over_all_nodes(pts, vals, body, angles):
-        """Each listed angle's intercepts and argmins are the untiled scan's
-        over every node, on the full product's column of that angle."""
-        conj = restricted_conjugate(pts, vals, body)
-        n_r, n_ang = body.polar_shape
-        radii = np.linspace(0.0, body.rho, n_r)[1:]
-        dots = pts @ unit(body.cone.arc_grid(n_ang)).T
-        for j in angles:
-            want, loc = _scan_all(dots[:, j, None], vals, radii[:, None])
-            assert np.array_equal(conj.intercepts[1 + j::n_ang], want)
-            assert np.array_equal(conj.argmin_index[1 + j::n_ang], loc)
 
 
 class TestSectorArgmaxTies:
@@ -494,15 +415,59 @@ class TestDenseMin:
         assert np.array_equal(idx, want_idx)
 
     @pytest.mark.parametrize("case", sorted(_kernel_cases()))
-    @pytest.mark.parametrize("tile", [1, 64])
-    def test_matches_untiled_scan(self, monkeypatch, case, tile):
-        # tile 1 splits the queries down to tiles of one query each
+    @pytest.mark.parametrize("block", [1, envelope._BLOCK])
+    def test_matches_untiled_scan(self, monkeypatch, case, block):
+        # block 1 splits the queries down to tiles of one query each
         sites, f, queries = _kernel_cases()[case]
-        monkeypatch.setattr(envelope, "_TILE_QUERIES", tile)
+        monkeypatch.setattr(envelope, "_BLOCK", block)
         vals, idx = envelope._dense_min(sites, f, queries)
         want_vals, want_idx = _scan_all(sites, f, queries)
         assert np.array_equal(vals, want_vals)
         assert np.array_equal(idx, want_idx)
+
+    def test_tiles_split_until_a_scan_fits_one_block(self, monkeypatch, reference_calls):
+        # a tile scans untiled once m queries times the n sites it kept fit
+        # one block, or when it cannot split: one query, or zero width
+        stack, done = [], []  # [m, n, width, calls made] of open and finished calls
+        tiled_min = envelope._tiled_min
+
+        def record(sites, f, queries, slack):
+            call = [len(queries), len(sites), np.ptp(queries, axis=0).max(), 0]
+            if stack:
+                stack[-1][3] += 1
+            stack.append(call)
+            out = tiled_min(sites, f, queries, slack)
+            done.append(stack.pop())
+            return out
+
+        monkeypatch.setattr(envelope, "_tiled_min", record)
+        readme = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 512, 192)
+        pts, vals = _neumann_cloud(0.02)
+        sites, f, queries = reference_calls[0]
+        for problem in ((pts, vals, readme.samples), (sites, f, queries)):
+            done.clear()
+            envelope._dense_min(*problem)
+            split = [(m, n) for m, n, _w, children in done if children]
+            scanned = [(m, n, w) for m, n, w, children in done if not children]
+            assert len(split) > 1 and all(m * n > envelope._BLOCK for m, n in split)
+            assert all(m * n <= envelope._BLOCK or m == 1 or w == 0 for m, n, w in scanned)
+
+    @pytest.mark.parametrize("body, xi0", [
+        (SQUARE, (1.0, -1.0)), (SEGMENT, (1.0, 0.0)),
+        (QUADRANT_BODY, (1.0, 0.0)), (DISK, (1.0, 0.0))],
+        ids=["square", "segment", "quadrant", "disk"])
+    def test_conjugate_is_the_scan_over_all_slopes(self, body, xi0):
+        # on 33 x 33 sites of step 1/16 the linear u ties every site exactly at
+        # its slope xi0, where the lowest index must win
+        sites = _lattice(33)
+        at = np.flatnonzero((body.samples == xi0).all(axis=1))
+        assert at.size == 1
+        for vals in (_paraboloid(sites), sites @ np.array(xi0)):
+            conj = restricted_conjugate(sites, vals, body)
+            want_vals, want_idx = _scan_all(sites, vals, body.samples)
+            assert np.array_equal(conj.intercepts, want_vals)
+            assert np.array_equal(conj.argmin_index, want_idx)
+        assert conj.intercepts[at[0]] == 0.0 and conj.argmin_index[at[0]] == 0  # linear u
 
     @pytest.mark.parametrize("block", [1, 10 ** 9])
     def test_ties_go_to_lowest_site_index(self, monkeypatch, block):

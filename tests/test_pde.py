@@ -1,8 +1,13 @@
 """Fan meshes and the weighted / anisotropic Neumann solves."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import isocone
 from isocone.cone_weight import Cone, HomWeight
 from isocone.envelope import SlopeBody
 from isocone.geometry import StarSet
@@ -23,6 +28,19 @@ QUADRANT = Cone.quadrant()
 HALF = Cone.half_plane()
 W_XY = HomWeight.monomial(QUADRANT, 1, 1)
 W_Y = HomWeight.monomial(HALF, 0, 1)
+
+
+# one solve of the x weight on the quadrant ball at h 0.01 (20,449 nodes);
+# prints the node count, a hash of the solution's bytes and the residual
+_FINE_SOLVE = """
+import hashlib
+from isocone.cone_weight import Cone, HomWeight
+from isocone.geometry import StarSet
+from isocone.pde import WeightedMode, fan_triangulate, solve_neumann
+mesh = fan_triangulate(StarSet.ball(Cone.quadrant(), 1024), 0.01)
+u = solve_neumann(mesh, WeightedMode(HomWeight.monomial(Cone.quadrant(), 1, 0)))
+print(mesh.n_vertices, hashlib.sha256(u.values.tobytes()).hexdigest(), repr(u.residual))
+"""
 
 
 def eta4(thetas):
@@ -182,6 +200,19 @@ class TestWeightedSolve:
         assert field.b_E == pytest.approx(W_XY.D, abs=5e-3)
         err = weighted_h1_error(field, lambda p: p, W_XY)
         assert err <= 0.2 * 0.04  # C * h with a generous constant
+
+    def test_solution_does_not_depend_on_blas_threads(self):
+        # OpenBLAS splits a dot product or norm over about 10,000 entries
+        # across threads, which can move its last bit
+        src = os.path.dirname(os.path.dirname(os.path.abspath(isocone.__file__)))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            outs.append(subprocess.run([sys.executable, "-c", _FINE_SOLVE], env=env,
+                                       capture_output=True, text=True, check=True).stdout)
+        assert int(outs[0].split()[0]) >= 12_000
+        assert outs[0] == outs[1]
 
     def test_h_refinement_order(self):
         star = StarSet.ball(QUADRANT, 4096)
