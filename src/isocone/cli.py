@@ -279,7 +279,7 @@ def _run_sweep(config, out_dir):
     result = stability_sweep(default_corpus(weight.cone, weight, n_theta), weight)
     result.to_csv(os.path.join(out_dir, "sweep.csv"))
     m = result.manifest
-    cmax = 1.25 * EXPECTATIONS.get("stability_Cmax_quadrant_xy", math.inf)
+    cmax = 1.25 * EXPECTATIONS["stability_Cmax_quadrant_xy"]
     return ["sweep.csv"], [
         Check("minimizer_probe", m["probe_max_asym"], MINIMIZER_ASYM_TOL, m["probe_ok"]),
         Check("max_ratio", m["max_ratio"], cmax,

@@ -164,13 +164,10 @@ class HomWeight:
     interpolated linearly in angle and differentiated by central differences
     with step equal to one grid cell.
 
-    Carries the effective dimension ``D = 2 + alpha`` and the isoperimetric
-    constant ``c_star = D * w(B1 cap cone)^(1/D)`` (reference quadrature at
-    8192 angular nodes; measure-level code recomputes the unit-ball volume
-    at its own resolution so that discrete identities hold exactly).
+    Carries the effective dimension ``D = 2 + alpha``.  w(B1 cap cone) comes
+    from ``geometry.unit_ball_volume`` at each set's own angular quadrature,
+    so that discrete identities hold exactly.
     """
-
-    _REF_N_THETA = 8192
 
     def __init__(self, cone, alpha, exponents=None, profile_thetas=None,
                  profile_values=None, validate=True):
@@ -195,10 +192,6 @@ class HomWeight:
             self.profile_values = None
             self._profile_slopes = None
         self.D = 2.0 + self.alpha
-        thetas = cone.arc_grid(self._REF_N_THETA)
-        qw = cone.arc_quad_weights(thetas)
-        self.unit_ball_volume = float(qw @ self.arc_values(thetas)) / self.D
-        self.c_star = self.D * self.unit_ball_volume ** (1.0 / self.D)
         if validate:
             self._check_admissible()
 

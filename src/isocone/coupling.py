@@ -10,7 +10,7 @@ measures every quantity the coupling is supposed to control:
   * the L1 Hessian defect  integral |D2 phi - id| w;
   * the boundary defect    integral (1 - |grad phi|) w over the free boundary;
   * the weight-shift term  integral over E cap Q of |w(grad phi)^(1/a) - w^(1/a)|;
-  * the chain  w(grad-image) <= int det+ (D2 phi) w(grad phi)
+  * the chain  w(K) <= int det+ (D2 phi) w(grad phi)
                <= int ((tr+ + alpha (w(grad phi)/w)^(1/a)) / D)^D w
                <= (1 + deficit)^D w(B1 cap cone).
 
@@ -27,7 +27,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .analysis import amgm_sides
 from .cone_weight import HomWeight
@@ -131,28 +130,6 @@ def _positive_part_eigen(H):
     mean = 0.5 * (a + c)
     rad = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b ** 2, 0.0))
     return np.maximum(mean + rad, 0.0), np.maximum(mean - rad, 0.0)
-
-
-def _poly_weighted_measure(vertices, weight: HomWeight) -> float:
-    """Weighted area of a convex polygon: its fan about the centroid, each
-    triangle split twice into four midpoint triangles, then the edge-midpoint
-    rule (exact for quadratic weights) on every piece."""
-    v = np.asarray(vertices, dtype=float)
-    if len(v) < 3:
-        return 0.0
-    tri = np.stack([np.broadcast_to(v.mean(axis=0), v.shape), v, np.roll(v, -1, axis=0)],
-                   axis=1)
-    for _ in range(2):
-        p0, p1, p2 = tri[:, 0], tri[:, 1], tri[:, 2]
-        m01, m12, m02 = 0.5 * (p0 + p1), 0.5 * (p1 + p2), 0.5 * (p0 + p2)
-        tri = np.stack([p0, m01, m02, m01, p1, m12, m02, m12, p2, m01, m12, m02],
-                       axis=1).reshape(-1, 3, 2)
-    no_edges = np.zeros((0, 2), dtype=np.int64)
-    pieces = TriMesh(tri.reshape(-1, 2), np.arange(3 * len(tri)).reshape(-1, 3),
-                     no_edges, no_edges)
-    nodes, wq = pieces.midpoint_rule()
-    # a sum, not a BLAS dot, whose last bit follows the thread count
-    return float(np.sum(wq * np.clip(weight(nodes), 0.0, None)))
 
 
 def build_coupling(star: StarSet, mode: WeightedMode | AnisotropicMode,
@@ -290,7 +267,7 @@ def verify_coupling_estimates(report: CouplingReport, Q=None) -> dict:
 class ChainRecord:
     """Numbers along the area-formula/AM-GM chain and their link violations."""
 
-    image_volume: float
+    image_volume: float  # w(K): the image's volume once K subset grad phi(Gamma)
     jacobian_integral: float
     amgm_integral: float
     terminal: float
@@ -312,10 +289,10 @@ class ChainRecord:
 def abp_chain_check(report: CouplingReport) -> ChainRecord:
     """Evaluate each link of the chain on the band-interior part of E.
 
-    The gradient-image measure is the weighted area of the convex hull of
-    the achieved slopes (the image of a valid coupling is the convex body
-    K up to negligible sets, so the hull is a faithful surrogate); slopes
-    that span no area give 0.  The link tolerance is the pinned
+    The first link is w(K) <= int det+ (D2 phi) w(grad phi), with w(K) the
+    set's own quadrature of w(B1 cap cone) (``reference_volume``, the one
+    the terminal scales).  It rests on the covering K subset grad phi(Gamma),
+    which ``grad_range_hausdorff`` checks.  The link tolerance is the pinned
     ``coupling_chain_C`` times (mesh_h + slope spacing), relative to the
     terminal value.
     """
@@ -343,14 +320,6 @@ def abp_chain_check(report: CouplingReport) -> ChainRecord:
     amgm_integral = float(np.sum(areas_b * amgm_integrand))
     terminal = (1.0 + max(report.delta, 0.0)) ** D * report.reference_volume
 
-    cloud = report.field.achieved_slopes(report.interior)
-    image_volume = 0.0
-    if len(cloud) >= 3:
-        try:
-            image_volume = _poly_weighted_measure(cloud[ConvexHull(cloud).vertices], weight)
-        except QhullError:  # collinear slopes: the image has no area
-            pass
-
     # fieldwise quantitative AM-GM audit where the pointwise bound holds
     lam_vec = np.array([1.0, 1.0, alpha])
     c = report.b_E / D
@@ -362,9 +331,9 @@ def abp_chain_check(report: CouplingReport) -> ChainRecord:
 
     tol = EXPECTATIONS["coupling_chain_C"] * (res.mesh_h + report.slope_spacing) * terminal
     violations = (
-        max(0.0, image_volume - jacobian_integral),
+        max(0.0, report.reference_volume - jacobian_integral),
         max(0.0, jacobian_integral - amgm_integral),
         max(0.0, amgm_integral - terminal),
     )
-    return ChainRecord(image_volume, jacobian_integral, amgm_integral, terminal,
+    return ChainRecord(report.reference_volume, jacobian_integral, amgm_integral, terminal,
                        tol, violations, amgm_violation, n_pre_fail, len(pre_ok))

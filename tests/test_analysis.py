@@ -30,6 +30,7 @@ from isocone.analysis import (
     translated_ball_control_check,
 )
 from isocone.cone_weight import Cone, HomWeight
+from isocone.expectations import EXPECTATIONS
 from isocone.geometry import GridSet, StarSet, power_mass
 
 QUADRANT = Cone.quadrant()
@@ -304,7 +305,7 @@ class TestTranslatedBallControl:
         star = StarSet.ball(QUADRANT, 8192)
         lhs, rhs, ratio = translated_ball_control_check(star, W_XY, (0.05, 0.05))
         assert lhs > 0 and rhs > 0
-        assert ratio <= 10.0
+        assert ratio <= EXPECTATIONS["translated_ball_ratio_bound"]
 
     def test_perturbed_set_finite(self):
         star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, 0.1,

@@ -189,7 +189,7 @@ class TestCoupleVerb:
 
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
         # OpenBLAS splits a long dot product across threads, which can move
-        # its last bit; this config's solve and gradient-image volume did
+        # its last bit; this config's solve and the chain's sums did
         config = {"cone": {"angles": [0.0, math.pi / 2]}, "weight": {"monomial": [1, 1]},
                   "set": {"star": {"eps": 0.2, "eta": {"fourier_cos": 4}}}}
         cfg = write_config(tmp_path, config)
@@ -218,17 +218,22 @@ class TestCoupleVerb:
         assert code == EXIT_USAGE
         assert not (out / "couple.csv").exists()
 
-    def test_tiny_set_chain_has_zero_image(self, tmp_path):
-        # the band leaves no eval node of this set, so the chain sees no slope
+    def test_tiny_set_fails_the_image_link(self, tmp_path):
+        # the band leaves no eval node of this set, so no Jacobian mass stands
+        # against w(K) and the chain's first link fails
         config = dict(BASE_CONFIG)
         config["set"] = {"ball": {"r": 0.008}}
         config["resolutions"] = {"n_theta": 1024, "mesh_h": 0.004,
                                  "n_slope": [64, 48], "eval_h": 0.006}
         code, out = run(tmp_path, "couple", config)
-        assert code != EXIT_USAGE
+        assert code == EXIT_VERIFICATION
         report = json.loads((out / "report.json").read_text())
         assert report["n_interior_nodes"] == 0
-        assert report["chain"]["values"][0] == 0.0
+        values = report["chain"]["values"]
+        D = 4.0  # 2 + alpha for w = x y
+        assert values[0] == pytest.approx(values[3] / (1.0 + report["delta"]) ** D, rel=1e-12)
+        checks = {c["name"]: c for c in json.loads((out / "checks.json").read_text())}
+        assert checks["chain_image_jacobian"]["ok"] is False
 
 
 class TestVerificationExit:

@@ -123,10 +123,6 @@ class TestHomWeight:
         with pytest.raises(InadmissibleWeightError):
             HomWeight.monomial(QUADRANT, -1, 2)
 
-    def test_c_star_reference(self):
-        # c* = D * w(B1)^(1/D); quadrant xy has w(B1) = 1/8, D = 4
-        assert W_XY.c_star == pytest.approx(4.0 * 0.125 ** 0.25, rel=1e-6)
-
 
 class TestConcavityCondition:
     def test_equality_at_same_point(self):

@@ -7,7 +7,6 @@ from isocone.cone_weight import Cone, HomWeight
 from isocone.coupling import (
     MinimizerDegenerateError,
     Resolutions,
-    _poly_weighted_measure,
     abp_chain_check,
     anisotropic_deficit,
     anisotropic_perimeter,
@@ -43,30 +42,6 @@ def eps_reports():
         star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, eps, eta4)
         out[eps] = build_coupling(star, WeightedMode(W_XY))
     return out
-
-
-def test_hull_measure_exact_for_quadratic_weight():
-    # the edge-midpoint rule integrates w = xy over the unit square exactly
-    square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    assert abs(_poly_weighted_measure(square, W_XY) - 0.25) <= 1e-14
-
-
-def test_hull_measure_matches_recursive_refinement():
-    w = HomWeight.monomial(QUADRANT, 1, 2)  # cubic: the refinement depth shows
-
-    def refine(tri, depth):
-        if depth == 0:
-            d1, d2 = tri[1] - tri[0], tri[2] - tri[0]
-            mids = 0.5 * np.array([tri[1] + tri[2], tri[0] + tri[2], tri[0] + tri[1]])
-            return 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0]) / 3.0 * w(mids).sum()
-        m01, m12, m02 = 0.5 * (tri[0] + tri[1]), 0.5 * (tri[1] + tri[2]), 0.5 * (tri[0] + tri[2])
-        return sum(refine(np.array(t), depth - 1) for t in (
-            (tri[0], m01, m02), (m01, tri[1], m12), (m02, m12, tri[2]), (m01, m12, m02)))
-
-    poly = np.array([(0.1, 0.2), (0.9, 0.1), (1.0, 0.8), (0.3, 0.9)])
-    c = poly.mean(axis=0)
-    want = sum(refine(np.array([c, poly[i], poly[(i + 1) % 4]]), 2) for i in range(4))
-    assert _poly_weighted_measure(poly, w) == pytest.approx(want, rel=1e-13)
 
 
 class TestBallCoupling:

@@ -149,21 +149,6 @@ class TestRestrictedConjugate:
         mid = A[1:-1]
         assert np.all(A[:-2] + A[2:] <= 2.0 * mid + 1e-10)
 
-    # small clouds take the same per-angle path; the three points are collinear
-    @pytest.mark.parametrize("pts", [
-        pytest.param(quad_cloud(n_ang=60, n_rad=21), id="1201"),
-        pytest.param(quad_cloud(n_ang=60, n_rad=21)[:1], id="1"),
-        pytest.param(quad_cloud(n_ang=60, n_rad=21)[:2], id="2"),
-        pytest.param(np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]]), id="3-collinear"),
-        pytest.param(quad_cloud(n_ang=60, n_rad=21)[:15], id="15"),
-    ])
-    def test_structured_matches_dense(self, pts):
-        vals = 0.5 * np.einsum("ij,ij->i", pts, pts) + 0.3 * pts[:, 0]
-        body = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 48, 33)
-        conj = restricted_conjugate(pts, vals, body)
-        dense_a, _ = _scan_all(pts, vals, body.samples)
-        assert np.max(np.abs(conj.intercepts - dense_a)) <= 1e-12
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             restricted_conjugate(np.zeros((0, 2)), np.zeros(0), DISK)
@@ -234,6 +219,7 @@ FLAT_FACET = np.array([
 SECTOR_CASES = {
     "fan-mesh-neumann": (_neumann_cloud, SlopeBody.sector_disk(Cone.quadrant(), 1.0, 96, 40)),
     "quad_cloud": (lambda: _with_values(quad_cloud(), _paraboloid), DISK),
+    "1201": (lambda: _with_values(SMALL, _paraboloid), QUADRANT_BODY),
     "1": (lambda: _with_values(SMALL[:1], _paraboloid), QUADRANT_BODY),
     "2": (lambda: _with_values(SMALL[:2], _paraboloid), QUADRANT_BODY),
     "3-collinear": (lambda: _with_values(np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]]),

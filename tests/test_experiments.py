@@ -105,6 +105,24 @@ class TestDiagnostics:
         for vals in by_dir.values():
             assert abs(2.0 * vals[0.02] / vals[0.04] - 1.0) <= 0.1
 
+    def test_separation_slope_reaches_pin(self):
+        # both rest directions of w = x y separate at least at the pinned
+        # slope per unit shift
+        table = translation_diagnostics(QUADRANT, W_XY, [0.05, 0.1, 0.2])
+        e_rows = [r for r in table.rows if r[0].startswith("E")]
+        assert len(e_rows) == 6
+        pin = EXPECTATIONS["separation_eps_emp_quadrant_xy"]
+        assert all(sep / t >= pin for _name, t, _g, sep in e_rows)
+
+    def test_growth_slope_reaches_pin(self):
+        # the constancy direction (0, 1) of w = x grows the ball at least at
+        # the pinned slope per unit shift
+        table = translation_diagnostics(QUADRANT, W_X, [0.05, 0.1, 0.2])
+        c_rows = [r for r in table.rows if r[0] == "C(+0.000000,+1.000000)"]
+        assert len(c_rows) == 3
+        pin = EXPECTATIONS["ball_growth_c1_quadrant_x"]
+        assert all(growth / t >= pin for _name, t, growth, _sep in c_rows)
+
     def test_zero_shift_row_is_zero(self):
         table = translation_diagnostics(QUADRANT, W_X, [0.0, 0.1])
         zero_rows = [r for r in table.rows if r[1] == 0.0]

@@ -17,6 +17,7 @@ from isocone.geometry import (
     grid_midpoint_volume,
     is_indecomposable,
     symdiff_with_ball,
+    unit_ball_volume,
     weighted_perimeter,
     weighted_volume,
 )
@@ -49,6 +50,11 @@ class TestVolume:
     def test_quadrant_x_unit_ball(self):
         star = StarSet.ball(QUADRANT, 4096)
         assert weighted_volume(star, W_X) == pytest.approx(1.0 / 3.0, abs=1e-8)
+
+    def test_unit_ball_volume_reference(self):
+        # w(B1 cap cone) at the set's own quadrature; quadrant xy has 1/8
+        star = StarSet.ball(QUADRANT, 8192)
+        assert unit_ball_volume(star, W_XY) == pytest.approx(0.125, rel=1e-6)
 
     def test_dilation_scaling(self):
         star = StarSet.ball(QUADRANT, 1024, r=2.0)

@@ -1,4 +1,5 @@
-"""Every defaulted parameter in the package is set by some caller.
+"""Every defaulted parameter in the package is set by some caller, and
+every pinned expectation is read by some check.
 
 A parameter that no call in ``src/`` or ``tests/`` ever sets offers a
 choice nobody makes; its one value belongs in a named constant instead.
@@ -8,10 +9,15 @@ counts for ``Name.__init__``.  A call sets a parameter by position or by
 keyword; ``*args`` and ``**kwargs`` set nothing that can be named here.
 Functions nested inside other functions are exempt (they bind loop
 variables through defaults).
+
+Likewise a pin in ``EXPECTATIONS`` that nothing reads guards nothing; a
+pin counts as read where ``EXPECTATIONS["key"]`` is written out.
 """
 
 import ast
 import pathlib
+
+from isocone.expectations import EXPECTATIONS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -82,3 +88,15 @@ def unused_knobs():
 
 def test_every_defaulted_parameter_is_set_by_some_caller():
     assert unused_knobs() == []
+
+
+def unread_pins():
+    read = {node.slice.value for tree in _parse("src") + _parse("tests")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "EXPECTATIONS" and isinstance(node.slice, ast.Constant)}
+    return sorted(set(EXPECTATIONS) - read)
+
+
+def test_every_pin_is_read():
+    assert unread_pins() == []
