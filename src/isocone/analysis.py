@@ -141,11 +141,11 @@ class IntervalSet:
         """integral over E of t^power dt."""
         return sum(power_mass(a, b, power + 1.0) for a, b in self.intervals)
 
-    def boundary(self, include_origin: bool = False):
-        """Sorted endpoint multiset; an endpoint at 0 is excluded by default."""
+    def boundary(self):
+        """Sorted endpoint multiset; an endpoint at 0 is no boundary point."""
         pts = []
         for a, b in self.intervals:
-            if a > 0 or include_origin:
+            if a > 0:
                 pts.append(a)
             pts.append(b)
         return sorted(pts)

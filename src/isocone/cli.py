@@ -124,6 +124,13 @@ def _read(config, path, kind=float, shape=(), default=_REQUIRED, test=None, need
     return val
 
 
+def _require_inside(cone: Cone, path, box) -> None:
+    """Raise ConfigError unless the box lies compactly inside the cone."""
+    corners = np.array([(x, y) for x in box[0] for y in box[1]])
+    if float(np.min(cone.boundary_distance(corners))) <= 0:
+        raise ConfigError(f"{path} must lie compactly inside the cone, got {box!r}")
+
+
 def parse_cone(config, path) -> Cone:
     spec = _read(config, path, dict)
     if "angles" in spec:
@@ -224,9 +231,7 @@ def _run_couple(config, out_dir):
     if mode == "weighted":
         weight = parse_weight(config)
         q = _read(config, "Q", default=((0.2, 0.6), (0.2, 0.6)), **_BOX)
-        corners = np.array([(x, y) for x in q[0] for y in q[1]])
-        if float(np.min(weight.cone.boundary_distance(corners))) <= 0:  # default Q too
-            raise ConfigError(f"Q must lie compactly inside the cone, got {q!r}")
+        _require_inside(weight.cone, "Q", q)  # default Q too
         cone, pde_mode = weight.cone, WeightedMode(weight)
     else:
         cone, weight = parse_cone(config, "cone"), None
@@ -304,6 +309,8 @@ def _run_diag(config, out_dir):
     t_list = _read(config, "diag.t_list", shape=(None,), default=(0.05, 0.1, 0.2),
                    test=len, need=" with at least one entry")
     box = _read(config, "diag.box", default=None, **_BOX)
+    if box is not None:  # the default box is placed inside the cone
+        _require_inside(weight.cone, "diag.box", box)
     result = translation_diagnostics(weight.cone, weight, t_list, box=box)
     result.to_csv(os.path.join(out_dir, "diag.csv"))
     # a constancy direction must leave the weight exactly unshifted

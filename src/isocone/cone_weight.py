@@ -120,14 +120,15 @@ class Cone:
             return np.linspace(0.0, TWO_PI, n, endpoint=False)
         return np.linspace(self.angle_lo, self.angle_hi, n)
 
+    def arc_step(self, n: int) -> float:
+        """Angle between neighbouring nodes of ``arc_grid(n)``."""
+        return self.opening / (n if self.full_plane else n - 1)
+
     def arc_quad_weights(self, thetas: np.ndarray) -> np.ndarray:
         """Trapezoidal weights matching :meth:`arc_grid`."""
-        n = len(thetas)
-        if self.full_plane:
-            return np.full(n, TWO_PI / n)
-        h = (self.angle_hi - self.angle_lo) / (n - 1)
-        w = np.full(n, h)
-        w[0] = w[-1] = h / 2.0
+        w = np.full(len(thetas), self.arc_step(len(thetas)))
+        if not self.full_plane:
+            w[0] = w[-1] = w[0] / 2.0
         return w
 
     def same_as(self, other: "Cone") -> bool:
@@ -164,13 +165,17 @@ class HomWeight:
     interpolated linearly in angle and differentiated by central differences
     with step equal to one grid cell.
 
+    Construction admits the weight (nonnegative, not identically zero,
+    alpha-homogeneous, sampled concave root) or raises
+    :class:`InadmissibleWeightError`; no later code tests these again.
+
     Carries the effective dimension ``D = 2 + alpha``.  w(B1 cap cone) comes
     from ``geometry.unit_ball_volume`` at each set's own angular quadrature,
     so that discrete identities hold exactly.
     """
 
     def __init__(self, cone, alpha, exponents=None, profile_thetas=None,
-                 profile_values=None, validate=True):
+                 profile_values=None):
         if alpha <= 0:
             raise InadmissibleWeightError("homogeneity degree must be positive")
         if cone.full_plane:
@@ -178,6 +183,7 @@ class HomWeight:
         self.cone = cone
         self.alpha = float(alpha)
         self.exponents = None if exponents is None else tuple(float(a) for a in exponents)
+        self.profile_thetas = self.profile_values = self._profile_slopes = None
         if profile_thetas is not None:
             self.profile_thetas = np.asarray(profile_thetas, dtype=float)
             self.profile_values = np.asarray(profile_values, dtype=float)
@@ -187,13 +193,8 @@ class HomWeight:
                                               f"angles, one value each: thetas {t.tolist()}, "
                                               f"values {v.tolist()}")
             self._profile_slopes = np.gradient(self.profile_values, self.profile_thetas)
-        else:
-            self.profile_thetas = None
-            self.profile_values = None
-            self._profile_slopes = None
         self.D = 2.0 + self.alpha
-        if validate:
-            self._check_admissible()
+        self._check_admissible()
 
     @staticmethod
     def monomial(cone, a1, a2) -> "HomWeight":
@@ -203,10 +204,9 @@ class HomWeight:
         return HomWeight(cone, a1 + a2, exponents=(a1, a2))
 
     @staticmethod
-    def from_profile(cone, thetas, values, alpha, validate=True) -> "HomWeight":
+    def from_profile(cone, thetas, values, alpha) -> "HomWeight":
         """Weight r^alpha * p(theta) from samples of the angular profile p."""
-        return HomWeight(cone, alpha, profile_thetas=thetas, profile_values=values,
-                         validate=validate)
+        return HomWeight(cone, alpha, profile_thetas=thetas, profile_values=values)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -218,11 +218,11 @@ class HomWeight:
             a1, a2 = self.exponents
             x = np.clip(p[:, 0], 0.0, None)
             y = np.clip(p[:, 1], 0.0, None)
-            vals = _safe_pow(x, a1) * _safe_pow(y, a2)
+            vals = x ** a1 * y ** a2
         else:
             r = np.hypot(p[:, 0], p[:, 1])
             theta = np.arctan2(p[:, 1], p[:, 0])
-            vals = _safe_pow(r, self.alpha) * self._profile(theta)
+            vals = r ** self.alpha * self._profile(theta)
         return float(vals[0]) if single else vals
 
     def arc_values(self, thetas) -> np.ndarray:
@@ -231,16 +231,11 @@ class HomWeight:
             a1, a2 = self.exponents
             c = np.clip(np.cos(thetas), 0.0, None)
             s = np.clip(np.sin(thetas), 0.0, None)
-            return _safe_pow(c, a1) * _safe_pow(s, a2)
-        return self._profile(np.asarray(thetas, dtype=float))
+            return c ** a1 * s ** a2
+        return self._profile(thetas)
 
     def _profile(self, theta):
-        t = np.clip(theta, self.profile_thetas[0], self.profile_thetas[-1])
-        return np.interp(t, self.profile_thetas, self.profile_values)
-
-    def _profile_slope(self, theta):
-        t = np.clip(theta, self.profile_thetas[0], self.profile_thetas[-1])
-        return np.interp(t, self.profile_thetas, self._profile_slopes)
+        return np.interp(theta, self.profile_thetas, self.profile_values)
 
     def grad(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -250,17 +245,17 @@ class HomWeight:
             a1, a2 = self.exponents
             x = np.clip(p[:, 0], 0.0, None)
             y = np.clip(p[:, 1], 0.0, None)
-            gx = a1 * _safe_pow(x, a1 - 1.0) * _safe_pow(y, a2) if a1 > 0 else np.zeros(len(p))
-            gy = _safe_pow(x, a1) * a2 * _safe_pow(y, a2 - 1.0) if a2 > 0 else np.zeros(len(p))
+            gx = a1 * x ** (a1 - 1.0) * y ** a2 if a1 > 0 else np.zeros(len(p))
+            gy = x ** a1 * a2 * y ** (a2 - 1.0) if a2 > 0 else np.zeros(len(p))
             g = np.stack([gx, gy], axis=-1)
         else:
             r = np.hypot(p[:, 0], p[:, 1])
             theta = np.arctan2(p[:, 1], p[:, 0])
             pr = self._profile(theta)
-            ps = self._profile_slope(theta)
-            u_r = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+            ps = np.interp(theta, self.profile_thetas, self._profile_slopes)
+            u_r = unit(theta)
             u_t = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-            rad = _safe_pow(r, self.alpha - 1.0)
+            rad = r ** (self.alpha - 1.0)
             g = rad[:, None] * (self.alpha * pr[:, None] * u_r + ps[:, None] * u_t)
         return g[0] if single else g
 
@@ -280,8 +275,10 @@ class HomWeight:
             raise InadmissibleWeightError("weight is negative inside the cone")
         if np.all(base <= 0):
             raise InadmissibleWeightError("weight vanishes identically")
-        if any(err > 1e-12 * max(1.0, ref) for err, ref in _homogeneity_probe(self, pts, base)):
-            raise InadmissibleWeightError("weight is not alpha-homogeneous")
+        for t in (0.5, 2.0, 7.0):
+            ref = t ** self.alpha * base
+            if np.max(np.abs(self(t * pts) - ref)) > 1e-12 * max(1.0, np.max(np.abs(ref))):
+                raise InadmissibleWeightError("weight is not alpha-homogeneous")
         x = self._interior_samples(ADMISSION_PAIRS, rng)
         z = self._interior_samples(ADMISSION_PAIRS, rng)
         lhs, rhs = concavity_sides(self, x, z)
@@ -300,23 +297,6 @@ class HomWeight:
         thetas = self.cone.arc_grid(n_theta)
         vals = self.arc_values(thetas) ** (1.0 / self.alpha)
         return ConcaveHomFn(self.cone, thetas, vals)
-
-
-def _homogeneity_probe(weight: HomWeight, pts, base):
-    """(max |w(t x) - t^alpha w(x)|, max |t^alpha w(x)|) for t in 0.5, 2, 7.
-
-    ``base`` holds w(pts); callers compare the residual with their own scale.
-    """
-    for t in (0.5, 2.0, 7.0):
-        ref = t ** weight.alpha * base
-        yield float(np.max(np.abs(weight(t * pts) - ref))), float(np.max(np.abs(ref)))
-
-
-def _safe_pow(base, expo):
-    """base**expo for base >= 0 with the conventions 0**0 = 1, 0**p = 0 (p > 0)."""
-    if expo == 0.0:
-        return np.ones_like(base)
-    return np.power(base, expo)
 
 
 def weight_eval_grad(weight: HomWeight, x):
@@ -367,8 +347,7 @@ class ConcaveHomFn:
     values: np.ndarray
 
     def __call__(self, theta):
-        t = np.clip(theta, self.thetas[0], self.thetas[-1])
-        return np.interp(t, self.thetas, self.values)
+        return np.interp(theta, self.thetas, self.values)
 
     def minimum_with(self, other: "ConcaveHomFn") -> "ConcaveHomFn":
         if not np.allclose(self.thetas, other.thetas):
@@ -407,12 +386,7 @@ def decompose_subspaces(cone: Cone, weight: HomWeight) -> SubspaceBases:
     """
     if not cone.same_as(weight.cone):
         raise ValueError("cone and weight disagree")
-    rng = np.random.default_rng(1)
-    pts = weight._interior_samples(128, rng)
-    base = weight(pts)
-    scale = max(1.0, float(np.max(np.abs(base))))
-    if any(err > 1e-12 * scale for err, _ref in _homogeneity_probe(weight, pts, base)):
-        raise InadmissibleWeightError("weight is not alpha-homogeneous")
+    pts = weight._interior_samples(128, np.random.default_rng(1))
 
     basis_L = cone.basis_L()
     grads = weight.grad(pts)

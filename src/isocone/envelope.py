@@ -112,10 +112,7 @@ class SlopeBody:
         pts = (radii[1:, None, None] * unit(thetas)[None, :, :]).reshape(-1, 2)
         samples = np.vstack([[[0.0, 0.0]], pts])
         dr = radii[1] - radii[0]
-        if cone.full_plane:
-            darc = rho * (2.0 * math.pi / n_angular)
-        else:
-            darc = rho * (cone.opening / (n_angular - 1))
+        darc = rho * cone.arc_step(n_angular)
         return SlopeBody(None, cone, float(rho), samples,
                          float(max(dr, darc)), polar_shape=(n_radial, n_angular))
 
@@ -242,12 +239,7 @@ class SlopeBody:
         """
         if self.polar_shape is None:
             return 0.0
-        _n_r, n_ang = self.polar_shape
-        if self.cone.full_plane:
-            dtheta = 2.0 * math.pi / n_ang
-        else:
-            dtheta = self.cone.opening / (n_ang - 1)
-        return self.rho * (1.0 - math.cos(dtheta / 2.0))
+        return self.rho * (1.0 - math.cos(self.cone.arc_step(self.polar_shape[1]) / 2.0))
 
 
 def _angdiff(a, b):

@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from .cone_weight import Cone, HomWeight, unit
+from .cone_weight import TWO_PI, Cone, HomWeight, unit
 
 
 class ZeroVolumeError(ValueError):
@@ -67,14 +67,10 @@ class StarSet:
         return np.gradient(r, self.thetas, edge_order=2)
 
     def radius_at(self, theta):
-        """Radial function at arbitrary angles (linear interpolation)."""
-        if self.periodic:
-            t = np.mod(theta, 2.0 * math.pi)
-            th = np.concatenate([self.thetas, [self.thetas[0] + 2.0 * math.pi]])
-            rr = np.concatenate([self.radii, [self.radii[0]]])
-            return np.interp(t, th, rr)
-        t = np.clip(theta, self.thetas[0], self.thetas[-1])
-        return np.interp(t, self.thetas, self.radii)
+        """Radial function at arbitrary angles, linear between nodes; full-plane
+        sets wrap with period 2pi, and wedges hold the end radii beyond the grid."""
+        return np.interp(theta, self.thetas, self.radii,
+                         period=TWO_PI if self.periodic else None)
 
     def boundary_points(self) -> np.ndarray:
         return self.radii[:, None] * unit(self.thetas)
@@ -109,9 +105,7 @@ class StarSet:
         if np.linalg.norm(center) >= r:
             raise ValueError("ball star representation needs |center| < r")
         thetas = cone.arc_grid(n_theta)
-        b = unit(thetas) @ center
-        radii = b + np.sqrt(b * b + r * r - center @ center)
-        return StarSet(cone, thetas, radii)
+        return StarSet(cone, thetas, _ball_ray_interval(thetas, center, r)[1])
 
     @staticmethod
     def from_radial(cone: Cone, n_theta: int, fn) -> "StarSet":

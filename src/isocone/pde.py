@@ -45,6 +45,7 @@ class SolverError(RuntimeError):
 
 
 _GAUSS2 = ((0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)))
+_MIN_ANGLE_DEG = 20.0  # smallest triangle angle fan_triangulate accepts
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
@@ -176,7 +177,7 @@ def _strip_triangles(inner, outer, n_wedges, ring):
     return np.concatenate([up, down], axis=1).reshape(-1, 3)
 
 
-def fan_triangulate(star: StarSet, target_h: float, min_angle_deg: float = 20.0) -> TriMesh:
+def fan_triangulate(star: StarSet, target_h: float) -> TriMesh:
     """Graded fan/annular triangulation of a star-shaped set from the origin.
 
     Ring i carries proportionally more angular nodes, which keeps cells
@@ -186,6 +187,11 @@ def fan_triangulate(star: StarSet, target_h: float, min_angle_deg: float = 20.0)
     polar curve are tagged FREE; for wedge cones the two radial chains (the
     first and the last node of each ring) are tagged CONE (they lie on the
     boundary rays exactly).
+
+    Up to four sizes are tried, each 1.2 times finer.  The first mesh that
+    fits the diameter ``target_h`` is returned if no angle is below
+    ``_MIN_ANGLE_DEG``, else :class:`MeshQualityError` is raised there: a
+    finer fan over the same radial function keeps its shear.
     """
     cone = star.cone
     r_max = float(star.radii.max())
@@ -195,7 +201,6 @@ def fan_triangulate(star: StarSet, target_h: float, min_angle_deg: float = 20.0)
     arc_len = float(qw @ np.sqrt(star.radii ** 2 + dr_b ** 2))
 
     scale = 1.0
-    last_error = None
     for _attempt in range(4):
         n_r = max(2, int(math.ceil(math.sqrt(2.0) * scale * r_max / target_h)))
         n0 = max(3 if periodic else 2,
@@ -210,10 +215,8 @@ def fan_triangulate(star: StarSet, target_h: float, min_angle_deg: float = 20.0)
             else:
                 angles = np.linspace(cone.angle_lo, cone.angle_hi, count + 1)
             rad = (i / n_r) * star.radius_at(angles)
-            pts = rad[:, None] * unit(angles)
-            ids = np.arange(vid, vid + len(angles))
-            verts.append(pts)
-            rings.append(ids)
+            verts.append(rad[:, None] * unit(angles))
+            rings.append(np.arange(vid, vid + len(angles)))
             vid += len(angles)
         vertices = np.vstack(verts)
 
@@ -231,13 +234,11 @@ def fan_triangulate(star: StarSet, target_h: float, min_angle_deg: float = 20.0)
 
         mesh = TriMesh(vertices, triangles, free, cone_edges, rings)
         if mesh.max_diameter() <= target_h * (1.0 + 1e-9):
-            if mesh.min_angle_deg() >= min_angle_deg:
-                return mesh
-            last_error = MeshQualityError(
-                f"min angle {mesh.min_angle_deg():.2f} deg below {min_angle_deg}")
+            if mesh.min_angle_deg() < _MIN_ANGLE_DEG:
+                raise MeshQualityError(
+                    f"min angle {mesh.min_angle_deg():.2f} deg below {_MIN_ANGLE_DEG}")
+            return mesh
         scale *= 1.2
-    if last_error is not None:
-        raise last_error
     raise MeshQualityError("could not satisfy the diameter bound")
 
 

@@ -109,7 +109,6 @@ class TestOneDimStability:
     def test_origin_endpoint_excluded_from_boundary(self):
         E = IntervalSet(((0.0, 0.8),))
         assert E.boundary() == [0.8]
-        assert E.boundary(include_origin=True) == [0.0, 0.8]
 
     def test_batch_agrees_with_scalar_checker(self):
         rng = np.random.default_rng(5)
@@ -236,7 +235,8 @@ class TestTranslationOps:
     @pytest.mark.parametrize("weight", [
         W_XY, W_X, HomWeight.monomial(Cone.half_plane(), 0, 1),
         HomWeight.from_profile(QUADRANT, ARC, np.cos(ARC) * np.sin(ARC), 2.0),
-    ], ids=["quadrant_xy", "quadrant_x", "half_y", "quadrant_profile"])
+        HomWeight.monomial(Cone.sector(math.pi / 3), 1, 1),  # upper ray bounds y above
+    ], ids=["quadrant_xy", "quadrant_x", "half_y", "quadrant_profile", "sector60_xy"])
     @pytest.mark.parametrize("center", [(0.0, 0.0), (0.2, -0.1), (-0.3, 0.25)])
     def test_shifted_volume_matches_column_loop(self, weight, center):
         got = shifted_ball_volume(weight.cone, weight, center)

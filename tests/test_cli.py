@@ -370,6 +370,8 @@ class TestConfigReader:
                     "set": {"star": {"eps": 0.1, "eta": {"fourier_cos": 4}}}}, "Q"),
         ("couple", {"cone": {"angles": [math.pi / 2, math.pi]}, "weight": {"monomial": [0, 1]},
                     "set": {"star": {"eps": 0.1, "eta": {"fourier_cos": 4}}}}, "Q"),
+        # a diag box outside the cone wrote an empty separation column and exited 0
+        ("diag", {"diag": {"box": [[-0.5, -0.3], [0.2, 0.4]]}}, "diag.box"),
         # profile samples: IndexError with 0 or 1, numpy's message for unequal
         # lengths, "weight vanishes identically" for decreasing angles
         ("measure", {"weight": {"profile": {"thetas": [], "values": [], "alpha": 2}}},

@@ -133,10 +133,18 @@ class TestConcavityCondition:
         assert res == pytest.approx(0.5)
 
     def test_rejects_nonconcave_root(self):
-        thetas = QUADRANT.arc_grid(1024)
-        sphere = HomWeight.from_profile(QUADRANT, thetas, np.ones_like(thetas),
-                                        alpha=2.0, validate=False)  # w = x^2 + y^2
-        res = check_concavity_condition(sphere, (1.0, 0.01), (0.01, 1.0))
+        class Sphere:
+            """w = |x|^2, whose square root |x| is convex; no HomWeight admits it."""
+
+            alpha = 2.0
+
+            def __call__(self, pts):
+                return np.sum(pts * pts, axis=-1)
+
+            def grad(self, pts):
+                return 2.0 * pts
+
+        res = check_concavity_condition(Sphere(), (1.0, 0.01), (0.01, 1.0))
         assert res < -1.0
 
     def test_degenerate_point(self):
@@ -184,13 +192,20 @@ class TestDecomposeSubspaces:
             assert M.shape == (2, 2)
             assert np.allclose(M @ M.T, np.eye(2), atol=1e-12)
 
+    def test_cone_and_weight_disagree(self):
+        with pytest.raises(ValueError, match="cone and weight disagree"):
+            decompose_subspaces(HALF, W_XY)
+
 
 class TestZeroTraceExtension:
     INNER = Cone(0.15, math.pi / 2 - 0.15)
 
-    def test_zero_stays_zero(self):
-        v = ConcaveHomFn(QUADRANT, QUADRANT.arc_grid(256), np.zeros(256))
-        ext = zero_trace_extension(v, self.INNER)
+    # the 16-node grid has no node inside (0.75, 0.8), so the inner arc is resampled
+    @pytest.mark.parametrize("n, inner", [(256, INNER), (16, Cone(0.75, 0.8))],
+                             ids=["nodes_inside", "no_node_inside"])
+    def test_zero_stays_zero(self, n, inner):
+        v = ConcaveHomFn(QUADRANT, QUADRANT.arc_grid(n), np.zeros(n))
+        ext = zero_trace_extension(v, inner)
         assert np.max(np.abs(ext.values)) == 0.0
 
     def test_linear_is_pulled_to_zero_on_boundary(self):
@@ -231,8 +246,10 @@ class TestSphericalConcavity:
         v = ConcaveHomFn(QUADRANT, th, 1.3 * np.cos(th - 0.4))
         assert abs(spherical_concavity_check(v, 5000)) <= 1e-12
 
-    def test_root_of_admissible_weight(self):
-        v = W_XY.root_profile(256)
+    # 32 nodes check every one of the C(32, 3) triples, 256 draw them at random
+    @pytest.mark.parametrize("n", [256, 32])
+    def test_root_of_admissible_weight(self, n):
+        v = W_XY.root_profile(n)
         assert spherical_concavity_check(v, 20000) <= 1e-9
 
     def test_oscillatory_profile_flagged(self):

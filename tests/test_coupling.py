@@ -16,9 +16,11 @@ from isocone.coupling import (
     weight_shift_term,
 )
 from isocone.envelope import SlopeBody
+from isocone.expectations import EXPECTATIONS
 from isocone.geometry import StarSet
 from isocone.pde import AnisotropicMode, WeightedMode, triangulate_polygon
 
+SUP_C = EXPECTATIONS["coupling_sup_violation_C"]  # the pointwise-bound constant
 QUADRANT = Cone.quadrant()
 W_XY = HomWeight.monomial(QUADRANT, 1, 1)
 Q_BOX = ((0.2, 0.6), (0.2, 0.6))
@@ -53,7 +55,7 @@ class TestBallCoupling:
 
     def test_pointwise_bound_within_calibration(self, ball_report):
         rep = ball_report
-        tol = 40.0 * (rep.resolutions.mesh_h + rep.slope_spacing)
+        tol = SUP_C * (rep.resolutions.mesh_h + rep.slope_spacing)
         assert rep.sup_violation <= tol
 
     def test_gradient_range_covers_body(self, ball_report):
@@ -78,7 +80,7 @@ class TestEpsFamily:
 
     def test_pointwise_bound_family(self, eps_reports):
         for rep in eps_reports.values():
-            tol = 40.0 * (rep.resolutions.mesh_h + rep.slope_spacing)
+            tol = SUP_C * (rep.resolutions.mesh_h + rep.slope_spacing)
             assert rep.sup_violation <= tol
 
     def test_gradient_range_family(self, eps_reports):
@@ -86,7 +88,6 @@ class TestEpsFamily:
             assert rep.grad_range_hausdorff <= 2.0 * rep.slope_spacing
 
     def test_ratio_table_bounded(self, eps_reports):
-        from isocone.expectations import EXPECTATIONS
         bounds = EXPECTATIONS["ratio_bounds"]
         for rep in eps_reports.values():
             ratios = verify_coupling_estimates(rep, Q_BOX)
@@ -160,7 +161,7 @@ class TestAnisotropic:
         body = SlopeBody.disk(1.0, 512, 192)
         rep = build_coupling(star, AnisotropicMode(body), Resolutions(eval_h=0.008))
         assert rep.b_E == pytest.approx(2.0, abs=5e-3)
-        assert rep.sup_violation <= 40.0 * (rep.resolutions.mesh_h + rep.slope_spacing)
+        assert rep.sup_violation <= SUP_C * (rep.resolutions.mesh_h + rep.slope_spacing)
         assert rep.grad_range_hausdorff <= 2.0 * rep.slope_spacing
 
     def test_mode_dispatch_replaces_ratio_table(self):
@@ -198,4 +199,4 @@ class TestAnisotropic:
                              Resolutions(eval_h=0.012), mesh=mesh)
         assert rep.b_E == pytest.approx(2.0, abs=1e-10)
         assert rep.grad_range_hausdorff <= 2.0 * rep.slope_spacing
-        assert rep.sup_violation <= 40.0 * (0.025 + rep.slope_spacing)
+        assert rep.sup_violation <= SUP_C * (0.025 + rep.slope_spacing)

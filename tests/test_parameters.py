@@ -11,7 +11,10 @@ Functions nested inside other functions are exempt (they bind loop
 variables through defaults).
 
 Likewise a pin in ``EXPECTATIONS`` that nothing reads guards nothing; a
-pin counts as read where ``EXPECTATIONS["key"]`` is written out.
+pin counts as read where ``EXPECTATIONS["key"]`` is written out.  And a
+module-level import that its module never names is dead weight (no linter
+is assumed).  ``__init__.py`` is skipped for its re-exports, and imports
+under ``if TYPE_CHECKING:`` are not top-level statements, so both are exempt.
 """
 
 import ast
@@ -100,3 +103,26 @@ def unread_pins():
 
 def test_every_pin_is_read():
     assert unread_pins() == []
+
+
+def unused_imports():
+    """``module: name`` for each import statement at the top level of a
+    module in ``src/`` whose bound name the module never reads."""
+    unused = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.stem}: {name}" for name in
+                           (a.asname or a.name.split(".")[0] for a in node.names)
+                           if name not in read]
+    return unused
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []

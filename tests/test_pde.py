@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import isocone
+from isocone import pde
 from isocone.cone_weight import Cone, HomWeight
 from isocone.envelope import SlopeBody
 from isocone.geometry import StarSet
@@ -75,14 +76,40 @@ class TestFanTriangulate:
         # free edges form one closed loop over the outer ring
         assert len(mesh.free_edges) == len(np.unique(mesh.free_edges.ravel()))
 
-    def test_infeasible_angle_bound_raises(self):
+    def test_infeasible_angle_bound_raises(self, monkeypatch):
         # steep shear (mode-6 bump at amplitude 0.2) cannot meet 20 degrees
         star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, 0.2,
                                       lambda th: np.cos(6.0 * np.asarray(th)))
         with pytest.raises(MeshQualityError):
-            fan_triangulate(star, 0.02, min_angle_deg=20.0)
-        mesh = fan_triangulate(star, 0.02, min_angle_deg=15.0)
+            fan_triangulate(star, 0.02)
+        monkeypatch.setattr(pde, "_MIN_ANGLE_DEG", 15.0)
+        mesh = fan_triangulate(star, 0.02)
         assert mesh.min_angle_deg() >= 15.0
+
+    @pytest.mark.parametrize("eps, mode, h, built, fails", [
+        (0.2, 6, 0.02, 3, True),  # the third size fits 0.02 and fails 20 degrees: no fourth
+        (0.1, 5, 0.05, 2, False),  # the first size is too coarse, the second fits and passes
+    ])
+    def test_meshing_stops_at_first_fitting_size(self, monkeypatch, eps, mode, h, built,
+                                                 fails):
+        meshes = []
+
+        class CountedMesh(TriMesh):
+            def __post_init__(self):
+                meshes.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(pde, "TriMesh", CountedMesh)
+        star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, eps,
+                                      lambda th: np.cos(mode * np.asarray(th)))
+        if fails:
+            with pytest.raises(MeshQualityError):
+                fan_triangulate(star, h)
+        else:
+            fan_triangulate(star, h)
+        assert len(meshes) == built
+        assert all(m.max_diameter() > h * (1.0 + 1e-9) for m in meshes[:-1])
+        assert meshes[-1].max_diameter() <= h * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("h", [0.1, 0.05])
     @pytest.mark.parametrize("periodic", [True, False])
