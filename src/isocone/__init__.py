@@ -15,10 +15,8 @@ from .cone_weight import (
     ConcaveHomFn,
     HomWeight,
     SubspaceBases,
-    check_concavity_condition,
     decompose_subspaces,
     spherical_concavity_check,
-    weight_eval_grad,
     zero_trace_extension,
 )
 from .geometry import (

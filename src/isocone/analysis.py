@@ -347,21 +347,17 @@ def shifted_weight_separation(weight: HomWeight, box, xi, h: float = 2e-3) -> fl
     """
     (x0, x1), (y0, y1) = box
     xi = np.asarray(xi, dtype=float)
-    cone = weight.cone
-    corners = np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]])
-    if not bool(np.all(cone.contains(corners, tol=0.0))):
+    d_box = weight.cone.box_margin(box)
+    if d_box < 0:
         raise InadmissibleInputError("box must lie inside the cone")
-    if not bool(np.all(cone.contains(corners + xi, tol=0.0))):
-        raise InadmissibleInputError("translated box exits the cone")
-    d_box = float(np.min(cone.boundary_distance(corners)))
+    # the boundary distance is 1-Lipschitz, so the shifted box stays inside too
     if float(np.linalg.norm(xi)) > 0.5 * d_box + 1e-12:
         raise InadmissibleInputError("|xi| must be at most dist(Q, boundary)/2")
     xs = np.arange(x0 + h / 2.0, x1, h)
     ys = np.arange(y0 + h / 2.0, y1, h)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    inv_alpha = 1.0 / weight.alpha
-    vals = np.abs(weight(pts + xi) ** inv_alpha - weight(pts) ** inv_alpha)
+    vals = np.abs(weight.root(pts + xi) - weight.root(pts))
     return float(vals.sum()) * h * h
 
 
@@ -395,7 +391,6 @@ def translated_ball_control_check(star: StarSet, weight: HomWeight, x0):
 class CheegerResult:
     tau: float
     best_subset: object
-    tau_minus_one: float
 
 
 def _atoms(ts, ia, ib, alpha: float, e_bound):
@@ -511,7 +506,7 @@ def _cheeger_1d(E: IntervalSet, alpha: float, max_components: int):
             best = _first_min(best, _cheeger_ratios(list(zip(parts, idx)), half),
                               lambda k: tuple((comp[0][i[k]], comp[1][i[k]])
                                               for comp, i in zip(parts, idx)))
-    return CheegerResult(best[0], best[1], best[0] - 1.0)
+    return CheegerResult(best[0], best[1])
 
 
 def _enumerate_connected_subsets(adj):
@@ -584,8 +579,7 @@ def _cheeger_2d(grid: GridSet, weight: HomWeight):
         ok = (vol > 0) & (vol <= half * (1.0 + 1e-12)) & (shared > 0)
         ratios = np.divide(per, shared, out=np.full(len(masks), math.inf), where=ok)
         best = _first_min(best, ratios, lambda k: int(masks[k]))
-    tau = float(best[0])
-    return CheegerResult(tau, best[1], tau - 1.0)
+    return CheegerResult(float(best[0]), best[1])
 
 
 def cheeger_bruteforce(E, weight, max_components: int = 2) -> CheegerResult:
@@ -609,12 +603,9 @@ def cheeger_bruteforce(E, weight, max_components: int = 2) -> CheegerResult:
 # Psi / k(D) constants
 # ---------------------------------------------------------------------------
 
-_PSI_SAMPLES = 1001  # points of the uniform grid on [0, 1] behind psi_samples
-
-
 @dataclasses.dataclass(frozen=True)
 class FmpConstants:
-    """Effective dimension D, the constant k(D), and a sample table of Psi."""
+    """Effective dimension D, the constant k(D), and the profile Psi."""
 
     D: float
     k: float
@@ -624,17 +615,12 @@ class FmpConstants:
         t = np.asarray(t, dtype=float)
         return t ** e + (1.0 - t) ** e - 1.0
 
-    @property
-    def psi_samples(self) -> np.ndarray:
-        return self.psi(np.linspace(0.0, 1.0, _PSI_SAMPLES))
-
 
 def psi_k(D: float) -> FmpConstants:
     """k(D) = (2 - 2^((D-1)/D)) / 3 and the concave profile Psi on [0, 1].
 
     Psi(t) = t^((D-1)/D) + (1-t)^((D-1)/D) - 1 satisfies Psi(0) = Psi(1) = 0,
     Psi(1/2) = 2^(1/D) - 1, and Psi(t) >= 3 k(D) t^((D-1)/D) on [0, 1/2].
-    ``psi_samples`` tabulates Psi at 1001 evenly spaced points of [0, 1].
     """
     if D <= 1:
         raise InadmissibleInputError("effective dimension must exceed 1")

@@ -124,11 +124,12 @@ def _read(config, path, kind=float, shape=(), default=_REQUIRED, test=None, need
     return val
 
 
-def _require_inside(cone: Cone, path, box) -> None:
-    """Raise ConfigError unless the box lies compactly inside the cone."""
-    corners = np.array([(x, y) for x in box[0] for y in box[1]])
-    if float(np.min(cone.boundary_distance(corners))) <= 0:
-        raise ConfigError(f"{path} must lie compactly inside the cone, got {box!r}")
+def _require_inside(cone: Cone, path, box, clearance: float) -> None:
+    """Raise ConfigError unless the box lies more than ``clearance`` inside
+    the cone."""
+    if cone.box_margin(box) <= clearance:
+        raise ConfigError(f"{path} must lie more than {clearance:.12g} inside the cone, "
+                          f"got {box!r}")
 
 
 def parse_cone(config, path) -> Cone:
@@ -231,7 +232,7 @@ def _run_couple(config, out_dir):
     if mode == "weighted":
         weight = parse_weight(config)
         q = _read(config, "Q", default=((0.2, 0.6), (0.2, 0.6)), **_BOX)
-        _require_inside(weight.cone, "Q", q)  # default Q too
+        _require_inside(weight.cone, "Q", q, 0.0)  # default Q too
         cone, pde_mode = weight.cone, WeightedMode(weight)
     else:
         cone, weight = parse_cone(config, "cone"), None
@@ -306,16 +307,19 @@ def _run_sharpness(config, out_dir):
 
 def _run_diag(config, out_dir):
     weight = parse_weight(config)
+    # ball_volume_growth probes |xi| <= 0.5, and a row at t <= 0 is zeros
     t_list = _read(config, "diag.t_list", shape=(None,), default=(0.05, 0.1, 0.2),
-                   test=len, need=" with at least one entry")
+                   test=lambda ts: len(ts) and all(0.0 <= t <= 0.5 for t in ts),
+                   need=" with at least one entry, each in [0, 0.5]")
     box = _read(config, "diag.box", default=None, **_BOX)
-    if box is not None:  # the default box is placed inside the cone
-        _require_inside(weight.cone, "diag.box", box)
+    if box is not None:  # the default box is placed deep enough
+        # the shifts |xi| <= max(t_list) need dist(box, boundary) >= 2 |xi|
+        _require_inside(weight.cone, "diag.box", box, 2.0 * max(t_list))
     result = translation_diagnostics(weight.cone, weight, t_list, box=box)
     result.to_csv(os.path.join(out_dir, "diag.csv"))
     # a constancy direction must leave the weight exactly unshifted
     return ["diag.csv"], [
-        Check(f"separation[{name},{t:.12g}]", sep, 1e-14, math.isnan(sep) or abs(sep) <= 1e-14)
+        Check(f"separation[{name},{t:.12g}]", sep, 1e-14, abs(sep) <= 1e-14)
         for name, t, _growth, sep in result.rows if name.startswith("C")]
 
 

@@ -28,14 +28,6 @@ _SAME_CONE_TOL = 1e-12  # wedge angles this close give the same cone
 _CONSTANCY_TOL = 1e-10  # relative weight change still constant along a direction
 
 
-class OutsideConeError(ValueError):
-    """A point that should lie in the closed cone does not."""
-
-
-class DegeneratePointError(ValueError):
-    """The weight vanishes where a strictly positive value is required."""
-
-
 class InadmissibleWeightError(ValueError):
     """The weight fails homogeneity or the concavity admission check."""
 
@@ -109,6 +101,13 @@ class Cone:
     def contains(self, pts, tol: float = 1e-12):
         """Membership in the closed cone, with absolute slack ``tol``."""
         return self.boundary_distance(pts) >= -tol
+
+    def box_margin(self, box) -> float:
+        """Least signed boundary distance over the corners of the box
+        [[x_lo, x_hi], [y_lo, y_hi]]; the box lies in the cone with that much
+        room to spare, since the distance is concave."""
+        corners = np.array([(x, y) for x in box[0] for y in box[1]])
+        return float(np.min(self.boundary_distance(corners)))
 
     def arc_grid(self, n: int) -> np.ndarray:
         """Uniform angular grid on the unit arc.
@@ -225,6 +224,10 @@ class HomWeight:
             vals = r ** self.alpha * self._profile(theta)
         return float(vals[0]) if single else vals
 
+    def root(self, pts) -> np.ndarray:
+        """w^(1/alpha) at the rows of ``pts``, with w clipped at 0."""
+        return np.clip(self(pts), 0.0, None) ** (1.0 / self.alpha)
+
     def arc_values(self, thetas) -> np.ndarray:
         """Profile w(u(theta)) on the unit arc."""
         if self.exponents is not None:
@@ -299,17 +302,6 @@ class HomWeight:
         return ConcaveHomFn(self.cone, thetas, vals)
 
 
-def weight_eval_grad(weight: HomWeight, x):
-    """Value and gradient of the weight at a point of the closed cone.
-
-    The gradient satisfies Euler's relation grad w(x) . x = alpha * w(x).
-    """
-    x = np.asarray(x, dtype=float)
-    if not bool(weight.cone.contains(x, tol=1e-12)[0]):
-        raise OutsideConeError(f"point {x} lies outside the closed cone")
-    return float(weight(x)), weight.grad(x)
-
-
 def concavity_sides(weight: HomWeight, x, z):
     """Both sides of the concave-root criterion for point pairs (x, z).
 
@@ -323,19 +315,6 @@ def concavity_sides(weight: HomWeight, x, z):
     lhs = weight.alpha * (weight(z) / wx) ** (1.0 / weight.alpha)
     rhs = np.einsum("ij,ij->i", weight.grad(x[ok]), z) / wx
     return lhs, rhs
-
-
-def check_concavity_condition(weight: HomWeight, x, z) -> float:
-    """Residual (RHS - LHS) of the concave-root criterion at interior x, z.
-
-    Nonnegative for admissible weights; a negative residual flags a weight
-    whose alpha-th root is not concave.
-    """
-    lhs, rhs = concavity_sides(weight, np.atleast_2d(np.asarray(x, dtype=float)),
-                               np.atleast_2d(np.asarray(z, dtype=float)))
-    if len(lhs) == 0:
-        raise DegeneratePointError("w(x) = 0: the criterion needs an interior point")
-    return float(rhs[0] - lhs[0])
 
 
 @dataclasses.dataclass(frozen=True)

@@ -132,6 +132,14 @@ def _positive_part_eigen(H):
     return np.maximum(mean + rad, 0.0), np.maximum(mean - rad, 0.0)
 
 
+def _weight_ratio(weight: HomWeight, x, xi):
+    """(w(x) floored at 1e-300, w(xi) clipped at 0, (w(xi) / w(x))^(1/alpha))
+    over the rows of x and xi."""
+    w_x = np.clip(weight(x), 1e-300, None)
+    w_xi = np.clip(weight(xi), 0.0, None)
+    return w_x, w_xi, (w_xi / w_x) ** (1.0 / weight.alpha)
+
+
 def build_coupling(star: StarSet, mode: WeightedMode | AnisotropicMode,
                    res: Resolutions | None = None, mesh: TriMesh | None = None) -> CouplingReport:
     """Run the full coupling pipeline on the set ``star`` and measure its
@@ -183,11 +191,8 @@ def build_coupling(star: StarSet, mode: WeightedMode | AnisotropicMode,
     tr_plus = lam1 + lam2
     xi_nodes = field.xi.reshape(-1, 2)
     if weighted:
-        alpha = weight.alpha
-        w_nodes = np.clip(weight(nodes), 1e-300, None)
-        w_xi = np.clip(weight(xi_nodes), 0.0, None)
-        ratio_term = alpha * (w_xi / w_nodes) ** (1.0 / alpha)
-        violation = tr_plus + ratio_term - u.b_E
+        _w_nodes, _w_xi, t_term = _weight_ratio(weight, nodes, xi_nodes)
+        violation = tr_plus + weight.alpha * t_term - u.b_E
     else:
         violation = tr_plus - u.b_E
     sup_violation = float(violation[interior].max()) if interior.any() else -math.inf
@@ -227,8 +232,7 @@ def weight_shift_term(report: CouplingReport, Q) -> float:
         raise ValueError("the weight-shift term exists only in weighted mode")
     weight = report.weight
     (x0, x1), (y0, y1) = Q
-    corners = np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]])
-    if float(np.min(weight.cone.boundary_distance(corners))) <= 0:
+    if weight.cone.box_margin(Q) <= 0:
         raise ValueError("Q must be compactly inside the cone")
     mids, areas3 = report.u.mesh.midpoint_rule()
     inside = ((mids[:, 0] >= x0) & (mids[:, 0] <= x1)
@@ -236,9 +240,7 @@ def weight_shift_term(report: CouplingReport, Q) -> float:
     if not inside.any():
         return 0.0
     xi_m = report.field.interp_xi(mids[inside])
-    inv_a = 1.0 / weight.alpha
-    vals = np.abs(np.clip(weight(xi_m), 0.0, None) ** inv_a
-                  - weight(mids[inside]) ** inv_a)
+    vals = np.abs(weight.root(xi_m) - weight.root(mids[inside]))
     return float(np.sum(areas3[inside] * vals))
 
 
@@ -310,10 +312,7 @@ def abp_chain_check(report: CouplingReport) -> ChainRecord:
 
     H_mid = report.field.interp_hessian(report.hessians, mids_b)
     lam1, lam2 = _positive_part_eigen(H_mid)
-    xi_m = report.field.interp_xi(mids_b)
-    w_m = np.clip(weight(mids_b), 1e-300, None)
-    w_xi = np.clip(weight(xi_m), 0.0, None)
-    t_term = (w_xi / w_m) ** (1.0 / alpha)
+    w_m, w_xi, t_term = _weight_ratio(weight, mids_b, report.field.interp_xi(mids_b))
 
     jacobian_integral = float(np.sum(areas_b * lam1 * lam2 * w_xi))
     amgm_integrand = ((lam1 + lam2 + alpha * t_term) / D) ** D * w_m

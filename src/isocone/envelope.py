@@ -231,16 +231,6 @@ class SlopeBody:
                     return np.array([outward[i]])
         return np.zeros((0, 2))
 
-    def hull_gap(self) -> float:
-        """Worst-case distance from K to the convex hull of the samples.
-
-        Zero for polygons (vertices are sampled); for sector-disks it is the
-        sagitta of one angular step of the outer arc.
-        """
-        if self.polar_shape is None:
-            return 0.0
-        return self.rho * (1.0 - math.cos(self.cone.arc_step(self.polar_shape[1]) / 2.0))
-
 
 def _angdiff(a, b):
     return (a - b + math.pi) % (2.0 * math.pi) - math.pi

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .analysis import InadmissibleInputError, ball_volume_growth, shifted_weight_separation
+from .analysis import ball_volume_growth, shifted_weight_separation
 from .cone_weight import Cone, HomWeight, decompose_subspaces
 from .geometry import StarSet, asymmetry, deficit, emit_csv
 
@@ -158,10 +158,7 @@ def translation_diagnostics(cone: Cone, weight: HomWeight, t_list, box=None):
         name = f"{tag}({d[0]:+.6f},{d[1]:+.6f})"
         for t in sorted(t_list):
             g = ball_volume_growth(cone, weight, t * d) if t > 0 else 0.0
-            try:
-                sep = shifted_weight_separation(weight, box, t * d) if t > 0 else 0.0
-            except InadmissibleInputError:
-                sep = float("nan")
+            sep = shifted_weight_separation(weight, box, t * d) if t > 0 else 0.0
             rows.append((name, t, g, sep))
     rows.sort(key=lambda r: (r[0], r[1]))
     return SweepResult(("direction", "t", "growth", "separation"), rows, {"box": box})

@@ -32,6 +32,9 @@ class UnsupportedTranslationError(ValueError):
     """symdiff_with_ball needs the origin strictly inside the translated ball."""
 
 
+_RADIUS_CAP = 64.0  # the largest radius a star set may carry
+
+
 @dataclasses.dataclass(frozen=True)
 class StarSet:
     """Region of the cone sampled as radii over a uniform angular grid."""
@@ -39,7 +42,6 @@ class StarSet:
     cone: Cone
     thetas: np.ndarray
     radii: np.ndarray
-    radius_cap: float = 64.0
 
     def __post_init__(self):
         if len(self.thetas) != len(self.radii):
@@ -48,7 +50,7 @@ class StarSet:
             raise ValueError("radii must be finite")
         if np.any(self.radii <= 0):
             raise ValueError("radii must be strictly positive")
-        if np.any(self.radii > self.radius_cap):
+        if np.any(self.radii > _RADIUS_CAP):
             raise ValueError("radii exceed the declared cap")
 
     @property
@@ -81,20 +83,6 @@ class StarSet:
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         inside_cone = self.cone.contains(pts, tol=tol)
         return inside_cone & (r <= self.radius_at(theta) * (1.0 + 1e-12) + tol)
-
-    def scaled(self, lam: float) -> "StarSet":
-        return StarSet(self.cone, self.thetas.copy(), lam * self.radii,
-                       radius_cap=max(self.radius_cap, lam * self.radii.max() * 1.5))
-
-    def to_csv(self, path) -> None:
-        """(theta, r) rows at %.18e, which :meth:`from_csv` reads back exactly."""
-        np.savetxt(path, np.column_stack([self.thetas, self.radii]),
-                   delimiter=",", header="theta,r", comments="")
-
-    @staticmethod
-    def from_csv(path, cone: Cone) -> "StarSet":
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        return StarSet(cone, data[:, 0], data[:, 1])
 
     # -- factories ----------------------------------------------------------
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,7 +25,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .cone_weight import HomWeight, unit
-from .geometry import StarSet, emit_csv
+from .geometry import StarSet
 
 if TYPE_CHECKING:
     from .envelope import SlopeBody
@@ -147,16 +146,6 @@ class TriMesh:
         forward = np.isin(edges[:, 0] * nv + edges[:, 1], directed[:, 0] * nv + directed[:, 1])
         return np.where(forward[:, None], n, -n)
 
-    def dump_csv(self, directory, values=None) -> None:
-        """Write mesh_vertices.csv, mesh_triangles.csv and mesh_values.csv."""
-        emit_csv(os.path.join(directory, "mesh_vertices.csv"), ("x", "y"),
-                 self.vertices.tolist())
-        emit_csv(os.path.join(directory, "mesh_triangles.csv"), ("v0", "v1", "v2"),
-                 self.triangles.tolist())
-        if values is not None:
-            emit_csv(os.path.join(directory, "mesh_values.csv"), ("u",),
-                     np.asarray(values)[:, None].tolist())
-
 
 def _strip_triangles(inner, outer, n_wedges, ring):
     """Mirror-symmetric triangulation of the strip between rings ``ring`` and
@@ -205,20 +194,15 @@ def fan_triangulate(star: StarSet, target_h: float) -> TriMesh:
         n_r = max(2, int(math.ceil(math.sqrt(2.0) * scale * r_max / target_h)))
         n0 = max(3 if periodic else 2,
                  int(math.ceil(math.sqrt(2.0) * scale * arc_len / (target_h * n_r))))
-        verts = [np.zeros((1, 2))]
-        rings = [np.array([0])]
-        vid = 1
-        for i in range(1, n_r + 1):
-            count = n0 * i
-            if periodic:
-                angles = 2.0 * math.pi * np.arange(count) / count
-            else:
-                angles = np.linspace(cone.angle_lo, cone.angle_hi, count + 1)
-            rad = (i / n_r) * star.radius_at(angles)
-            verts.append(rad[:, None] * unit(angles))
-            rings.append(np.arange(vid, vid + len(angles)))
-            vid += len(angles)
-        vertices = np.vstack(verts)
+        ring_angles = [2.0 * math.pi * np.arange(n0 * i) / (n0 * i) if periodic
+                       else np.linspace(cone.angle_lo, cone.angle_hi, n0 * i + 1)
+                       for i in range(1, n_r + 1)]
+        sizes = [len(a) for a in ring_angles]
+        angles = np.concatenate(ring_angles)
+        # one radius_at call: on the full plane each call sets up the period
+        rad = np.repeat(np.arange(1, n_r + 1) / n_r, sizes) * star.radius_at(angles)
+        vertices = np.vstack([np.zeros((1, 2)), rad[:, None] * unit(angles)])
+        rings = np.split(np.arange(len(vertices)), np.cumsum([1] + sizes[:-1]))
 
         triangles = np.concatenate(
             [_strip_triangles(rings[i], rings[i + 1], n0, i) for i in range(n_r)])

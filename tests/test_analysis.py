@@ -462,7 +462,6 @@ class TestCheeger1d:
         res = cheeger_bruteforce(E, 2.0)
         exact = (4.5 ** (2.0 / 3.0) + 4.0) / 4.0
         assert res.tau == pytest.approx(exact, abs=1e-3)
-        assert res.tau_minus_one == pytest.approx(res.tau - 1.0)
 
     def test_interior_candidates_are_infinite(self):
         # a strictly interior F shares no boundary with E: ratio infinity;
@@ -553,7 +552,7 @@ def _loop_cheeger_2d(grid: GridSet, weight: HomWeight):
         ratio = per / shared
         if ratio < best[0]:
             best = (ratio, subset)
-    return CheegerResult(best[0], best[1], best[0] - 1.0)
+    return CheegerResult(best[0], best[1])
 
 
 class TestCheeger2d:
@@ -593,8 +592,9 @@ class TestPsiK:
 
     def test_psi_endpoint_values(self):
         fc = psi_k(4.0)
-        assert fc.psi_samples[0] == pytest.approx(0.0, abs=1e-14)
-        assert fc.psi_samples[-1] == pytest.approx(0.0, abs=1e-14)
+        samples = fc.psi(np.linspace(0.0, 1.0, 1001))
+        assert samples[0] == pytest.approx(0.0, abs=1e-14)
+        assert samples[-1] == pytest.approx(0.0, abs=1e-14)
         assert fc.psi(0.5) == pytest.approx(2.0 ** 0.25 - 1.0, rel=1e-12)
 
     @pytest.mark.parametrize("D", [2.5, 3.0, 4.0, 7.2])
@@ -606,7 +606,7 @@ class TestPsiK:
 
     def test_psi_strictly_concave(self):
         fc = psi_k(3.5)
-        second = np.diff(fc.psi_samples, 2)
+        second = np.diff(fc.psi(np.linspace(0.0, 1.0, 1001)), 2)
         assert np.max(second) < 0
 
     def test_dimension_precondition(self):

@@ -372,6 +372,13 @@ class TestConfigReader:
                     "set": {"star": {"eps": 0.1, "eta": {"fourier_cos": 4}}}}, "Q"),
         # a diag box outside the cone wrote an empty separation column and exited 0
         ("diag", {"diag": {"box": [[-0.5, -0.3], [0.2, 0.4]]}}, "diag.box"),
+        # a box inside the cone but too shallow for the shifts wrote NaN and exited 0
+        ("diag", {"weight": {"monomial": [1, 0]},
+                  "diag": {"box": [[0.05, 0.25], [0.05, 0.25]], "t_list": [0.05, 0.1, 0.2]}},
+         "diag.box"),
+        # shifts beyond ball_volume_growth's 0.5, or below 0
+        ("diag", {"diag": {"t_list": [0.1, 0.6]}}, "diag.t_list"),
+        ("diag", {"diag": {"t_list": [-0.05, 0.1]}}, "diag.t_list"),
         # profile samples: IndexError with 0 or 1, numpy's message for unequal
         # lengths, "weight vanishes identically" for decreasing angles
         ("measure", {"weight": {"profile": {"thetas": [], "values": [], "alpha": 2}}},

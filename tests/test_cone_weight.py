@@ -10,16 +10,13 @@ from hypothesis import strategies as st
 from isocone.cone_weight import (
     Cone,
     ConcaveHomFn,
-    DegeneratePointError,
     HomWeight,
     InadmissibleWeightError,
     NotCompactlyContainedError,
-    OutsideConeError,
-    check_concavity_condition,
+    concavity_sides,
     decompose_subspaces,
     spherical_concavity_check,
     unit,
-    weight_eval_grad,
     zero_trace_extension,
 )
 
@@ -53,6 +50,11 @@ class TestCone:
     def test_boundary_distance_inside(self):
         assert QUADRANT.boundary_distance(np.array([[0.3, 0.5]]))[0] == pytest.approx(0.3)
 
+    def test_box_margin_is_the_worst_corner(self):
+        assert QUADRANT.box_margin(((0.2, 0.6), (0.3, 0.5))) == pytest.approx(0.2)
+        assert HALF.box_margin(((-5.0, 5.0), (0.1, 0.4))) == pytest.approx(0.1)
+        assert QUADRANT.box_margin(((-0.1, 0.6), (0.3, 0.5))) == pytest.approx(-0.1)
+
 
 class TestHomWeight:
     def test_homogeneity_sampled(self):
@@ -64,22 +66,15 @@ class TestHomWeight:
             assert np.max(np.abs(W_XY(t * pts) - t ** 2 * base)) <= 1e-12 * np.max(np.abs(base)) * t ** 2
 
     def test_monomial_values(self):
-        val, grad = weight_eval_grad(W_XY, (2.0, 3.0))
-        assert val == pytest.approx(6.0)
-        assert np.allclose(grad, [3.0, 2.0])
+        assert W_XY((2.0, 3.0)) == pytest.approx(6.0)
+        assert np.allclose(W_XY.grad((2.0, 3.0)), [3.0, 2.0])
 
     def test_boundary_zero_gradient(self):
-        val, grad = weight_eval_grad(W_X, (0.0, 1.0))
-        assert val == 0.0
-        assert np.allclose(grad, [1.0, 0.0])
+        assert W_X((0.0, 1.0)) == 0.0
+        assert np.allclose(W_X.grad((0.0, 1.0)), [1.0, 0.0])
 
     def test_scaling_value(self):
-        val, _ = weight_eval_grad(W_XY, (1.0, 1.5))
-        assert val == pytest.approx(0.25 * 6.0)
-
-    def test_outside_cone_rejected(self):
-        with pytest.raises(OutsideConeError):
-            weight_eval_grad(W_XY, (-0.5, 1.0))
+        assert W_XY((1.0, 1.5)) == pytest.approx(0.25 * 6.0)
 
     def test_euler_relation_random(self):
         rng = np.random.default_rng(7)
@@ -124,13 +119,19 @@ class TestHomWeight:
             HomWeight.monomial(QUADRANT, -1, 2)
 
 
+def concavity_residual(weight, x, z):
+    """rhs - lhs of the concave-root criterion at one pair, as an array."""
+    lhs, rhs = concavity_sides(weight, np.array([x]), np.array([z]))
+    return rhs - lhs
+
+
 class TestConcavityCondition:
     def test_equality_at_same_point(self):
-        assert check_concavity_condition(W_XY, (1.0, 1.0), (1.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
+        res = concavity_residual(W_XY, (1.0, 1.0), (1.0, 1.0))
+        assert res.shape == (1,) and res[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_strict_slack(self):
-        res = check_concavity_condition(W_XY, (1.0, 1.0), (2.0, 0.5))
-        assert res == pytest.approx(0.5)
+        assert concavity_residual(W_XY, (1.0, 1.0), (2.0, 0.5))[0] == pytest.approx(0.5)
 
     def test_rejects_nonconcave_root(self):
         class Sphere:
@@ -144,12 +145,12 @@ class TestConcavityCondition:
             def grad(self, pts):
                 return 2.0 * pts
 
-        res = check_concavity_condition(Sphere(), (1.0, 0.01), (0.01, 1.0))
-        assert res < -1.0
+        assert concavity_residual(Sphere(), (1.0, 0.01), (0.01, 1.0))[0] < -1.0
 
     def test_degenerate_point(self):
-        with pytest.raises(DegeneratePointError):
-            check_concavity_condition(W_X, (0.0, 1.0), (1.0, 1.0))
+        # w(x) = 0: the criterion divides by w(x), so the pair is left out
+        lhs, rhs = concavity_sides(W_X, np.array([[0.0, 1.0]]), np.array([[1.0, 1.0]]))
+        assert lhs.shape == rhs.shape == (0,)
 
     def test_residual_nonnegative_random_pairs(self):
         rng = np.random.default_rng(11)

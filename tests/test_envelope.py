@@ -82,16 +82,6 @@ class TestSupportFunction:
         with pytest.raises(ValueError):
             SlopeBody.polygon([(0, 0), (0, 1), (1, 0)])  # clockwise
 
-    def test_hull_gap_scales(self):
-        assert SQUARE.hull_gap() == 0.0
-        fine = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 64, 4097)
-        coarse = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 64, 65)
-        assert fine.hull_gap() < coarse.hull_gap()
-        assert fine.hull_gap() <= 2e-8
-
-    def test_full_plane_hull_gap_is_one_sagitta(self):
-        assert DISK.hull_gap() == pytest.approx(1.0 - math.cos(math.pi / 256), rel=1e-12)
-
 
 SEGMENT = SlopeBody.polygon([(-1.0, 0.0), (1.0, 0.0)])
 QUADRANT_DISK = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 32, 48)

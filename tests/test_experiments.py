@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isocone import experiments
+from isocone.analysis import InadmissibleInputError
 from isocone.cone_weight import Cone, HomWeight
 from isocone.experiments import (
     MINIMIZER_ASYM_TOL,
@@ -145,6 +146,12 @@ class TestDiagnostics:
 
         oracle = oracle_volume((0.0, 0.1)) - oracle_volume((0.0, 0.0))
         assert row[2] == pytest.approx(oracle, abs=1e-3)
+
+    def test_shallow_box_raises(self):
+        # the box lies 0.05 inside the cone: shifts up to 0.2 need 0.4
+        with pytest.raises(InadmissibleInputError, match="dist"):
+            translation_diagnostics(QUADRANT, W_X, [0.05, 0.1, 0.2],
+                                    box=((0.05, 0.25), (0.05, 0.25)))
 
     def test_separation_errors_other_than_inadmissible_propagate(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -15,9 +15,12 @@ pin counts as read where ``EXPECTATIONS["key"]`` is written out.  And a
 module-level import that its module never names is dead weight (no linter
 is assumed).  ``__init__.py`` is skipped for its re-exports, and imports
 under ``if TYPE_CHECKING:`` are not top-level statements, so both are exempt.
+An exception class that no ``raise`` in ``src/`` names is left over from
+the code that raised it.
 """
 
 import ast
+import builtins
 import pathlib
 
 from isocone.expectations import EXPECTATIONS
@@ -126,3 +129,34 @@ def unused_imports():
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+def unraised_exceptions():
+    """Exception classes defined in ``src/`` that no ``raise`` in ``src/``
+    names.  A class counts as an exception when a base is a builtin
+    exception or another such class of the package."""
+    known = {name for name, obj in vars(builtins).items()
+             if isinstance(obj, type) and issubclass(obj, BaseException)}
+    classes = [node for tree in _parse("src") for node in tree.body
+               if isinstance(node, ast.ClassDef)]
+    defined = set()
+    while True:
+        grown = {c.name for c in classes
+                 if any(isinstance(b, ast.Name) and b.id in known | defined for b in c.bases)}
+        if grown == defined:
+            break
+        defined = grown
+    raised = set()
+    for tree in _parse("src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, (ast.Name, ast.Attribute)):
+                    raised.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
+    return sorted(defined - raised), len(defined)
+
+
+def test_every_exception_class_is_raised():
+    unraised, n_defined = unraised_exceptions()
+    assert n_defined > 0  # the class scan found the package's errors
+    assert unraised == []

@@ -9,7 +9,7 @@ import pytest
 
 import isocone
 from isocone import pde
-from isocone.cone_weight import Cone, HomWeight
+from isocone.cone_weight import Cone, HomWeight, unit
 from isocone.envelope import SlopeBody
 from isocone.geometry import StarSet
 from isocone.pde import (
@@ -35,7 +35,7 @@ W_Y = HomWeight.monomial(HALF, 0, 1)
 # prints the node count, a hash of the solution's bytes and the residual
 _FINE_SOLVE = """
 import hashlib
-from isocone.cone_weight import Cone, HomWeight
+from isocone.cone_weight import Cone, HomWeight, unit
 from isocone.geometry import StarSet
 from isocone.pde import WeightedMode, fan_triangulate, solve_neumann
 mesh = fan_triangulate(StarSet.ball(Cone.quadrant(), 1024), 0.01)
@@ -132,6 +132,42 @@ class TestFanTriangulate:
                 tris += [(a[j], b[j], b[j + 1]) for j in range(i + 1)]
                 tris += [(a[j], b[j + 1], a[j + 1]) for j in range(i)]
         assert np.array_equal(mesh.triangles, np.array(tris))
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_one_radius_lookup_per_size(self, monkeypatch, periodic):
+        # on the full plane every radius_at call sets up np.interp's period again
+        meshes, calls = [], []
+
+        class CountedMesh(TriMesh):
+            def __post_init__(self):
+                meshes.append(self)
+                super().__post_init__()
+
+        radius_at = StarSet.radius_at
+
+        def counted(star, theta):
+            calls.append(len(theta))
+            return radius_at(star, theta)
+
+        monkeypatch.setattr(pde, "TriMesh", CountedMesh)
+        monkeypatch.setattr(StarSet, "radius_at", counted)
+        if periodic:
+            star = StarSet.ball(Cone.plane(), 1024, r=0.8, center=(0.2, -0.1))
+        else:
+            star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, 0.1,
+                                          lambda th: np.cos(5.0 * np.asarray(th)))
+        mesh = fan_triangulate(star, 0.05)
+        assert len(calls) == len(meshes) == 2  # the first size is too coarse
+        # ring i holds (i / n_r) r(theta) u(theta) at its own angles, bit for bit
+        rings = mesh.rings
+        n0 = len(rings[1]) if periodic else len(rings[1]) - 1
+        n_r = len(rings) - 1
+        for i in range(1, n_r + 1):
+            count = n0 * i
+            angles = (2.0 * np.pi * np.arange(count) / count if periodic
+                      else np.linspace(QUADRANT.angle_lo, QUADRANT.angle_hi, count + 1))
+            rad = (i / n_r) * radius_at(star, angles)
+            assert np.array_equal(mesh.vertices[rings[i]], rad[:, None] * unit(angles))
 
     def test_polygon_mesh_square(self):
         mesh = triangulate_polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)], 0.05)
@@ -315,11 +351,3 @@ class TestAnisotropicSolve:
         assert field.b_E == pytest.approx(2.0, abs=1e-12)
         err = weighted_h1_error(field, lambda p: p)
         assert err <= 0.8 * 0.05
-
-    def test_mesh_csv_dump(self, tmp_path):
-        mesh = fan_triangulate(StarSet.ball(QUADRANT, 256), 0.2)
-        field = solve_neumann(mesh, WeightedMode(W_XY))
-        mesh.dump_csv(tmp_path, field.values)
-        assert (tmp_path / "mesh_vertices.csv").exists()
-        assert (tmp_path / "mesh_triangles.csv").exists()
-        assert (tmp_path / "mesh_values.csv").exists()
