@@ -217,7 +217,7 @@ def _run_measure(config, out_dir):
     weight = parse_weight(config)
     star = parse_set(weight.cone, weight, config, n_theta)
     rep = deficit(star, weight)
-    a, x0 = asymmetry(star, weight)
+    a, x0 = asymmetry(star, weight, rep)
     emit_csv(os.path.join(out_dir, "measure.csv"),
              ("w_volume", "w_perimeter", "delta_w", "r_eq", "asym", "x0_1", "x0_2"),
              [(rep.w_volume, rep.w_perimeter, rep.deficit, rep.r_eq, a, x0[0], x0[1])])
@@ -297,7 +297,10 @@ def _run_sharpness(config, out_dir):
     n_theta, _ = parse_resolutions(config)
     weight = parse_weight(config)
     mode = _read(config, "sharpness.eta.fourier_cos", int, default=4)
-    eps_list = _read(config, "sharpness.eps_list", shape=(None,), default=(0.02, 0.04, 0.08, 0.16))
+    eps_list = _read(config, "sharpness.eps_list", shape=(None,),
+                     default=(0.02, 0.04, 0.08, 0.16),
+                     test=lambda es: len(es) >= 3 and all(e <= 0.25 for e in es),
+                     need=" with at least 3 entries, each at most 0.25")
     result, slope = sharpness_sweep(weight.cone, weight, eta_fourier_cos(weight.cone, mode),
                                     eps_list, n_theta=n_theta)
     result.to_csv(os.path.join(out_dir, "sharpness.csv"))
@@ -334,7 +337,9 @@ def _run_check_amgm(config, out_dir):
 
 def _run_check_1d(config, out_dir):
     intervals = _read(config, "one_dim.intervals", shape=(None, 2), default=((0.0, 0.8),))
-    l, gamma = _read(config, "one_dim.l", default=1.0), _read(config, "one_dim.gamma", default=2.0)
+    l = _read(config, "one_dim.l", default=1.0, test=lambda l: 0.75 <= l <= 1.25,
+              need=" in [0.75, 1.25]")
+    gamma = _read(config, "one_dim.gamma", default=2.0, test=lambda g: g >= 0, need=" >= 0")
     lhs, den, ratio = one_dim_stability_check(IntervalSet(intervals), l, gamma)
     emit_csv(os.path.join(out_dir, "one_dim.csv"),
              ("lhs", "denominator", "ratio"), [(lhs, den, ratio)])

@@ -43,7 +43,7 @@ def _stability_row(param, star: StarSet, weight: HomWeight):
     """(param, delta_w, A_w, A_w / sqrt(delta_w)); the ratio is NaN unless
     the deficit exceeds 1e-9."""
     rep = deficit(star, weight)
-    a, _x0 = asymmetry(star, weight)
+    a, _x0 = asymmetry(star, weight, rep)
     ratio = a / math.sqrt(rep.deficit) if rep.deficit > 1e-9 else float("nan")
     return (param, rep.deficit, a, ratio)
 

@@ -95,10 +95,10 @@ def test_criterion_02_minimizer_exactness():
         star = StarSet.ball(QUADRANT, 4096, r=r)
         rep = deficit(star, W_XY)
         assert abs(rep.deficit) <= 1e-9
-        a, _ = asymmetry(star, W_XY)
+        a, _ = asymmetry(star, W_XY, rep)
         assert a <= 1e-6
     star = StarSet.ball(HALF, 4096, r=1.0, center=(0.3, 0.0))
-    a, x0 = asymmetry(star, W_Y)
+    a, x0 = asymmetry(star, W_Y, deficit(star, W_Y))
     assert a <= 2e-3
     assert abs(x0[0] - 0.3) <= 5e-3 and x0[1] == 0.0
     report(f"2 PASS minimizer exactness: translated-ball A_w {a:.2e}, "

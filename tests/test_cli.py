@@ -379,6 +379,12 @@ class TestConfigReader:
         # shifts beyond ball_volume_growth's 0.5, or below 0
         ("diag", {"diag": {"t_list": [0.1, 0.6]}}, "diag.t_list"),
         ("diag", {"diag": {"t_list": [-0.05, 0.1]}}, "diag.t_list"),
+        # library messages that named no key ("epsilon must stay at or below 0.25",
+        # "need at least 3 epsilon values", "l must lie in [3/4, 5/4]", ...)
+        ("sharpness", {"sharpness": {"eps_list": [0.02, 0.04, 0.3]}}, "sharpness.eps_list"),
+        ("sharpness", {"sharpness": {"eps_list": [0.02, 0.04]}}, "sharpness.eps_list"),
+        ("check-1d", {"one_dim": {"l": 2.0}}, "one_dim.l"),
+        ("check-1d", {"one_dim": {"gamma": -1}}, "one_dim.gamma"),
         # profile samples: IndexError with 0 or 1, numpy's message for unequal
         # lengths, "weight vanishes identically" for decreasing angles
         ("measure", {"weight": {"profile": {"thetas": [], "values": [], "alpha": 2}}},

@@ -1,12 +1,16 @@
 """Star-set functionals: volume, perimeter, deficit, asymmetry, grid sets."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from isocone import geometry
 from isocone.cone_weight import Cone, HomWeight, unit
+from isocone.experiments import eta_fourier_cos
 from isocone.geometry import (
     GridSet,
     StarSet,
@@ -16,6 +20,7 @@ from isocone.geometry import (
     deficit,
     grid_midpoint_volume,
     is_indecomposable,
+    power_mass,
     symdiff_with_ball,
     unit_ball_volume,
     weighted_perimeter,
@@ -122,12 +127,12 @@ class TestDeficit:
     def test_scale_invariance(self):
         star = StarSet.perturbed_ball(QUADRANT, W_XY, 2048, 0.1, eta4)
         d0 = deficit(star, W_XY).deficit
-        a0, _ = asymmetry(star, W_XY)
+        a0, _ = asymmetry(star, W_XY, deficit(star, W_XY))
         for lam in (0.5, 3.0):
             scaled = StarSet(star.cone, star.thetas, lam * star.radii)
             rep = deficit(scaled, W_XY)
             assert abs(rep.deficit - d0) <= 1e-12
-            a1, _ = asymmetry(scaled, W_XY)
+            a1, _ = asymmetry(scaled, W_XY, rep)
             assert abs(a1 - a0) <= 1e-9
 
     def test_nonnegative_on_random_sets(self):
@@ -194,23 +199,120 @@ class TestSymdiff:
 
 class TestAsymmetry:
     def test_ball_is_symmetric(self):
-        a, x0 = asymmetry(StarSet.ball(QUADRANT, 2048), W_XY)
+        star = StarSet.ball(QUADRANT, 2048)
+        a, x0 = asymmetry(star, W_XY, deficit(star, W_XY))
         assert a <= 1e-9 and np.allclose(x0, 0.0)
 
     def test_dilated_ball(self):
-        a, _ = asymmetry(StarSet.ball(QUADRANT, 2048, r=2.0), W_XY)
+        star = StarSet.ball(QUADRANT, 2048, r=2.0)
+        a, _ = asymmetry(star, W_XY, deficit(star, W_XY))
         assert a <= 1e-9
 
     def test_translated_ball_found_on_half_plane(self):
         star = StarSet.ball(HALF, 4096, r=1.0, center=(0.3, 0.0))
-        a, x0 = asymmetry(star, W_Y)
+        a, x0 = asymmetry(star, W_Y, deficit(star, W_Y))
         assert a <= 2e-3
         assert abs(x0[0] - 0.3) <= 5e-3 and x0[1] == 0.0
 
     def test_range(self):
         star = StarSet.perturbed_ball(QUADRANT, W_XY, 1024, 0.2, eta4)
-        a, _ = asymmetry(star, W_XY)
+        a, _ = asymmetry(star, W_XY, deficit(star, W_XY))
         assert 0.0 <= a <= 2.0
+
+
+def _symdiff_per_call(star, weight, x0, r):
+    """Reference: w(E symdiff B_r(x0)) rebuilding every array on each call."""
+    b = unit(star.thetas) @ np.asarray(x0, dtype=float)
+    disc = b * b + r * r - float(np.dot(x0, x0))
+    has = disc > 0
+    root = np.sqrt(np.where(has, disc, 0.0))
+    t_minus = np.where(has, np.maximum(b - root, 0.0), 0.0)
+    t_plus = np.where(has, np.maximum(b + root, 0.0), 0.0)
+    D = weight.D
+    rE = star.radii
+    m_e = power_mass(0.0, rE, D)
+    m_b = power_mass(t_minus, np.maximum(t_plus, t_minus), D)
+    m_i = power_mass(t_minus, np.maximum(np.minimum(rE, t_plus), t_minus), D)
+    qw = star.quad_weights()
+    wv = weight.arc_values(star.thetas)
+    return float(qw @ (wv * (m_e + m_b - 2.0 * m_i)))
+
+
+def _asymmetry_per_call(star, weight):
+    """Reference: the 65-point scan and golden-section search over
+    :func:`_symdiff_per_call`."""
+    rep = deficit(star, weight)
+    vol, r_eq = rep.w_volume, rep.r_eq
+    if star.cone.k == 0:
+        return _symdiff_per_call(star, weight, np.zeros(2), r_eq) / vol, np.zeros(2)
+    direction = star.cone.basis_L()[0]
+
+    def objective(t):
+        return _symdiff_per_call(star, weight, t * direction, r_eq) / vol
+
+    ts = np.linspace(-2.0 * r_eq, 2.0 * r_eq, 65)
+    i = int(np.argmin([objective(t) for t in ts]))
+    a, b = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > 1e-6:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = objective(d)
+    t_best = 0.5 * (a + b)
+    return objective(t_best), t_best * direction
+
+
+_PROFILE_ARC = np.linspace(0.0, np.pi, 257)
+W_Y_PROFILE = HomWeight.from_profile(HALF, _PROFILE_ARC, np.sin(_PROFILE_ARC), 1.0)
+SEARCH_CASES = {
+    **{f"half_ball_r{r}": (StarSet.ball(HALF, 2048, r=r), W_Y) for r in (0.5, 1.0, 2.0)},
+    "half_ball_shifted": (StarSet.ball(HALF, 2048, r=1.0, center=(0.3, 0.0)), W_Y),
+    **{f"half_fourier_m{m}_e{eps}": (
+        StarSet.perturbed_ball(HALF, W_Y, 2048, eps, eta_fourier_cos(HALF, m)), W_Y)
+       for m, eps in ((2, 0.05), (5, 0.2), (6, 0.1))},
+    "half_profile": (StarSet.perturbed_ball(HALF, W_Y_PROFILE, 2048, 0.1,
+                                            eta_fourier_cos(HALF, 3)), W_Y_PROFILE),
+    "quadrant_fourier": (StarSet.perturbed_ball(QUADRANT, W_XY, 2048, 0.1, eta4), W_XY),
+}
+
+
+class TestTranslationSearch:
+    @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+    def test_matches_per_call_search_bit_for_bit(self, case):
+        star, weight = SEARCH_CASES[case]
+        a, x0 = asymmetry(star, weight, deficit(star, weight))
+        a_ref, x0_ref = _asymmetry_per_call(star, weight)
+        assert a == a_ref and x0.tobytes() == x0_ref.tobytes()
+        for x, r in (((0.0, 0.0), 0.9), ((0.2, 0.1), 1.0), ((-0.4, 0.3), 1.3)):
+            assert symdiff_with_ball(star, weight, x, r) == _symdiff_per_call(
+                star, weight, np.asarray(x), r)
+
+    def test_set_arrays_built_once_per_search(self, monkeypatch):
+        # the set's angular arrays must not be rebuilt for each of the ~91 evaluations
+        counts = {"arc_values": 0, "unit": 0}
+        arc_values, unit_fn = HomWeight.arc_values, geometry.unit
+
+        def counted_arc_values(weight, thetas):
+            counts["arc_values"] += 1
+            return arc_values(weight, thetas)
+
+        def counted_unit(theta):
+            counts["unit"] += 1
+            return unit_fn(theta)
+
+        star = StarSet.perturbed_ball(HALF, W_Y, 2048, 0.1, eta_fourier_cos(HALF, 4))
+        rep = deficit(star, W_Y)
+        monkeypatch.setattr(HomWeight, "arc_values", counted_arc_values)
+        monkeypatch.setattr(geometry, "unit", counted_unit)
+        asymmetry(star, W_Y, rep)
+        assert counts == {"arc_values": 1, "unit": 1}
 
 
 class TestBoundaryIntegral:

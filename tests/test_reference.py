@@ -1,4 +1,4 @@
-"""Output drift guard: thirteen configs checked against perfbench/reference.json.
+"""Output drift guard: fourteen configs checked against perfbench/reference.json.
 
 Each config runs through ``isocone.cli.main`` and its outputs are compared
 with the recorded reference entry by ``perfbench/reference.check``, which
@@ -36,6 +36,9 @@ CASES = {
     "one_dim_two_intervals": ("check-1d", workloads.one_dim([[0.0, 0.5], [0.7, 1.1]], 1.2, 2)),
     "measure_quadrant_star": ("measure", workloads.by_cone(
         "quadrant_xy", set=workloads.star_set(0.1, 4))),
+    # the translation search runs only on the half-plane
+    "measure_half_plane_star": ("measure", workloads.by_cone(
+        "half_y", set=workloads.star_set(0.2, 5))),
     "sharpness_half_plane": ("sharpness", workloads.sharpness(
         "half_y", 3, [0.02, 0.04, 0.08, 0.16])),
     "sweep_quadrant": ("sweep", workloads.by_cone("quadrant_x")),
