@@ -391,14 +391,14 @@ def _run_envelope(config, out_dir):
     else:
         values = pts[:, 0] ** 4 - pts[:, 0] ** 2 + 4.0 * pts[:, 1] ** 2
     conj = restricted_conjugate(pts, values, body)
-    field = k_envelope(conj, box, h)
+    field = k_envelope(conj, box, h, conj.points)
     field.dump_csv(os.path.join(out_dir, "envelope.csv"))
     report = check_c11(field)
     emit_csv(os.path.join(out_dir, "envelope_c11.csv"),
              ("lip_grad", "range_hausdorff", "convexity_violation", "n_slopes"),
              [(report.lip_grad, report.range_hausdorff, report.convexity_violation,
                report.n_distinct_slopes)])
-    phi_at_samples, _xi, _idx = conj.envelope_at(conj.points)
+    phi_at_samples, _xi, _idx = field.at_probes
     scale = max(1.0, float(np.max(np.abs(conj.values))))
     tol = 1e-9 * scale
     return ["envelope.csv", "envelope_c11.csv"], [

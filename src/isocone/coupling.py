@@ -174,7 +174,9 @@ def build_coupling(star: StarSet, mode: WeightedMode | AnisotropicMode,
     vmax = mesh.vertices.max(axis=0)
     margin = 3.0 * res.eval_h
     box = ((vmin[0] - margin, vmax[0] + margin), (vmin[1] - margin, vmax[1] + margin))
-    field = k_envelope(conj, box, res.eval_h)
+    # the boundary term's slopes at the free-edge Gauss nodes, in the grid's argmax pass
+    gauss, half_len, _t = mesh.free_edge_gauss() if weighted else (None,) * 3
+    field = k_envelope(conj, box, res.eval_h, gauss)
 
     nodes = field.grid_points()
     in_E = star.contains(nodes)
@@ -207,8 +209,7 @@ def build_coupling(star: StarSet, mode: WeightedMode | AnisotropicMode,
 
     boundary_term = 0.0
     if weighted:
-        gauss, half_len, _t = mesh.free_edge_gauss()
-        _phi_g, xi_g, _idx_g = conj.envelope_at(gauss)
+        _phi_g, xi_g, _idx_g = field.at_probes
         boundary_term = float(np.sum(
             half_len * weight(gauss) * (1.0 - np.linalg.norm(xi_g, axis=1))))
 

@@ -142,16 +142,24 @@ def _require_weighted(star: StarSet, weight: HomWeight):
 def weighted_volume(star: StarSet, weight: HomWeight) -> float:
     """w(E) by polar quadrature of r^D * w(theta) / D."""
     _require_weighted(star, weight)
-    qw = star.quad_weights()
-    wv = weight.arc_values(star.thetas)
-    return float(qw @ (star.radii ** weight.D * wv)) / weight.D
+    return _volume(star, weight.D, star.quad_weights(), weight.arc_values(star.thetas))
+
+
+def _volume(star: StarSet, D: float, qw, wv) -> float:
+    """w(E) from the quadrature weights ``qw`` and angular weight ``wv``."""
+    return float(qw @ (star.radii ** D * wv)) / D
 
 
 def boundary_element(star: StarSet, weight: HomWeight) -> np.ndarray:
     """Weighted arc element r^(D-1) sqrt(1 + (r'/r)^2) w(theta) at each angular node."""
+    return _arc_element(star, weight.D, weight.arc_values(star.thetas))
+
+
+def _arc_element(star: StarSet, D: float, wv) -> np.ndarray:
+    """``boundary_element`` from the angular weight ``wv``."""
     r = star.radii
     dr = star.radial_derivative()
-    return r ** (weight.D - 1.0) * np.sqrt(1.0 + (dr / r) ** 2) * weight.arc_values(star.thetas)
+    return r ** (D - 1.0) * np.sqrt(1.0 + (dr / r) ** 2) * wv
 
 
 def weighted_perimeter(star: StarSet, weight: HomWeight) -> float:
@@ -170,15 +178,20 @@ def deficit(star: StarSet, weight: HomWeight) -> MeasureReport:
 
     delta = Per_w(E) / (c_star * w(E)^((D-1)/D)) - 1 with c_star evaluated at
     the set's own quadrature so that balls about the origin report exactly
-    zero in floating point.
+    zero in floating point.  The quadrature weights and the angular weight
+    are computed once, for the volume, the perimeter and w(B1 cap cone).
     """
-    vol = weighted_volume(star, weight)
+    _require_weighted(star, weight)
+    D = weight.D
+    qw = star.quad_weights()
+    wv = weight.arc_values(star.thetas)
+    vol = _volume(star, D, qw, wv)
     if vol <= 0:
         raise ZeroVolumeError("set has zero weighted volume")
-    per = weighted_perimeter(star, weight)
-    w1 = unit_ball_volume(star, weight)
-    r_eq = (vol / w1) ** (1.0 / weight.D)
-    return MeasureReport(vol, per, deficit_value(per, vol, w1, weight.D), r_eq)
+    per = float(qw @ _arc_element(star, D, wv))
+    w1 = float(qw @ wv) / D
+    r_eq = (vol / w1) ** (1.0 / D)
+    return MeasureReport(vol, per, deficit_value(per, vol, w1, D), r_eq)
 
 
 def deficit_value(per: float, vol: float, unit_volume: float, D: float) -> float:

@@ -313,6 +313,46 @@ class TestSectorArgmaxTies:
     def test_lowest_radius_wins_within_an_angle(self):
         assert self.argmax({9: (1.0, 1.0)}) == (1.0, 1 + 9)
 
+    def test_origin_best_scores_no_angle(self, monkeypatch):
+        # every other radius scores below the origin's 0, so no block's
+        # bound, which leaves radius 0 out, reaches the best so far
+        passes = _count_block_passes(monkeypatch)
+        assert self.argmax({5: (-0.5, -0.25), 40: (-1e-9, -1e-9)}) == (0.0, 0)
+        assert passes == []
+
+
+def _count_block_passes(monkeypatch):
+    """The number of points of each block pass of the sector argmax, as a
+    list that fills while the test runs."""
+    sizes = []
+    block_best = envelope._block_best
+
+    def counted(cols, gains, radii, c):
+        sizes.append(c.shape[1])
+        return block_best(cols, gains, radii, c)
+
+    monkeypatch.setattr(envelope, "_block_best", counted)
+    return sizes
+
+
+class TestSectorArgmaxPruning:
+    def test_envelope_verb_quadrant_scores_few_blocks(self, monkeypatch):
+        # the `envelope` verb's quadrant input: a 60 x 60 quadratic cloud on
+        # [-2, 2]^2, its 81 x 81 grid and the cloud as probes.  The origin is
+        # the best slope at 26% of these nodes; with radius 0 in the bounds,
+        # a node scored 9.3 blocks of 16 angles on average, and 0.99 without
+        pts = _lattice(60, -2.0, 2.0)
+        body = SlopeBody.sector_disk(Cone.quadrant(), 1.0)
+        conj = restricted_conjugate(pts, 0.5 * np.einsum("ij,ij->i", pts, pts), body)
+        passes = _count_block_passes(monkeypatch)
+        field = k_envelope(conj, ((-2.0, 2.0), (-2.0, 2.0)), 0.05, pts)
+        nodes = np.vstack([field.grid_points(), pts])
+        assert sum(passes) / len(nodes) <= 1.5
+        phi, _xi, idx = _loop_sector_argmax(conj, nodes)
+        probe_phi, _xi, probe_idx = field.at_probes
+        assert np.array_equal(np.concatenate([field.phi.ravel(), probe_phi]), phi)
+        assert np.array_equal(np.concatenate([field.slope_index.ravel(), probe_idx]), idx)
+
 
 def _polygon_reference_calls():
     """The (sites, f, queries) of both ``_dense_min`` calls, conjugate then
@@ -407,8 +447,8 @@ class TestDenseMin:
         stack, done = [], []  # [m, n, width, calls made] of open and finished calls
         tiled_min = envelope._tiled_min
 
-        def record(sites, f, queries, slack):
-            call = [len(queries), len(sites), np.ptp(queries, axis=0).max(), 0]
+        def record(sites, f, queries, slack):  # (d, n) sites, (d, m) queries
+            call = [queries.shape[1], sites.shape[1], np.ptp(queries, axis=1).max(), 0]
             if stack:
                 stack[-1][3] += 1
             stack.append(call)
@@ -589,6 +629,73 @@ class TestKEnvelope:
         phi, _, _ = conj.envelope_at(pts)
         h_pts = 2.0 / 80
         assert np.max(np.abs(phi - vals)) <= 2.0 * (h_pts + body.spacing)
+
+
+class TestProbePass:
+    """``k_envelope``'s probes ride in the grid's argmax pass and move no bit."""
+
+    BOX = ((-1.5, 1.5), (-1.2, 1.4))
+
+    @pytest.fixture(scope="class", params=["sector", "polygon"])
+    def conj(self, request):
+        pts = quad_cloud(n_ang=60, n_rad=31)
+        body = {"sector": SlopeBody.sector_disk(Cone.quadrant(), 1.0, 96, 40),
+                "polygon": SQUARE}[request.param]
+        return restricted_conjugate(pts, _paraboloid(pts), body)
+
+    @staticmethod
+    def probes(conj):
+        # the samples, and points on both sides of the grid's box
+        rng = np.random.default_rng(7)
+        return np.vstack([conj.points, rng.uniform(-3.0, 3.0, (200, 2))])
+
+    def test_grid_fields_equal_a_probe_less_call(self, conj):
+        plain = k_envelope(conj, self.BOX, 0.05)
+        field = k_envelope(conj, self.BOX, 0.05, self.probes(conj))
+        for name in ("xs", "ys", "phi", "xi", "slope_index"):
+            assert np.array_equal(getattr(field, name), getattr(plain, name))
+        assert plain.at_probes is None
+
+    def test_probe_triple_equals_envelope_at(self, conj):
+        probes = self.probes(conj)
+        field = k_envelope(conj, self.BOX, 0.05, probes)
+        for got, want in zip(field.at_probes, conj.envelope_at(probes), strict=True):
+            assert np.array_equal(got, want)
+
+    def test_one_argmax_pass_per_envelope_op_and_weighted_coupling(self, monkeypatch,
+                                                                    tmp_path):
+        import json
+
+        from isocone.cli import main
+        from isocone.coupling import Resolutions, build_coupling
+
+        calls = []
+        argmax = envelope._argmax
+
+        def counted(conj, pts):
+            calls.append(len(pts))
+            return argmax(conj, pts)
+
+        monkeypatch.setattr(envelope, "_argmax", counted)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"cone": {"angles": [0.0, math.pi / 2]},
+                                      "weight": {"monomial": [1, 1]},
+                                      "envelope": {"h": 0.2, "n_points": 20}}))
+        assert main(["envelope", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert calls == [21 * 21 + 20 * 20]
+        calls.clear()
+        weight = HomWeight.monomial(Cone.quadrant(), 1, 1)
+        star = StarSet.perturbed_ball(Cone.quadrant(), weight, 512, 0.1,
+                                      lambda th: np.cos(4.0 * th))
+        rep = build_coupling(star, WeightedMode(weight),
+                             Resolutions(mesh_h=0.08, n_slope=(64, 32), eval_h=0.04))
+        assert len(calls) == 1
+        # the boundary term reads the same slopes a separate pass would give
+        monkeypatch.setattr(envelope, "_argmax", argmax)
+        gauss, half_len, _t = rep.u.mesh.free_edge_gauss()
+        _phi, xi, _idx = rep.field.conj.envelope_at(gauss)
+        assert rep.boundary_term == float(np.sum(
+            half_len * weight(gauss) * (1.0 - np.linalg.norm(xi, axis=1))))
 
 
 class TestHessianField:

@@ -18,6 +18,7 @@ from isocone.geometry import (
     asymmetry,
     boundary_weighted_integral,
     deficit,
+    deficit_value,
     grid_midpoint_volume,
     is_indecomposable,
     power_mass,
@@ -152,6 +153,37 @@ class TestDeficit:
 
             star = StarSet.from_radial(QUADRANT, n_theta, r_fn)
             assert deficit(star, W_XY).deficit >= -5.0 / n_theta
+
+
+    @pytest.mark.parametrize("cone, weight", [(QUADRANT, W_XY), (HALF, W_Y)])
+    def test_report_equals_the_public_functions_bit_for_bit(self, cone, weight):
+        star = StarSet.perturbed_ball(cone, weight, 2048, 0.1, eta4)
+        rep = deficit(star, weight)
+        vol, per = weighted_volume(star, weight), weighted_perimeter(star, weight)
+        w1 = unit_ball_volume(star, weight)
+        assert (rep.w_volume, rep.w_perimeter) == (vol, per)
+        assert rep.deficit == deficit_value(per, vol, w1, weight.D)
+        assert rep.r_eq == (vol / w1) ** (1.0 / weight.D)
+
+    def test_arc_arrays_built_once_per_deficit(self, monkeypatch):
+        # the volume, the perimeter and w(B1 cap cone) share one angular
+        # weight and one set of quadrature weights
+        counts = {"arc_values": 0, "quad_weights": 0}
+        arc_values, quad_weights = HomWeight.arc_values, StarSet.quad_weights
+
+        def counted_arc_values(weight, thetas):
+            counts["arc_values"] += 1
+            return arc_values(weight, thetas)
+
+        def counted_quad_weights(star):
+            counts["quad_weights"] += 1
+            return quad_weights(star)
+
+        star = StarSet.perturbed_ball(HALF, W_Y, 2048, 0.1, eta_fourier_cos(HALF, 4))
+        monkeypatch.setattr(HomWeight, "arc_values", counted_arc_values)
+        monkeypatch.setattr(StarSet, "quad_weights", counted_quad_weights)
+        deficit(star, W_Y)
+        assert counts == {"arc_values": 1, "quad_weights": 1}
 
 
 class TestSymdiff:

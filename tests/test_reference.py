@@ -1,4 +1,4 @@
-"""Output drift guard: fourteen configs checked against perfbench/reference.json.
+"""Output drift guard: fifteen configs checked against perfbench/reference.json.
 
 Each config runs through ``isocone.cli.main`` and its outputs are compared
 with the recorded reference entry by ``perfbench/reference.check``, which
@@ -23,6 +23,8 @@ import workloads  # noqa: E402
 
 CASES = {
     "sector_envelope": ("envelope", workloads.envelope_sector("half_y", 0.75)),
+    # the origin is the best slope at a quarter of its nodes (0.6% on the half-plane)
+    "quadrant_sector_envelope": ("envelope", workloads.envelope_sector("quadrant_xy", 1.0)),
     "polygon_envelope": ("envelope", workloads.envelope_polygon(workloads.DIAMOND)),
     "quadrant_couple_readme": ("couple",
                                workloads.couple_weighted("quadrant_xy", "readme", 0.05, 3)),
