@@ -226,7 +226,11 @@ class HomWeight:
 
     def root(self, pts) -> np.ndarray:
         """w^(1/alpha) at the rows of ``pts``, with w clipped at 0."""
-        return np.clip(self(pts), 0.0, None) ** (1.0 / self.alpha)
+        return self.root_of(self(pts))
+
+    def root_of(self, w) -> np.ndarray:
+        """w^(1/alpha) of the weight values ``w``, clipped at 0."""
+        return np.clip(w, 0.0, None) ** (1.0 / self.alpha)
 
     def arc_values(self, thetas) -> np.ndarray:
         """Profile w(u(theta)) on the unit arc."""

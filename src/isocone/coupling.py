@@ -16,8 +16,14 @@ measures every quantity the coupling is supposed to control:
 
 Evaluation nodes within one eval step of the cone's boundary rays (the
 band) are excluded from sup and chain quantities (the weight may vanish
-there).  The envelope Hessian is the masked 5 x 5 least-squares fit of the
-maximizing-slope field (EnvelopeField.hessian_field).  The mode, a
+there).  The integrals use the mesh's edge-midpoint rule.  In weighted mode
+the midpoint quantities they share (the positive parts of the Hessian's
+eigenvalues, w and w(grad phi)) are computed once, at every midpoint, by
+``build_coupling``; the chain and the weight-shift term select their
+midpoints from them, which gives the same bits as evaluating at those
+midpoints alone, since every step acts point by point.  The envelope
+Hessian is the masked 5 x 5 least-squares fit of the maximizing-slope
+field (EnvelopeField.hessian_field).  The mode, a
 ``pde.WeightedMode`` or ``pde.AnisotropicMode``, goes to the solve as is.
 """
 
@@ -88,6 +94,11 @@ class CouplingReport:
     resolutions: Resolutions
     reference_volume: float
     interior: np.ndarray  # eval nodes in E and outside the band, flat
+    # weighted mode, at the nodes of u.mesh.midpoint_rule(): the positive
+    # parts (2, 3T) of the envelope Hessian's eigenvalues, w and w(grad phi)
+    mid_eigen: np.ndarray | None
+    mid_w: np.ndarray | None
+    mid_w_xi: np.ndarray | None
 
 
 def anisotropic_perimeter(star: StarSet, body: SlopeBody) -> float:
@@ -132,12 +143,12 @@ def _positive_part_eigen(H):
     return np.maximum(mean + rad, 0.0), np.maximum(mean - rad, 0.0)
 
 
-def _weight_ratio(weight: HomWeight, x, xi):
+def _weight_ratio(alpha: float, w_x, w_xi):
     """(w(x) floored at 1e-300, w(xi) clipped at 0, (w(xi) / w(x))^(1/alpha))
-    over the rows of x and xi."""
-    w_x = np.clip(weight(x), 1e-300, None)
-    w_xi = np.clip(weight(xi), 0.0, None)
-    return w_x, w_xi, (w_xi / w_x) ** (1.0 / weight.alpha)
+    from the values w(x) and w(xi)."""
+    w_x = np.clip(w_x, 1e-300, None)
+    w_xi = np.clip(w_xi, 0.0, None)
+    return w_x, w_xi, (w_xi / w_x) ** (1.0 / alpha)
 
 
 def build_coupling(star: StarSet, mode: WeightedMode | AnisotropicMode,
@@ -193,7 +204,7 @@ def build_coupling(star: StarSet, mode: WeightedMode | AnisotropicMode,
     tr_plus = lam1 + lam2
     xi_nodes = field.xi.reshape(-1, 2)
     if weighted:
-        _w_nodes, _w_xi, t_term = _weight_ratio(weight, nodes, xi_nodes)
+        _w_nodes, _w_xi, t_term = _weight_ratio(weight.alpha, weight(nodes), weight(xi_nodes))
         violation = tr_plus + weight.alpha * t_term - u.b_E
     else:
         violation = tr_plus - u.b_E
@@ -204,8 +215,13 @@ def build_coupling(star: StarSet, mode: WeightedMode | AnisotropicMode,
     H_mid = field.interp_hessian(hess, mids)
     dev = H_mid - np.eye(2)[None, :, :]
     frob = np.sqrt(np.einsum("ijk,ijk->i", dev, dev))
-    w_mid = weight(mids) if weighted else 1.0
-    hessian_l1 = float(np.sum(areas3 * w_mid * frob))
+    mid_eigen = mid_w = mid_w_xi = None
+    if weighted:  # what the chain and the weight-shift term read
+        mid_eigen = np.stack(_positive_part_eigen(H_mid))
+        del H_mid, dev  # (3T, 2, 2) each, freed before the slopes' (3T, 2)
+        mid_w = weight(mids)
+        mid_w_xi = weight(field.interp_xi(mids))
+    hessian_l1 = float(np.sum(areas3 * (mid_w if weighted else 1.0) * frob))
 
     boundary_term = 0.0
     if weighted:
@@ -223,7 +239,7 @@ def build_coupling(star: StarSet, mode: WeightedMode | AnisotropicMode,
         grad_range_hausdorff=grad_range_hausdorff, lip_grad=field.lip_grad(),
         convexity_violation=field.convexity_violation(),
         slope_spacing=body.spacing, resolutions=res, reference_volume=ref_volume,
-        interior=interior,
+        interior=interior, mid_eigen=mid_eigen, mid_w=mid_w, mid_w_xi=mid_w_xi,
     )
 
 
@@ -240,8 +256,8 @@ def weight_shift_term(report: CouplingReport, Q) -> float:
               & (mids[:, 1] >= y0) & (mids[:, 1] <= y1))
     if not inside.any():
         return 0.0
-    xi_m = report.field.interp_xi(mids[inside])
-    vals = np.abs(weight.root(xi_m) - weight.root(mids[inside]))
+    vals = np.abs(weight.root_of(report.mid_w_xi[inside])
+                  - weight.root_of(report.mid_w[inside]))
     return float(np.sum(areas3[inside] * vals))
 
 
@@ -308,12 +324,10 @@ def abp_chain_check(report: CouplingReport) -> ChainRecord:
 
     mids, areas3 = report.u.mesh.midpoint_rule()
     band_ok = weight.cone.boundary_distance(mids) > res.eval_h
-    mids_b = mids[band_ok]
     areas_b = areas3[band_ok]
 
-    H_mid = report.field.interp_hessian(report.hessians, mids_b)
-    lam1, lam2 = _positive_part_eigen(H_mid)
-    w_m, w_xi, t_term = _weight_ratio(weight, mids_b, report.field.interp_xi(mids_b))
+    lam1, lam2 = report.mid_eigen[:, band_ok]
+    w_m, w_xi, t_term = _weight_ratio(alpha, report.mid_w[band_ok], report.mid_w_xi[band_ok])
 
     jacobian_integral = float(np.sum(areas_b * lam1 * lam2 * w_xi))
     amgm_integrand = ((lam1 + lam2 + alpha * t_term) / D) ** D * w_m

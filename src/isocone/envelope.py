@@ -347,9 +347,11 @@ def _sector_argmax(conj: "RestrictedConjugate", pts):
     point scores all angles of a block in one pass (``_block_best``).  Each
     score is nondecreasing in c = x . u, so a block scores at most its
     blockwise-max column's conjugate at the block's largest c; that convex
-    function is bounded by its chords between knots, plus a rounding slack.
-    The bound leaves out radius 0: its score is the origin's a0, which is
-    every point's first best and wins its ties, so radius 0 never wins.
+    function is bounded by its chords between knots, plus a rounding slack,
+    and the block's largest c is found among four of its angles
+    (``_block_max_projection``).  The bound leaves out radius 0: its score
+    is the origin's a0, which is every point's first best and wins its
+    ties, so radius 0 never wins.
     Each point scores its most promising block first, then only the blocks
     whose bound reaches its best value so far, so a point the origin wins
     can skip every block.  c is formed elementwise (``_projections``), so it
@@ -361,7 +363,8 @@ def _sector_argmax(conj: "RestrictedConjugate", pts):
     n_r, n_ang = body.polar_shape
     radii = np.linspace(0.0, body.rho, n_r)
     dr = radii[1] - radii[0]
-    U = unit(body.cone.arc_grid(n_ang))
+    thetas = body.cone.arc_grid(n_ang)
+    U = unit(thetas)
     a0 = conj.intercepts[0]
     cols = np.empty((n_ang, n_r))
     cols[:, 0] = a0
@@ -370,9 +373,9 @@ def _sector_argmax(conj: "RestrictedConjugate", pts):
     n = len(pts)
     blocks = [slice(b0, b0 + _ANGLE_BLOCK) for b0 in range(0, n_ang, _ANGLE_BLOCK)]
     bound = np.empty((len(blocks), n))
-    for b, block in enumerate(blocks):
-        bound[b] = _block_bound(cols[block, 1:].max(axis=0), radii[1:],
-                                _projections(U[block], pts).max(axis=0))
+    c_max = _block_max_projection(thetas, U, blocks, pts)
+    for b, (block, c) in enumerate(zip(blocks, c_max)):
+        bound[b] = _block_bound(cols[block, 1:].max(axis=0), radii[1:], c)
     best_val = np.full(n, a0)
     best_idx = np.zeros(n, dtype=np.int64)
     best_ang = np.full(n, -1)  # the origin, which wins every tie
@@ -394,6 +397,39 @@ def _sector_argmax(conj: "RestrictedConjugate", pts):
             best_idx[win] = 1 + (k[better] - 1) * n_ang + j[better]
             best_ang[win] = j[better]
     return best_val, body.samples[best_idx], best_idx
+
+
+def _block_max_projection(thetas, U, blocks, pts):
+    """Yield, block by block, each point's largest x . u over the block's
+    angles, taken over at most four of them.
+
+    x . u = |x| cos(theta - arg x).  Over the angles of an arc narrower than
+    2 pi, an angle that is neither an end nor one of the two that bracket
+    arg x has a neighbour whose exact x . u is larger by at least
+    |x| (1 - cos Delta), Delta the grid step, so the largest is at an end or
+    a bracket inside the arc.  A block therefore takes its two ends, and the
+    pair bracketing arg x when both lie in it (a pair that straddles two
+    blocks is their ends; a point outside the cone takes the last pair).
+    The gap |x| (1 - cos Delta) is above 1e-9 |x| for any step over 5e-5,
+    and the rounding of each x_0 u_0 + x_1 u_1, the rounded unit vector
+    included, is below 1e-15 |x|; a bracket one angle off by the rounding of
+    arg x still holds the nearest angle.  So the maximum is the one over all
+    of the block's angles bit for bit.  Were it an ulp low, the bound of
+    ``_block_bound`` would drop by at most radii[-1] ulp(c), some 2e-16
+    radii[-1] max|c|, which its slack 1e-12 radii[-1] max|c| covers.
+    """
+    n_ang = len(thetas)
+    rel = np.mod(np.arctan2(pts[:, 1], pts[:, 0]) - thetas[0], 2.0 * math.pi)
+    hi = np.clip(np.searchsorted(thetas - thetas[0], rel), 1, n_ang - 1)
+    pair = np.maximum(U[hi - 1, 0] * pts[:, 0] + U[hi - 1, 1] * pts[:, 1],
+                      U[hi, 0] * pts[:, 0] + U[hi, 1] * pts[:, 1])
+    lo_block, hi_block = (hi - 1) // _ANGLE_BLOCK, hi // _ANGLE_BLOCK
+    pair_block = np.where(lo_block == hi_block, hi_block, -1)
+    for b, block in enumerate(blocks):
+        c = _projections(U[[block.start, min(block.stop, n_ang) - 1]], pts).max(axis=0)
+        own = np.flatnonzero(pair_block == b)
+        c[own] = np.maximum(c[own], pair[own])
+        yield c
 
 
 def _projections(U, pts):
@@ -515,17 +551,19 @@ class EnvelopeField:
             np.stack([Sx, Sxx, Sxy], axis=-1),
             np.stack([Sy, Sxy, Syy], axis=-1),
         ], axis=-2)
-        det = np.linalg.det(M)
-        good = (S >= 3) & (np.abs(det) > 1e-14 * np.maximum(S, 1.0) ** 3 * self.h ** 4)
-        M_safe = np.where(good[..., None, None], M, np.eye(3))
+        # each 3 x 3 system is factored on its own, so the nodes with too
+        # few masked points, and then the singular ones, are left out
+        good = S >= 3
+        good[good] = np.abs(np.linalg.det(M[good])) > 1e-14 * S[good] ** 3 * self.h ** 4
+        M_good = M[good]
 
         H = np.zeros(self.phi.shape + (2, 2))
         for comp in range(2):
             f = self.xi[:, :, comp] * m
             rhs = np.stack([box(f, one), box(f, ox), box(f, oy)], axis=-1)
-            beta = np.linalg.solve(M_safe, rhs[..., None])[..., 0]
-            H[:, :, comp, 0] = np.where(good, beta[..., 1], 0.0)
-            H[:, :, comp, 1] = np.where(good, beta[..., 2], 0.0)
+            beta = np.linalg.solve(M_good, rhs[good][..., None])[..., 0]
+            H[good, comp, 0] = beta[:, 1]
+            H[good, comp, 1] = beta[:, 2]
         return 0.5 * (H + np.swapaxes(H, 2, 3))
 
     def interp_xi(self, pts) -> np.ndarray:
@@ -541,8 +579,8 @@ class EnvelopeField:
         dy = np.linalg.norm(np.diff(self.xi, axis=0), axis=2) / self.h
         return float(max(dx.max(), dy.max()))
 
-    def achieved_slopes(self, mask: np.ndarray | None = None) -> np.ndarray:
-        """The distinct maximizing slopes, in slope-index order.
+    def achieved_indices(self, mask: np.ndarray | None = None) -> np.ndarray:
+        """The indices of the distinct maximizing slopes, ascending.
 
         An optional boolean ``mask`` (ny, nx), or flat, keeps only the
         selected nodes.
@@ -550,17 +588,24 @@ class EnvelopeField:
         idx = self.slope_index.ravel()
         # ravel is a view here and a fancy index a copy; the sort is in place
         idx = idx.copy() if mask is None else idx[mask.ravel()]
-        return self.body.samples[_sorted_unique(idx)]
+        return _sorted_unique(idx)
 
     def range_hausdorff(self, mask: np.ndarray | None = None):
         """(distance from the body's samples to the achieved slopes, their count).
 
-        The achieved slopes are sample points, so the distance is one-sided.
-        An optional boolean ``mask`` (ny, nx) keeps only the selected nodes.
+        The achieved slopes are sample points, so the distance is one-sided,
+        and an achieved sample is at distance exactly 0: only the others are
+        queried, and the distance is 0.0 when there are none.  An optional
+        boolean ``mask`` (ny, nx) keeps only the selected nodes.
         """
-        cloud = self.achieved_slopes(mask)
-        d, _ = cKDTree(cloud).query(self.body.samples)
-        return float(d.max()), len(cloud)
+        hit = self.achieved_indices(mask)
+        samples = self.body.samples
+        missed = np.ones(len(samples), dtype=bool)
+        missed[hit] = False
+        if not missed.any():
+            return 0.0, len(hit)
+        d, _ = cKDTree(samples[hit]).query(samples[missed])
+        return float(d.max()), len(hit)
 
     def convexity_violation(self) -> float:
         """Worst negative midpoint second difference (axes and diagonals)."""
@@ -577,11 +622,13 @@ class EnvelopeField:
         pts = self.grid_points()
         rows = np.column_stack([pts, self.phi.ravel(),
                                 self.xi[:, :, 0].ravel(), self.xi[:, :, 1].ravel()])
-        emit_csv(path, ("x", "y", "phi", "xi1", "xi2"), rows.tolist())
+        emit_csv(path, ("x", "y", "phi", "xi1", "xi2"), rows)
 
 
 def _bilinear(xs, ys, F, pts):
-    """Bilinear interpolation of the node field F (ny, nx, c) at pts (n, 2)."""
+    """Bilinear interpolation of the node field F (ny, nx, c) at pts (n, 2),
+    rounded as f00 (1-tx)(1-ty) + f10 tx (1-ty) + f01 (1-tx) ty + f11 tx ty
+    from the left; each point's value depends on that point alone."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     hx = xs[1] - xs[0]
     hy = ys[1] - ys[0]
@@ -591,13 +638,17 @@ def _bilinear(xs, ys, F, pts):
     iy = fy.astype(int)
     tx = (fx - ix)[:, None]
     ty = (fy - iy)[:, None]
+    sx, sy = 1 - tx, 1 - ty
     vals = np.asarray(F, dtype=float)
-    f00 = vals[iy, ix]
-    f10 = vals[iy, ix + 1]
-    f01 = vals[iy + 1, ix]
-    f11 = vals[iy + 1, ix + 1]
-    out = (f00 * (1 - tx) * (1 - ty) + f10 * tx * (1 - ty)
-           + f01 * (1 - tx) * ty + f11 * tx * ty)
+    nodes = vals.reshape(-1, vals.shape[-1])  # row iy * nx + ix
+    k = iy * len(xs) + ix
+    # one flat take per corner gathers faster than vals[iy, ix]
+    out = np.take(nodes, k, axis=0) * sx
+    out *= sy
+    for step, wx, wy in ((1, tx, sy), (len(xs), sx, ty), (len(xs) + 1, tx, ty)):
+        term = np.take(nodes, k + step, axis=0) * wx
+        term *= wy
+        out += term
     return out.squeeze()
 
 

@@ -47,6 +47,11 @@ _GAUSS2 = ((0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)))
 _MIN_ANGLE_DEG = 20.0  # smallest triangle angle fan_triangulate accepts
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _row_norms(d: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, rounded as np.linalg.norm rounds one vector."""
     return np.sqrt(d[:, None, :] @ d[:, :, None]).reshape(-1)
@@ -61,7 +66,9 @@ class TriMesh:
     sets).  ``rings`` records the structured vertex layout of fan meshes
     (list of vertex-id arrays, innermost first) when available.  Triangles
     are reordered counterclockwise on construction, so every area is
-    positive.
+    positive.  The areas and the midpoint rule are computed once per mesh
+    and handed out read-only, so the vertices and triangles must not change
+    after construction.
     """
 
     vertices: np.ndarray
@@ -71,18 +78,23 @@ class TriMesh:
     rings: list | None = None
 
     def __post_init__(self):
-        flip = self.areas() < 0
+        p = self.vertices[self.triangles]
+        d1 = p[:, 1] - p[:, 0]
+        d2 = p[:, 2] - p[:, 0]
+        area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        flip = area < 0
         self.triangles = np.where(flip[:, None], self.triangles[:, [0, 2, 1]], self.triangles)
+        # swapping two vertices swaps the two products, so a flipped
+        # triangle's area is the exact negation
+        self._areas = _read_only(np.where(flip, -area, area))
+        self._midpoint_rule = None
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
 
     def areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return self._areas
 
     def edge_midpoints(self) -> np.ndarray:
         """(T, 3, 2) midpoints of the edges opposite each local vertex."""
@@ -94,9 +106,13 @@ class TriMesh:
         """Edge-midpoint triangle quadrature (exact for quadratics).
 
         Returns nodes (3T, 2), triangle by triangle in the order of
-        :meth:`edge_midpoints`, and weights (3T,), a third of the area each.
+        :meth:`edge_midpoints`, and weights (3T,), a third of the area each;
+        both are built on the first call and read-only.
         """
-        return self.edge_midpoints().reshape(-1, 2), np.repeat(self.areas() / 3.0, 3)
+        if self._midpoint_rule is None:
+            self._midpoint_rule = (_read_only(self.edge_midpoints().reshape(-1, 2)),
+                                   _read_only(np.repeat(self._areas / 3.0, 3)))
+        return self._midpoint_rule
 
     def free_edge_gauss(self):
         """Two-point Gauss quadrature on the free edges.
@@ -315,6 +331,24 @@ def _p1_gradients(mesh: TriMesh):
     return grads
 
 
+def _stiffness(mesh: TriMesh, tri_wq) -> sparse.csr_matrix:
+    """P1 stiffness matrix with the quadrature weights ``tri_wq`` (T, 3).
+
+    The solve's peak memory is the LU factorization's fill on top of what
+    the assembly left in the heap, so the assembly keeps one (T, 3, 3)
+    block, scaled in place, and int32 indices, the type SciPy would copy
+    int64 ones to; all of it is freed on return.
+    """
+    grads = _p1_gradients(mesh)
+    k_loc = np.einsum("tid,tjd->tij", grads, grads)
+    k_loc *= tri_wq.sum(axis=1)[:, None, None]
+    tri = mesh.triangles.astype(np.int32)
+    rows = np.repeat(tri, 3, axis=1).reshape(-1)
+    cols = np.tile(tri, (1, 3)).reshape(-1)
+    nv = mesh.n_vertices
+    return sparse.coo_matrix((k_loc.reshape(-1), (rows, cols)), shape=(nv, nv)).tocsr()
+
+
 def solve_neumann(mesh: TriMesh, mode: WeightedMode | AnisotropicMode) -> NodalField:
     """Galerkin P1 solve of the weighted or anisotropic Neumann problem.
 
@@ -326,18 +360,13 @@ def solve_neumann(mesh: TriMesh, mode: WeightedMode | AnisotropicMode) -> NodalF
     to weighted mean zero.  A disconnected mesh raises :class:`SolverError`.
     """
     weighted = isinstance(mode, WeightedMode)
-    grads = _p1_gradients(mesh)
     mids, mid_wq = mesh.midpoint_rule()
     if weighted:
         mid_wq = mid_wq * mode.weight(mids)
     tri_wq = mid_wq.reshape(-1, 3)  # quadrature weights per midpoint
 
     nv = mesh.n_vertices
-    gg = np.einsum("tid,tjd->tij", grads, grads)
-    k_loc = gg * tri_wq.sum(axis=1)[:, None, None]
-    rows = np.repeat(mesh.triangles, 3, axis=1).reshape(-1)
-    cols = np.tile(mesh.triangles, (1, 3)).reshape(-1)
-    A = sparse.coo_matrix((k_loc.reshape(-1), (rows, cols)), shape=(nv, nv)).tocsr()
+    A = _stiffness(mesh, tri_wq)
 
     # midpoint m_i (opposite vertex i) carries phi_j = 1/2 for j != i
     mass_vec = np.zeros(nv)

@@ -164,6 +164,57 @@ class TestEmit:
         assert path.read_text() == "mode,x,y\nweighted,,2.5\nnan-free,1e-05,-0\n"
 
 
+def _envelope_rows(body):
+    """The (x, y, phi, xi1, xi2) array EnvelopeField.dump_csv writes."""
+    from isocone.envelope import k_envelope, restricted_conjugate
+    th = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
+    pts = np.vstack([[0.0, 0.0], (np.linspace(0.1, 1.5, 12)[:, None, None]
+                                  * np.stack([np.cos(th), np.sin(th)], -1)).reshape(-1, 2)])
+    field = k_envelope(restricted_conjugate(pts, 0.5 * np.einsum("ij,ij->i", pts, pts), body),
+                       ((-1.0, 1.0), (-0.5, 1.0)), 0.05)
+    return np.column_stack([field.grid_points(), field.phi.ravel(),
+                            field.xi[:, :, 0].ravel(), field.xi[:, :, 1].ravel()])
+
+
+class TestEmitColumns:
+    """A float array takes the column path, which writes the row path's bytes."""
+
+    @staticmethod
+    def both_paths(tmp_path, rows):
+        from isocone.geometry import emit_csv
+        columns = tuple(f"c{j}" for j in range(rows.shape[1]))
+        emit_csv(tmp_path / "array.csv", columns, rows)
+        emit_csv(tmp_path / "rows.csv", columns, rows.tolist())
+        return (tmp_path / "array.csv").read_bytes(), (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("body", ["sector", "polygon"])
+    def test_envelope_fields(self, tmp_path, body):
+        from isocone.cone_weight import Cone
+        from isocone.envelope import SlopeBody
+        body = (SlopeBody.sector_disk(Cone.half_plane(), 1.0, 32, 24) if body == "sector"
+                else SlopeBody.polygon([(-1.0, -1.0), (1.0, -0.5), (0.5, 1.0)], n_samples=500))
+        array_bytes, row_bytes = self.both_paths(tmp_path, _envelope_rows(body))
+        assert array_bytes == row_bytes
+
+    @pytest.mark.parametrize("rows", [
+        [[-0.0, 0.0, float("nan"), 1e14, -1.2345678901234e14],
+         [0.0, -0.0, 2.5, 1e14, 123456789012.5],
+         [-0.0, 1e-300, float("nan"), -1e14, 5e-324],
+         [1.0 / 3.0, float("inf"), -float("inf"), 1e14 + 2.0, 2.5]],
+        [[1.5, -0.0, float("nan")]],
+    ], ids=["signed-zeros-nan-large-repeats", "one-row"])
+    def test_synthetic_arrays(self, tmp_path, rows):
+        array_bytes, row_bytes = self.both_paths(tmp_path, np.array(rows))
+        assert array_bytes == row_bytes
+        assert b"nan" not in array_bytes and b"-0," in array_bytes
+
+    @pytest.mark.parametrize("rows", [np.zeros((0, 3)), np.array([[np.nan], [np.nan]])],
+                             ids=["no-rows", "empty-lines"])
+    def test_empty_rows_and_cells(self, tmp_path, rows):
+        array_bytes, row_bytes = self.both_paths(tmp_path, rows)
+        assert array_bytes == row_bytes
+
+
 class TestCoupleVerb:
     def test_couple_emits_json_report(self, tmp_path):
         config = dict(BASE_CONFIG)

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from isocone import envelope
+from isocone.analysis import amgm_sides
 from isocone.cone_weight import Cone, HomWeight
 from isocone.coupling import (
+    ChainRecord,
     MinimizerDegenerateError,
     Resolutions,
+    _positive_part_eigen,
     abp_chain_check,
     anisotropic_deficit,
     anisotropic_perimeter,
@@ -18,7 +22,7 @@ from isocone.coupling import (
 from isocone.envelope import SlopeBody
 from isocone.expectations import EXPECTATIONS
 from isocone.geometry import StarSet
-from isocone.pde import AnisotropicMode, WeightedMode, triangulate_polygon
+from isocone.pde import AnisotropicMode, TriMesh, WeightedMode, triangulate_polygon
 
 SUP_C = EXPECTATIONS["coupling_sup_violation_C"]  # the pointwise-bound constant
 QUADRANT = Cone.quadrant()
@@ -200,3 +204,119 @@ class TestAnisotropic:
         assert rep.b_E == pytest.approx(2.0, abs=1e-10)
         assert rep.grad_range_hausdorff <= 2.0 * rep.slope_spacing
         assert rep.sup_violation <= SUP_C * (0.025 + rep.slope_spacing)
+
+
+# -- the midpoint quantities are computed once per op ------------------------
+
+SHARING_RES = Resolutions(mesh_h=0.05, n_slope=(128, 48), eval_h=0.02)
+SHARING_CASES = {
+    "quadrant-xy": (W_XY, Q_BOX),
+    "quadrant-x": (HomWeight.monomial(QUADRANT, 1, 0), Q_BOX),
+    "half-plane-y": (HomWeight.monomial(Cone.half_plane(), 0, 1), ((-0.2, 0.2), (0.2, 0.6))),
+}
+
+
+def _per_call_quantities(rep, Q):
+    """hessian_l1, the weight-shift term and the chain's integrands as each
+    call computed them before the coupling kept its midpoint quantities:
+    every call interpolates at its own midpoints and evaluates w there."""
+    weight, res, field = rep.weight, rep.resolutions, rep.field
+    mesh = rep.u.mesh
+    mids = mesh.edge_midpoints().reshape(-1, 2)
+    areas3 = np.repeat(mesh.areas() / 3.0, 3)
+
+    dev = field.interp_hessian(rep.hessians, mids) - np.eye(2)[None, :, :]
+    frob = np.sqrt(np.einsum("ijk,ijk->i", dev, dev))
+    hessian_l1 = float(np.sum(areas3 * weight(mids) * frob))
+
+    (x0, x1), (y0, y1) = Q
+    inside = ((mids[:, 0] >= x0) & (mids[:, 0] <= x1)
+              & (mids[:, 1] >= y0) & (mids[:, 1] <= y1))
+    xi_q = field.interp_xi(mids[inside])
+    shift = float(np.sum(areas3[inside]
+                         * np.abs(weight.root(xi_q) - weight.root(mids[inside]))))
+
+    band_ok = weight.cone.boundary_distance(mids) > res.eval_h
+    mids_b = mids[band_ok]
+    lam1, lam2 = _positive_part_eigen(field.interp_hessian(rep.hessians, mids_b))
+    w_m = np.clip(weight(mids_b), 1e-300, None)
+    w_xi = np.clip(weight(field.interp_xi(mids_b)), 0.0, None)
+    t_term = (w_xi / w_m) ** (1.0 / weight.alpha)
+    return hessian_l1, shift, (areas3[band_ok], lam1, lam2, w_m, w_xi, t_term)
+
+
+def _per_call_chain(rep, integrands):
+    """The ChainRecord of the chain check's per-call formulas."""
+    areas_b, lam1, lam2, w_m, w_xi, t_term = integrands
+    alpha, D = rep.weight.alpha, rep.weight.D
+    jacobian = float(np.sum(areas_b * lam1 * lam2 * w_xi))
+    amgm_integrand = ((lam1 + lam2 + alpha * t_term) / D) ** D * w_m
+    amgm = float(np.sum(areas_b * amgm_integrand))
+    terminal = (1.0 + max(rep.delta, 0.0)) ** D * rep.reference_volume
+    lam_vec = np.array([1.0, 1.0, alpha])
+    c = rep.b_E / D
+    x_stack = np.stack([lam1, lam2, t_term], axis=1)
+    pre_ok = (x_stack @ lam_vec) <= c * float(lam_vec.sum()) * (1.0 + 1e-12)
+    lhs, rhs = amgm_sides(lam_vec, x_stack[pre_ok], c)
+    res = rep.resolutions
+    tol = EXPECTATIONS["coupling_chain_C"] * (res.mesh_h + rep.slope_spacing) * terminal
+    violations = (max(0.0, rep.reference_volume - jacobian), max(0.0, jacobian - amgm),
+                  max(0.0, amgm - terminal))
+    return ChainRecord(rep.reference_volume, jacobian, amgm, terminal, tol, violations,
+                       float(np.max(lhs - rhs)) if len(lhs) else 0.0, int(np.sum(~pre_ok)),
+                       len(pre_ok))
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` into a list that fills as the test runs."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestMidpointSharing:
+    @pytest.fixture(scope="class", params=sorted(SHARING_CASES))
+    def case(self, request):
+        weight, Q = SHARING_CASES[request.param]
+        star = StarSet.perturbed_ball(weight.cone, weight, 2048, 0.1, eta4)
+        return build_coupling(star, WeightedMode(weight), SHARING_RES), Q
+
+    def test_same_bits_as_per_call_formulas(self, case):
+        rep, Q = case
+        hessian_l1, shift, integrands = _per_call_quantities(rep, Q)
+        assert rep.hessian_l1 == hessian_l1
+        assert weight_shift_term(rep, Q) == shift
+        # every ChainRecord field, the AM-GM audit among them
+        assert abp_chain_check(rep) == _per_call_chain(rep, integrands)
+
+    def test_midpoint_rule_is_read_only(self, case):
+        rep, _Q = case
+        mids, weights = rep.u.mesh.midpoint_rule()
+        for array in (mids, weights, rep.u.mesh.areas()):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_weighted_op_interpolates_twice_and_builds_one_rule(self, monkeypatch):
+        bilinear = _count_calls(monkeypatch, envelope, "_bilinear")
+        midpoints = _count_calls(monkeypatch, TriMesh, "edge_midpoints")
+        star = StarSet.perturbed_ball(QUADRANT, W_XY, 2048, 0.1, eta4)
+        rep = build_coupling(star, WeightedMode(W_XY), SHARING_RES)
+        verify_coupling_estimates(rep, Q_BOX)
+        abp_chain_check(rep)
+        assert len(bilinear) == 2  # H and xi, each at every midpoint
+        assert len(midpoints) == 1
+
+    def test_anisotropic_op_interpolates_the_hessian_only(self, monkeypatch):
+        bilinear = _count_calls(monkeypatch, envelope, "_bilinear")
+        star = StarSet.ball(Cone.plane(), 1024)
+        rep = build_coupling(star, AnisotropicMode(SlopeBody.disk(1.0, 64, 64)),
+                             Resolutions(mesh_h=0.05, eval_h=0.02))
+        verify_coupling_estimates(rep)
+        assert len(bilinear) == 1
+        assert rep.mid_eigen is None and rep.mid_w is None and rep.mid_w_xi is None

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from isocone import envelope
 from isocone.cone_weight import Cone, HomWeight, unit
@@ -352,6 +353,52 @@ class TestSectorArgmaxPruning:
         probe_phi, _xi, probe_idx = field.at_probes
         assert np.array_equal(np.concatenate([field.phi.ravel(), probe_phi]), phi)
         assert np.array_equal(np.concatenate([field.slope_index.ravel(), probe_idx]), idx)
+
+
+# blocks of 16 angles: 40 angles leave a ragged block, and the disk's
+# blocks meet across the periodic seam
+BOUND_BODIES = {
+    "quadrant": SlopeBody.sector_disk(Cone.quadrant(), 1.0, 24, 40),
+    "half-plane": SlopeBody.sector_disk(Cone.half_plane(), 1.0, 24, 37),
+    "disk": SlopeBody.disk(1.0, 24, 48),
+}
+
+
+def _angle_probes(body):
+    """Points exactly on every sample angle (the block edges and the cone's
+    rays among them), between neighbouring sample angles, an ulp-scale step
+    off each, just outside the cone's rays, and the origin."""
+    thetas = body.cone.arc_grid(body.polar_shape[1])
+    mids = 0.5 * (thetas[:-1] + thetas[1:])
+    angles = np.concatenate([thetas, mids, thetas + 1e-15, thetas - 1e-15,
+                             [thetas[0] - 1e-3, thetas[-1] + 1e-3]])
+    rays = unit(angles)
+    return np.vstack([[[0.0, 0.0]], 0.35 * rays, 1.3 * rays, unit(thetas) * 2.0 ** -40])
+
+
+class TestBlockMaxProjection:
+    @pytest.mark.parametrize("name", sorted(BOUND_BODIES))
+    def test_equals_the_max_over_every_angle_of_the_block(self, name):
+        body = BOUND_BODIES[name]
+        thetas = body.cone.arc_grid(body.polar_shape[1])
+        U = unit(thetas)
+        pts = np.vstack([_angle_probes(body),
+                         np.random.default_rng(3).normal(size=(500, 2))])
+        blocks = [slice(b0, b0 + envelope._ANGLE_BLOCK)
+                  for b0 in range(0, len(thetas), envelope._ANGLE_BLOCK)]
+        got = list(envelope._block_max_projection(thetas, U, blocks, pts))
+        assert len(got) == len(blocks)
+        for block, c in zip(blocks, got):
+            assert np.array_equal(c, envelope._projections(U[block], pts).max(axis=0))
+
+    @pytest.mark.parametrize("name", sorted(BOUND_BODIES))
+    def test_argmax_bitwise_on_sample_angles_block_edges_and_rays(self, name):
+        body = BOUND_BODIES[name]
+        conj = restricted_conjugate(SMALL, _paraboloid(SMALL), body)
+        probes = _angle_probes(body)
+        got = conj.envelope_at(probes)
+        for g, w in zip(got, _loop_sector_argmax(conj, probes)):
+            assert np.array_equal(g, w)
 
 
 def _polygon_reference_calls():
@@ -733,12 +780,46 @@ class TestAchievedSlopes:
         mask = field.grid_points()[:, 1] > 0.3
         index = field.slope_index.copy()
         for m in (None, mask, mask.reshape(field.phi.shape)):
-            got = field.achieved_slopes(m)
+            got = body.samples[field.achieved_indices(m)]
             want = np.unique(xi if m is None else xi[m.ravel()], axis=0)
             assert len(got) == len(want)
             assert np.array_equal(np.unique(got, axis=0), want)
         assert np.array_equal(field.slope_index, index)  # sorted on a copy, not in place
-        assert field.achieved_slopes(np.zeros_like(mask)).shape == (0, 2)
+        assert field.achieved_indices(np.zeros_like(mask)).shape == (0,)
+
+
+def _all_samples_hausdorff(field, mask):
+    """range_hausdorff's value and count from a query of every sample."""
+    idx = field.slope_index.ravel()
+    hit = np.unique(idx if mask is None else idx[mask.ravel()])
+    d, _ = cKDTree(field.body.samples[hit]).query(field.body.samples)
+    return float(d.max()), len(hit)
+
+
+class TestRangeHausdorff:
+    @pytest.mark.parametrize("body", [SlopeBody.sector_disk(Cone.quadrant(), 1.0, 32, 48),
+                                      SlopeBody.polygon([(-1.0, 0.0), (1.0, -0.5),
+                                                         (0.5, 1.0)], n_samples=2000)])
+    def test_equals_the_query_of_every_sample(self, body):
+        pts = quad_cloud(radius=1.5, n_ang=60, n_rad=21)
+        field = k_envelope(restricted_conjugate(pts, _paraboloid(pts), body),
+                           ((-1.0, 1.0), (-1.0, 1.0)), 0.05)
+        mask = field.grid_points()[:, 1] > 0.3
+        for m in (None, mask, mask.reshape(field.phi.shape), np.zeros_like(mask)):
+            got = field.range_hausdorff(m)
+            assert got == _all_samples_hausdorff(field, m)
+
+    def test_full_coverage_is_zero(self):
+        # seven slopes (the origin and radii 1/2, 1 on three rays), each the
+        # gradient of |x|^2 / 2 near its own grid node
+        body = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 3, 3)
+        pts = quad_cloud(radius=1.5, n_ang=60, n_rad=21)
+        vals = 0.5 * np.einsum("ij,ij->i", pts, pts)
+        field = k_envelope(restricted_conjugate(pts, vals, body), ((-1.0, 1.2), (-1.0, 1.2)),
+                           0.05)
+        got = field.range_hausdorff()
+        assert got == (0.0, len(body.samples))
+        assert got == _all_samples_hausdorff(field, None)
 
 
 class TestContactData:

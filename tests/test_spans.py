@@ -48,3 +48,33 @@ def test_k_envelope_with_probes_feeds_the_traced_counter():
     assert counts["envelope.argmax_pairs"] == 5 * 3 * len(body.samples)
     assert counts["argmax.slopes"] == len(body.samples)
     assert counts["argmax.distinct_slopes"] == len(np.unique(field.slope_index))
+
+
+def test_a_traced_weighted_couple_op_records_its_stages(tmp_path):
+    # the stages the benchmark's per-layer metrics read for couple_sector must
+    # still be called through the names the recorder wraps
+    import json
+    import math
+
+    from isocone import cli
+
+    config = {
+        "cone": {"angles": [0.0, math.pi / 2]}, "weight": {"monomial": [1, 1]},
+        "set": {"star": {"eps": 0.1, "eta": {"fourier_cos": 4}}},
+        "resolutions": {"n_theta": 1024, "mesh_h": 0.05, "n_slope": [128, 48],
+                        "eval_h": 0.02},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        cli.main(["couple", "--config", str(path), "--out", str(tmp_path / "out")])
+    finally:
+        recorder.uninstall()
+    seen = {span[0] for span in recorder.spans}
+    assert {"cli.main", "coupling.build_coupling", "coupling.abp_chain_check",
+            "coupling.verify_coupling_estimates", "pde.fan_triangulate", "pde.solve_neumann",
+            "envelope.restricted_conjugate", "envelope.k_envelope",
+            "envelope.hessian_field", "envelope.dump_csv",
+            "cone_weight.HomWeight.call"} <= seen
