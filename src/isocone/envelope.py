@@ -31,8 +31,9 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import ndimage
-from scipy.optimize import linprog
+# the one SciPy import at load time, because both verbs that use this module
+# query a tree on every op; the package imports other SciPy submodules inside
+# the functions that call them, so light verbs never pay for them
 from scipy.spatial import cKDTree
 
 from .cone_weight import Cone, unit
@@ -530,6 +531,8 @@ class EnvelopeField:
         boundary; nodes whose window holds fewer than three masked points
         get a zero Hessian.
         """
+        from scipy import ndimage
+
         k = _HESS_WINDOW // 2
         offs = np.arange(-k, k + 1) * self.h
         ox = np.tile(offs, (_HESS_WINDOW, 1))
@@ -712,6 +715,8 @@ def contact_data(points, values, body: SlopeBody, xi, tol_contact: float | None 
     solution automatically touches at most three samples.  Infeasibility is
     reported on the witness (hypothesis failure), never raised.
     """
+    from scipy.optimize import linprog
+
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
     xi = np.asarray(xi, dtype=float)

@@ -19,7 +19,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import ndimage
 
 from .cone_weight import TWO_PI, Cone, HomWeight, unit
 
@@ -405,6 +404,8 @@ class GridSet:
 
 def is_indecomposable(grid: GridSet) -> bool:
     """True iff the occupied cells form a single 4-connected component."""
+    from scipy import ndimage
+
     return ndimage.label(grid.mask)[1] == 1
 
 

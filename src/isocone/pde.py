@@ -20,14 +20,13 @@ import math
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
 from .cone_weight import HomWeight, unit
 from .geometry import StarSet
 
 if TYPE_CHECKING:
+    from scipy import sparse
+
     from .envelope import SlopeBody
 
 
@@ -129,21 +128,10 @@ class TriMesh:
         return nodes, 0.5 * np.linalg.norm(d, axis=1), t
 
     def min_angle_deg(self) -> float:
-        p = self.vertices[self.triangles]
-        angles = []
-        for i in range(3):
-            a = p[:, (i + 1) % 3] - p[:, i]
-            b = p[:, (i + 2) % 3] - p[:, i]
-            na = np.linalg.norm(a, axis=1)
-            nb = np.linalg.norm(b, axis=1)
-            cosang = np.clip(np.einsum("ij,ij->i", a, b) / (na * nb), -1.0, 1.0)
-            angles.append(np.degrees(np.arccos(cosang)))
-        return float(np.min(angles))
+        return _min_angle_deg(*_edge_vectors(self.vertices, self.triangles))
 
     def max_diameter(self) -> float:
-        p = self.vertices[self.triangles]
-        e = [np.linalg.norm(p[:, (i + 1) % 3] - p[:, i], axis=1) for i in range(3)]
-        return float(np.max(e))
+        return math.sqrt(float(_edge_vectors(self.vertices, self.triangles)[1].max()))
 
     def boundary_outward_normals(self, edges: np.ndarray) -> np.ndarray:
         """Unit outward normals for the given boundary edges.
@@ -161,6 +149,31 @@ class TriMesh:
         directed = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
         forward = np.isin(edges[:, 0] * nv + edges[:, 1], directed[:, 0] * nv + directed[:, 1])
         return np.where(forward[:, None], n, -n)
+
+
+def _edge_vectors(vertices: np.ndarray, triangles: np.ndarray):
+    """Edge vectors (T, 3, 2), edge i running from local vertex i to i + 1,
+    and their squared lengths (T, 3).
+
+    Reordering a triangle's vertices only negates and permutes its edges, so
+    both mesh quality measures read the same from either orientation.
+    """
+    p = vertices[triangles]
+    e = p[:, [1, 2, 0]] - p
+    return e, e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1]
+
+
+def _min_angle_deg(e: np.ndarray, sq: np.ndarray) -> float:
+    """Smallest angle, in degrees, of the triangles with edge vectors ``e``
+    and squared lengths ``sq`` (see :func:`_edge_vectors`).
+
+    The angle at local vertex i lies between edge i and edge i - 1 reversed;
+    the smallest angle has the largest cosine, so only that one takes arccos.
+    """
+    norms = np.sqrt(sq)
+    prev = [2, 0, 1]
+    cos = np.einsum("tij,tij->ti", e, -e[:, prev]) / (norms * norms[:, prev])
+    return float(np.degrees(np.arccos(np.clip(cos.max(), -1.0, 1.0))))
 
 
 def _strip_triangles(inner, outer, n_wedges, ring):
@@ -196,7 +209,9 @@ def fan_triangulate(star: StarSet, target_h: float) -> TriMesh:
     Up to four sizes are tried, each 1.2 times finer.  The first mesh that
     fits the diameter ``target_h`` is returned if no angle is below
     ``_MIN_ANGLE_DEG``, else :class:`MeshQualityError` is raised there: a
-    finer fan over the same radial function keeps its shear.
+    finer fan over the same radial function keeps its shear.  Each size's
+    edges are measured once, from its vertices and triangles, and only the
+    accepted size becomes a :class:`TriMesh`.
     """
     cone = star.cone
     r_max = float(star.radii.max())
@@ -223,21 +238,21 @@ def fan_triangulate(star: StarSet, target_h: float) -> TriMesh:
         triangles = np.concatenate(
             [_strip_triangles(rings[i], rings[i + 1], n0, i) for i in range(n_r)])
 
-        outer = rings[-1]
-        if periodic:
-            free = np.column_stack([outer, np.roll(outer, -1)])
-            cone_edges = np.zeros((0, 2), dtype=np.int64)
-        else:
-            free = np.column_stack([outer[:-1], outer[1:]])
-            chains = [np.array([ring[end] for ring in rings]) for end in (0, -1)]
-            cone_edges = np.concatenate([np.column_stack([c[:-1], c[1:]]) for c in chains])
-
-        mesh = TriMesh(vertices, triangles, free, cone_edges, rings)
-        if mesh.max_diameter() <= target_h * (1.0 + 1e-9):
-            if mesh.min_angle_deg() < _MIN_ANGLE_DEG:
-                raise MeshQualityError(
-                    f"min angle {mesh.min_angle_deg():.2f} deg below {_MIN_ANGLE_DEG}")
-            return mesh
+        e, sq = _edge_vectors(vertices, triangles)
+        if math.sqrt(float(sq.max())) <= target_h * (1.0 + 1e-9):
+            min_angle = _min_angle_deg(e, sq)
+            if min_angle < _MIN_ANGLE_DEG:
+                raise MeshQualityError(f"min angle {min_angle:.2f} deg below {_MIN_ANGLE_DEG}")
+            outer = rings[-1]
+            if periodic:
+                free = np.column_stack([outer, np.roll(outer, -1)])
+                cone_edges = np.zeros((0, 2), dtype=np.int64)
+            else:
+                free = np.column_stack([outer[:-1], outer[1:]])
+                chains = [np.array([ring[end] for ring in rings]) for end in (0, -1)]
+                cone_edges = np.concatenate([np.column_stack([c[:-1], c[1:]])
+                                             for c in chains])
+            return TriMesh(vertices, triangles, free, cone_edges, rings)
         scale *= 1.2
     raise MeshQualityError("could not satisfy the diameter bound")
 
@@ -339,6 +354,8 @@ def _stiffness(mesh: TriMesh, tri_wq) -> sparse.csr_matrix:
     block, scaled in place, and int32 indices, the type SciPy would copy
     int64 ones to; all of it is freed on return.
     """
+    from scipy import sparse
+
     grads = _p1_gradients(mesh)
     k_loc = np.einsum("tid,tjd->tij", grads, grads)
     k_loc *= tri_wq.sum(axis=1)[:, None, None]
@@ -359,6 +376,9 @@ def solve_neumann(mesh: TriMesh, mode: WeightedMode | AnisotropicMode) -> NodalF
     stiffness matrix with the last node pinned gives u, which is then shifted
     to weighted mean zero.  A disconnected mesh raises :class:`SolverError`.
     """
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import splu
+
     weighted = isinstance(mode, WeightedMode)
     mids, mid_wq = mesh.midpoint_rule()
     if weighted:

@@ -287,6 +287,40 @@ class TestCoupleVerb:
         assert checks["chain_image_jacobian"]["ok"] is False
 
 
+# run in a fresh interpreter: prints the SciPy submodules of argv[1] that are
+# loaded after importing the CLI, then those loaded after one couple op
+_LOADED_SCIPY = """
+import sys
+import isocone.cli
+lazy = sys.argv[1].split(",")
+print(",".join(m for m in lazy if m in sys.modules))
+isocone.cli.main(["couple", "--config", sys.argv[2], "--out", sys.argv[3]])
+print(",".join(m for m in lazy if m in sys.modules))
+"""
+
+
+class TestStartup:
+    def test_scipy_submodules_load_on_first_use(self, tmp_path):
+        # scipy.spatial (cKDTree) loads with the CLI; these wait for the verbs
+        # that call them, so the light verbs never pay for their import
+        lazy = ["scipy.ndimage", "scipy.optimize", "scipy.sparse.linalg",
+                "scipy.sparse.csgraph"]
+        config = dict(BASE_CONFIG)
+        config["resolutions"] = {"n_theta": 512, "mesh_h": 0.08, "n_slope": [64, 48],
+                                 "eval_h": 0.03}
+        cfg = write_config(tmp_path, config)
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, ",".join(lazy), cfg,
+                               str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, check=True)
+        at_import, after_couple = done.stdout.splitlines()
+        assert at_import == ""
+        assert {"scipy.ndimage", "scipy.sparse.linalg"} <= set(after_couple.split(","))
+        assert (tmp_path / "out" / "report.json").exists()
+
+
 class TestVerificationExit:
     def test_exceeding_pinned_one_dim_bound_flags(self, tmp_path):
         # a set vanishing near the origin pushes the ratio beyond the pinned

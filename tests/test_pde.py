@@ -86,19 +86,26 @@ class TestFanTriangulate:
         mesh = fan_triangulate(star, 0.02)
         assert mesh.min_angle_deg() >= 15.0
 
-    @pytest.mark.parametrize("eps, mode, h, built, fails", [
+    @pytest.mark.parametrize("eps, mode, h, sizes, fails", [
         (0.2, 6, 0.02, 3, True),  # the third size fits 0.02 and fails 20 degrees: no fourth
         (0.1, 5, 0.05, 2, False),  # the first size is too coarse, the second fits and passes
     ])
-    def test_meshing_stops_at_first_fitting_size(self, monkeypatch, eps, mode, h, built,
+    def test_meshing_stops_at_first_fitting_size(self, monkeypatch, eps, mode, h, sizes,
                                                  fails):
-        meshes = []
+        diameters, meshes = [], []
+        edge_vectors = pde._edge_vectors
+
+        def measured(vertices, triangles):
+            e, sq = edge_vectors(vertices, triangles)
+            diameters.append(np.sqrt(sq.max()))
+            return e, sq
 
         class CountedMesh(TriMesh):
             def __post_init__(self):
                 meshes.append(self)
                 super().__post_init__()
 
+        monkeypatch.setattr(pde, "_edge_vectors", measured)
         monkeypatch.setattr(pde, "TriMesh", CountedMesh)
         star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, eps,
                                       lambda th: np.cos(mode * np.asarray(th)))
@@ -107,9 +114,10 @@ class TestFanTriangulate:
                 fan_triangulate(star, h)
         else:
             fan_triangulate(star, h)
-        assert len(meshes) == built
-        assert all(m.max_diameter() > h * (1.0 + 1e-9) for m in meshes[:-1])
-        assert meshes[-1].max_diameter() <= h * (1.0 + 1e-9)
+        assert len(diameters) == sizes
+        assert all(d > h * (1.0 + 1e-9) for d in diameters[:-1])
+        assert diameters[-1] <= h * (1.0 + 1e-9)
+        assert len(meshes) == (0 if fails else 1)  # only the accepted size is built
 
     @pytest.mark.parametrize("h", [0.1, 0.05])
     @pytest.mark.parametrize("periodic", [True, False])
@@ -136,12 +144,12 @@ class TestFanTriangulate:
     @pytest.mark.parametrize("periodic", [True, False])
     def test_one_radius_lookup_per_size(self, monkeypatch, periodic):
         # on the full plane every radius_at call sets up np.interp's period again
-        meshes, calls = [], []
+        sizes, calls = [], []
+        edge_vectors = pde._edge_vectors
 
-        class CountedMesh(TriMesh):
-            def __post_init__(self):
-                meshes.append(self)
-                super().__post_init__()
+        def measured(vertices, triangles):
+            sizes.append(len(triangles))
+            return edge_vectors(vertices, triangles)
 
         radius_at = StarSet.radius_at
 
@@ -149,7 +157,7 @@ class TestFanTriangulate:
             calls.append(len(theta))
             return radius_at(star, theta)
 
-        monkeypatch.setattr(pde, "TriMesh", CountedMesh)
+        monkeypatch.setattr(pde, "_edge_vectors", measured)
         monkeypatch.setattr(StarSet, "radius_at", counted)
         if periodic:
             star = StarSet.ball(Cone.plane(), 1024, r=0.8, center=(0.2, -0.1))
@@ -157,7 +165,7 @@ class TestFanTriangulate:
             star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, 0.1,
                                           lambda th: np.cos(5.0 * np.asarray(th)))
         mesh = fan_triangulate(star, 0.05)
-        assert len(calls) == len(meshes) == 2  # the first size is too coarse
+        assert len(calls) == len(sizes) == 2  # the first size is too coarse
         # ring i holds (i / n_r) r(theta) u(theta) at its own angles, bit for bit
         rings = mesh.rings
         n0 = len(rings[1]) if periodic else len(rings[1]) - 1
@@ -176,6 +184,56 @@ class TestFanTriangulate:
         assert np.all(mesh.areas() > 0)
         on_boundary = mesh.vertices[np.unique(mesh.free_edges.ravel())]
         assert np.allclose(np.max(np.abs(on_boundary), axis=1), 1.0, atol=1e-12)
+
+
+def _loop_min_angle_deg(mesh):
+    """The per-vertex loop the mesh checks replaced: three arccos passes."""
+    p = mesh.vertices[mesh.triangles]
+    angles = []
+    for i in range(3):
+        a = p[:, (i + 1) % 3] - p[:, i]
+        b = p[:, (i + 2) % 3] - p[:, i]
+        na = np.linalg.norm(a, axis=1)
+        nb = np.linalg.norm(b, axis=1)
+        cosang = np.clip(np.einsum("ij,ij->i", a, b) / (na * nb), -1.0, 1.0)
+        angles.append(np.degrees(np.arccos(cosang)))
+    return float(np.min(angles))
+
+
+def _loop_max_diameter(mesh):
+    p = mesh.vertices[mesh.triangles]
+    return float(np.max([np.linalg.norm(p[:, (i + 1) % 3] - p[:, i], axis=1)
+                         for i in range(3)]))
+
+
+class TestMeshQuality:
+    @pytest.mark.parametrize("make", [
+        lambda: fan_triangulate(StarSet.ball(HALF, 1024), 0.01),
+        lambda: fan_triangulate(StarSet.ball(QUADRANT, 1024), 0.02),
+        lambda: fan_triangulate(StarSet.perturbed_ball(QUADRANT, W_XY, 4096, 0.1, eta4), 0.02),
+        lambda: fan_triangulate(StarSet.ball(Cone.plane(), 1024, r=0.8, center=(0.2, -0.1)),
+                                0.02),
+        lambda: triangulate_polygon(np.column_stack([np.cos(np.arange(6) * np.pi / 3),
+                                                     np.sin(np.arange(6) * np.pi / 3)]), 0.01),
+    ], ids=["half_plane", "quadrant", "quadrant_star", "plane_shifted", "hexagon"])
+    def test_edge_measures_match_the_loops(self, make):
+        mesh = make()
+        assert mesh.max_diameter() == _loop_max_diameter(mesh)
+        assert mesh.min_angle_deg() == _loop_min_angle_deg(mesh)
+        # fan_triangulate measures its triangles before TriMesh orients them
+        e, sq = pde._edge_vectors(mesh.vertices, mesh.triangles[:, [0, 2, 1]])
+        assert np.sqrt(sq.max()) == _loop_max_diameter(mesh)
+        assert pde._min_angle_deg(e, sq) == _loop_min_angle_deg(mesh)
+
+    def test_rejected_star_names_its_min_angle(self, monkeypatch):
+        star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, 0.2,
+                                      lambda th: np.cos(6.0 * np.asarray(th)))
+        with pytest.raises(MeshQualityError) as info:
+            fan_triangulate(star, 0.02)
+        # with no angle bound the same size is accepted, so the loop can read it
+        monkeypatch.setattr(pde, "_MIN_ANGLE_DEG", 0.0)
+        angle = _loop_min_angle_deg(fan_triangulate(star, 0.02))
+        assert str(info.value) == f"min angle {angle:.2f} deg below 20.0"
 
 
 def _third_vertices(mesh, edges):
