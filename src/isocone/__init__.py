@@ -5,28 +5,24 @@ functionals (weighted volume, perimeter, deficit, asymmetry), the restricted
 convex-envelope machinery that couples a set to the minimizing ball sector,
 a small finite-element Neumann solver that seeds the coupling, and a family
 of quantitative lemma checkers (AM-GM, one-dimensional stability, Cheeger
-constants, trace/Poincare inequalities) together with experiment drivers.
+constants of interval sets, trace/Poincare inequalities) together with
+experiment drivers.
 """
 
 __version__ = "0.1.0"
 
 from .cone_weight import (
     Cone,
-    ConcaveHomFn,
     HomWeight,
     SubspaceBases,
     decompose_subspaces,
-    spherical_concavity_check,
-    zero_trace_extension,
 )
 from .geometry import (
-    GridSet,
     MeasureReport,
     StarSet,
     asymmetry,
     boundary_weighted_integral,
     deficit,
-    is_indecomposable,
     symdiff_with_ball,
     weighted_perimeter,
     weighted_volume,

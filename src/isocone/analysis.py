@@ -11,7 +11,6 @@ origin relative to the half-line).
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ import numpy as np
 from .cone_weight import Cone, HomWeight
 from .envelope import _BLOCK
 from .geometry import (
-    GridSet,
     StarSet,
     boundary_element,
     boundary_weighted_integral,
@@ -389,8 +387,14 @@ def translated_ball_control_check(star: StarSet, weight: HomWeight, x0):
 
 @dataclasses.dataclass(frozen=True)
 class CheegerResult:
+    """The least ratio tau and a subset F attaining it.
+
+    ``best_subset`` is a tuple of (a, b) intervals, left to right, or None
+    when no candidate has a finite ratio.
+    """
+
     tau: float
-    best_subset: object
+    best_subset: tuple | None
 
 
 def _atoms(ts, ia, ib, alpha: float, e_bound):
@@ -443,15 +447,22 @@ _CHEEGER_GRID = 48  # endpoints per interval of the 1-D search grid
 _CHEEGER_REFINE = 2  # rounds of local refinement around the best subset
 
 
-def _cheeger_1d(E: IntervalSet, alpha: float, max_components: int):
-    """Brute force over interval subsets with endpoints on per-interval grids.
+def cheeger_bruteforce(E: IntervalSet, alpha: float, max_components: int = 2) -> CheegerResult:
+    """Cheeger constant tau(E) = inf Per_w(F) / H_w(dF cap dE) by brute force.
 
-    The candidates are each interval [g_i, g_j], i < j, of one interval's
-    grid, interval by interval, then, with two components, each disjoint
-    pair of those, rows i < j in the same order; the first candidate of
-    least ratio wins.  Each refinement round then moves the free endpoints
-    of the winner over 65 points each, on a grid 32 times finer.
+    E is an interval set on (0, infinity) with weight t^alpha, and F runs
+    over unions of at most ``max_components`` intervals with
+    0 < w(F) <= w(E)/2; candidates whose boundary shares nothing with the
+    boundary of E have ratio infinity.
+
+    The endpoints lie on per-interval grids.  The candidates are each
+    interval [g_i, g_j], i < j, of one interval's grid, interval by
+    interval, then, with two components, each disjoint pair of those, rows
+    i < j in the same order; the first candidate of least ratio wins.  Each
+    refinement round then moves the free endpoints of the winner over 65
+    points each, on a grid 32 times finer.
     """
+    alpha = float(alpha)
     half = E.measure(alpha) / 2.0
     e_bound = {round(t, 12) for t in E.boundary()}
     ts = np.concatenate([np.linspace(a, b, _CHEEGER_GRID) for a, b in E.intervals])
@@ -507,96 +518,6 @@ def _cheeger_1d(E: IntervalSet, alpha: float, max_components: int):
                               lambda k: tuple((comp[0][i[k]], comp[1][i[k]])
                                               for comp, i in zip(parts, idx)))
     return CheegerResult(best[0], best[1])
-
-
-def _enumerate_connected_subsets(adj):
-    """All connected subsets of a small graph, each yielded exactly once.
-
-    Standard fixed-root extension enumeration: subsets are grown from their
-    minimum vertex; at each step the first extension vertex is either banned
-    or included (which may add new extension vertices above the root).
-    """
-    n = len(adj)
-    for root in range(n):
-        stack = [(1 << root, adj[root] & ~((1 << (root + 1)) - 1), 0)]
-        while stack:
-            subset, ext, banned = stack.pop()
-            yield subset
-            avail = ext & ~banned
-            while avail:
-                u = (avail & -avail).bit_length() - 1
-                u_bit = 1 << u
-                avail &= ~u_bit
-                banned |= u_bit
-                new_ext = (ext | adj[u]) & ~((1 << (root + 1)) - 1) & ~(subset | u_bit)
-                stack.append((subset | u_bit, new_ext & ~banned, banned))
-
-
-def _cheeger_2d(grid: GridSet, weight: HomWeight):
-    """Exhaustive Cheeger constant over 4-connected cell subsets (<= 24 cells).
-
-    Each cell side (S, N, W, E) has a weight, 0 on the cone's boundary, and
-    the index of the cell across it, n outside E.  Blocks of subsets fold
-    volume, perimeter and the part on dE cell by cell and side by side, as
-    a loop over one subset sums them, adding an exact 0.0 where a side does
-    not count; the first least ratio wins.
-    """
-    if grid.n_cells > 24:
-        raise InadmissibleInputError("2-D brute force limited to 24 cells")
-    iy, ix = np.nonzero(grid.mask)
-    n, h = len(iy), grid.h
-    x0, y0 = grid.origin
-    index = np.full(np.add(grid.mask.shape, 2), n)
-    index[iy + 1, ix + 1] = np.arange(n)
-    across = np.stack([index[iy + 1 + dy, ix + 1 + dx]
-                       for dy, dx in ((-1, 0), (1, 0), (0, -1), (0, 1))], axis=1)
-    adj = [sum(1 << int(j) for j in row if j < n) for row in across]
-    side_w = np.zeros((n, 4))
-    for i, (cy, cx) in enumerate(zip(iy.tolist(), ix.tolist())):
-        xl, yl = x0 + cx * h, y0 + cy * h
-        xr, yu = xl + h, yl + h
-        sides = ((xl, yl), (xr, yl)), ((xl, yu), (xr, yu)), ((xl, yl), (xl, yu)), ((xr, yl), (xr, yu))
-        for s, (p, q) in enumerate(sides):
-            mid = 0.5 * (np.asarray(p) + np.asarray(q))
-            if abs(float(grid.cone.boundary_distance(mid[None, :])[0])) >= 1e-9:
-                side_w[i, s] = _segment_weight_integral(weight, p, q)
-    cell_vol = weight(grid.cell_centers()) * h * h
-    half = float(cell_vol.sum()) / 2.0
-    subsets = _enumerate_connected_subsets(adj)
-    rows = _BLOCK // (n + 1)
-    best = (math.inf, None)
-    while (masks := np.fromiter(itertools.islice(subsets, rows), np.int64)).size:
-        # bit n, the cells outside E, is in no subset
-        member = ((masks[:, None] >> np.arange(n + 1)) & 1).astype(bool)
-        vol = per = shared = 0.0
-        for i in range(n):
-            vol = vol + np.where(member[:, i], cell_vol[i], 0.0)
-            for s, j in enumerate(across[i]):
-                cut = np.where(member[:, i] & ~member[:, j], side_w[i, s], 0.0)
-                per = per + cut
-                if j == n:
-                    shared = shared + cut
-        ok = (vol > 0) & (vol <= half * (1.0 + 1e-12)) & (shared > 0)
-        ratios = np.divide(per, shared, out=np.full(len(masks), math.inf), where=ok)
-        best = _first_min(best, ratios, lambda k: int(masks[k]))
-    return CheegerResult(float(best[0]), best[1])
-
-
-def cheeger_bruteforce(E, weight, max_components: int = 2) -> CheegerResult:
-    """Cheeger constant tau(E) = inf Per_w(F) / H_w(dF cap dE) by brute force.
-
-    One-dimensional interval sets take ``weight`` as the exponent alpha of
-    t^alpha on (0, infinity), with F a union of at most ``max_components``
-    intervals; two-dimensional grid sets take a HomWeight.
-    The infimum runs over subsets F with 0 < w(F) <= w(E)/2; candidates
-    whose boundary shares nothing with the boundary of E have ratio
-    infinity.
-    """
-    if isinstance(E, IntervalSet):
-        return _cheeger_1d(E, float(weight), max_components)
-    if isinstance(E, GridSet):
-        return _cheeger_2d(E, weight)
-    raise TypeError("E must be an IntervalSet or a GridSet")
 
 
 # ---------------------------------------------------------------------------

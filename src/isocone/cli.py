@@ -181,7 +181,8 @@ def parse_body(config, path) -> SlopeBody:
         disk = f"{path}.sector_disk"
         cone = (parse_cone(config, f"{disk}.cone") if "cone" in _read(config, disk, dict)
                 else Cone.plane())
-        return SlopeBody.sector_disk(cone, _read(config, f"{disk}.rho", default=1.0))
+        return SlopeBody.sector_disk(cone, _read(config, f"{disk}.rho", default=1.0,
+                                                 test=lambda r: r > 0, need=" > 0"))
     raise ConfigError(f"{path} needs 'polygon' or 'sector_disk'")
 
 
@@ -328,7 +329,9 @@ def _run_diag(config, out_dir):
 
 def _run_check_amgm(config, out_dir):
     lam = _read(config, "amgm.lambda", shape=(None,), default=(1.0, 1.0))
-    xs = _read(config, "amgm.x", shape=(None,), default=(1.2, 0.8))
+    xs = _read(config, "amgm.x", shape=(None,),
+               default=(1.2, 0.8) if len(lam) == 2 else _REQUIRED,
+               test=lambda v: len(v) == len(lam), need=" with one value per lambda")
     lhs, rhs, holds = quantitative_amgm_check(lam, xs, _read(config, "amgm.c", default=1.0))
     emit_csv(os.path.join(out_dir, "amgm.csv"), ("lhs", "rhs", "holds"),
              [(lhs, rhs, "1" if holds else "0")])

@@ -1,4 +1,4 @@
-"""Planar convex cones, homogeneous weights, and concave 1-homogeneous calculus.
+"""Planar convex cones and homogeneous weights with a concave root.
 
 A cone is an open angular sector with vertex at the origin and opening at
 most pi (a half-plane when the opening equals pi, in which case it contains
@@ -15,7 +15,6 @@ characterizes concavity of w^(1/alpha).
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -30,10 +29,6 @@ _CONSTANCY_TOL = 1e-10  # relative weight change still constant along a directio
 
 class InadmissibleWeightError(ValueError):
     """The weight fails homogeneity or the concavity admission check."""
-
-
-class NotCompactlyContainedError(ValueError):
-    """The inner cone's closed arc is not strictly inside the outer arc."""
 
 
 def unit(theta):
@@ -299,12 +294,6 @@ class HomWeight:
                 f"concavity condition fails at sampled pairs (worst residual {worst:.3e})"
             )
 
-    def root_profile(self, n_theta: int = 512) -> "ConcaveHomFn":
-        """The 1-homogeneous function w^(1/alpha), sampled on the unit arc."""
-        thetas = self.cone.arc_grid(n_theta)
-        vals = self.arc_values(thetas) ** (1.0 / self.alpha)
-        return ConcaveHomFn(self.cone, thetas, vals)
-
 
 def concavity_sides(weight: HomWeight, x, z):
     """Both sides of the concave-root criterion for point pairs (x, z).
@@ -319,28 +308,6 @@ def concavity_sides(weight: HomWeight, x, z):
     lhs = weight.alpha * (weight(z) / wx) ** (1.0 / weight.alpha)
     rhs = np.einsum("ij,ij->i", weight.grad(x[ok]), z) / wx
     return lhs, rhs
-
-
-@dataclasses.dataclass(frozen=True)
-class ConcaveHomFn:
-    """A 1-homogeneous function given by samples on the cone's unit arc."""
-
-    cone: Cone
-    thetas: np.ndarray
-    values: np.ndarray
-
-    def __call__(self, theta):
-        return np.interp(theta, self.thetas, self.values)
-
-    def minimum_with(self, other: "ConcaveHomFn") -> "ConcaveHomFn":
-        if not np.allclose(self.thetas, other.thetas):
-            raise ValueError("pointwise minimum needs matching angular grids")
-        return ConcaveHomFn(self.cone, self.thetas, np.minimum(self.values, other.values))
-
-    def rotated(self, angle: float) -> "ConcaveHomFn":
-        """Precompose with the rotation mapping the rotated cone onto this one."""
-        new_cone = Cone(self.cone.angle_lo + angle, self.cone.angle_hi + angle)
-        return ConcaveHomFn(new_cone, self.thetas + angle, self.values.copy())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -406,74 +373,3 @@ def _constancy_holds(cone, weight, direction):
         if np.max(np.abs(weight(shifted[inside]) - vals[inside])) > _CONSTANCY_TOL * scale:
             return False
     return True
-
-
-def zero_trace_extension(v: ConcaveHomFn, inner_cone: Cone,
-                         n_directions: int = 512) -> ConcaveHomFn:
-    """Concave 1-homogeneous extension vanishing on the outer cone's boundary.
-
-    Returns the pointwise infimum over nonnegative concave 1-homogeneous
-    majorants of v restricted to the inner cone, computed as a minimization
-    over supporting slopes: a unit direction d in the dual cone supports an
-    admissible linear majorant t*d.x once t >= max over the inner arc of
-    v / (d . u); the extension is the infimum of those linear functions.
-    """
-    cone = v.cone
-    tol = 1e-9
-    if not (inner_cone.angle_lo > cone.angle_lo + tol
-            and inner_cone.angle_hi < cone.angle_hi - tol):
-        raise NotCompactlyContainedError("inner arc must be compactly inside the outer arc")
-    if np.any(v.values < -1e-12):
-        raise ValueError("extension requires a nonnegative function")
-
-    psi = np.linspace(cone.angle_hi - math.pi / 2.0, cone.angle_lo + math.pi / 2.0,
-                      n_directions)
-    dirs = unit(psi)
-    inner_thetas = v.thetas[
-        (v.thetas >= inner_cone.angle_lo - 1e-15) & (v.thetas <= inner_cone.angle_hi + 1e-15)
-    ]
-    if len(inner_thetas) < 2:
-        inner_thetas = inner_cone.arc_grid(64)
-    inner_vals = v(inner_thetas)
-    dots_inner = dirs @ unit(inner_thetas).T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(dots_inner > 1e-14, inner_vals[None, :] / dots_inner, np.inf)
-        ratio = np.where(inner_vals[None, :] <= 1e-300, 0.0, ratio)
-    t_min = np.max(ratio, axis=1)
-    usable = np.isfinite(t_min)
-    dots_outer = dirs[usable] @ unit(v.thetas).T
-    ext = np.min(t_min[usable, None] * dots_outer, axis=0)
-    return ConcaveHomFn(cone, v.thetas.copy(), np.maximum(ext, 0.0))
-
-
-def spherical_concavity_check(v: ConcaveHomFn, n_triples: int = 4096) -> float:
-    """Worst violation of the chordal concavity criterion on the unit arc.
-
-    For angles theta - s < theta < theta + t on the arc with s + t < pi, a
-    concave 1-homogeneous function satisfies
-
-        v(theta) >= [sin(t) v(theta - s) + sin(s) v(theta + t)] / sin(s + t),
-
-    with equality for restrictions of linear functions.  Returns the largest
-    sampled value of RHS - LHS (nonpositive up to tolerance iff concave).
-    Grids too large to check every triple draw ``n_triples`` with seed 0.
-    """
-    n = len(v.thetas)
-    if n < 16:
-        raise ValueError("angular grid resolution must be at least 16")
-    if n <= 64 and math.comb(n, 3) <= 4 * n_triples:
-        idx = np.array(list(itertools.combinations(range(n), 3)))
-    else:
-        rng = np.random.default_rng(0)
-        idx = np.sort(rng.integers(0, n, size=(n_triples, 3)), axis=1)
-        idx = idx[(idx[:, 0] < idx[:, 1]) & (idx[:, 1] < idx[:, 2])]
-    th = v.thetas
-    s = th[idx[:, 1]] - th[idx[:, 0]]
-    t = th[idx[:, 2]] - th[idx[:, 1]]
-    keep = (s > 1e-12) & (t > 1e-12) & (s + t < math.pi - 1e-9)
-    idx, s, t = idx[keep], s[keep], t[keep]
-    if len(idx) == 0:
-        return 0.0
-    lhs = v.values[idx[:, 1]]
-    rhs = (np.sin(t) * v.values[idx[:, 0]] + np.sin(s) * v.values[idx[:, 2]]) / np.sin(s + t)
-    return float(np.max(rhs - lhs))

@@ -81,6 +81,8 @@ class SlopeBody:
         v = np.asarray(vertices, dtype=float)
         if len(v) < 2:
             raise ValueError("polygon needs at least two vertices")
+        if np.all(v == v[0]):
+            raise ValueError(f"polygon vertices all coincide at {v[0].tolist()}")
         if len(v) >= 3:
             e = np.roll(v, -1, axis=0) - v
             cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]

@@ -357,59 +357,3 @@ def boundary_weighted_integral(star: StarSet, weight: HomWeight, integrand) -> f
     _require_weighted(star, weight)
     g = np.asarray(integrand(star.boundary_points()), dtype=float)
     return float(star.quad_weights() @ (g * boundary_element(star, weight)))
-
-
-@dataclasses.dataclass(frozen=True)
-class GridSet:
-    """Cell-bitmask region; every occupied cell center lies in the closed cone."""
-
-    cone: Cone
-    origin: tuple
-    h: float
-    mask: np.ndarray
-
-    def __post_init__(self):
-        if not self.mask.any():
-            raise ValueError("grid set is empty")
-        centers = self.cell_centers()
-        if not bool(np.all(self.cone.contains(centers, tol=1e-9))):
-            raise ValueError("occupied cell centers must lie in the closed cone")
-
-    def cell_centers(self) -> np.ndarray:
-        iy, ix = np.nonzero(self.mask)
-        x0, y0 = self.origin
-        return np.column_stack([x0 + (ix + 0.5) * self.h, y0 + (iy + 0.5) * self.h])
-
-    @property
-    def n_cells(self) -> int:
-        return int(self.mask.sum())
-
-    @staticmethod
-    def rasterize(star: StarSet, h: float) -> "GridSet":
-        rmax = float(star.radii.max())
-        xs = np.arange(-rmax, rmax + h, h)
-        ys = np.arange(-rmax, rmax + h, h)
-        cx = xs[:-1] + h / 2.0
-        cy = ys[:-1] + h / 2.0
-        gx, gy = np.meshgrid(cx, cy)
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        mask = star.contains(pts, tol=-1e-12).reshape(gy.shape)
-        iy, ix = np.nonzero(mask)
-        if len(ix) == 0:
-            raise ValueError("rasterization produced no cells; decrease h")
-        x_lo, x_hi = ix.min(), ix.max() + 1
-        y_lo, y_hi = iy.min(), iy.max() + 1
-        return GridSet(star.cone, (xs[x_lo], ys[y_lo]), h, mask[y_lo:y_hi, x_lo:x_hi])
-
-
-def is_indecomposable(grid: GridSet) -> bool:
-    """True iff the occupied cells form a single 4-connected component."""
-    from scipy import ndimage
-
-    return ndimage.label(grid.mask)[1] == 1
-
-
-def grid_midpoint_volume(grid: GridSet, weight: HomWeight) -> float:
-    """Midpoint-rule weighted volume of the cell union (cross-check oracle)."""
-    centers = grid.cell_centers()
-    return float(np.sum(weight(centers))) * grid.h ** 2

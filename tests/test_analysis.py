@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from isocone import analysis
 from isocone.analysis import (
-    CheegerResult,
     HypothesisFailure,
     InadmissibleInputError,
     IntervalSet,
-    _enumerate_connected_subsets,
     _segment_weight_integral,
     ball_volume_growth,
     cheeger_bruteforce,
@@ -31,7 +29,7 @@ from isocone.analysis import (
 )
 from isocone.cone_weight import Cone, HomWeight
 from isocone.expectations import EXPECTATIONS
-from isocone.geometry import GridSet, StarSet, power_mass
+from isocone.geometry import StarSet, power_mass
 
 QUADRANT = Cone.quadrant()
 W_XY = HomWeight.monomial(QUADRANT, 1, 1)
@@ -477,113 +475,6 @@ class TestCheeger1d:
         two = cheeger_bruteforce(E, 2.0, max_components=2)
         assert two.tau == pytest.approx(one.tau, abs=1e-9)
         assert len(two.best_subset) == 1
-
-
-def _loop_cheeger_2d(grid: GridSet, weight: HomWeight):
-    """The 2-D Cheeger search as a loop over connected cell subsets, one at a time."""
-    if grid.n_cells > 24:
-        raise InadmissibleInputError("2-D brute force limited to 24 cells")
-    iy, ix = np.nonzero(grid.mask)
-    cells = list(zip(iy.tolist(), ix.tolist()))
-    index = {c: i for i, c in enumerate(cells)}
-    n = len(cells)
-    h = grid.h
-    x0, y0 = grid.origin
-    adj = [0] * n
-    for i, (cy, cx) in enumerate(cells):
-        for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            j = index.get((cy + dy, cx + dx))
-            if j is not None:
-                adj[i] |= 1 << j
-
-    def cell_edges(cy, cx):
-        xl, yl = x0 + cx * h, y0 + cy * h
-        return (
-            ((cy, cx, "S"), (xl, yl), (xl + h, yl), (cy - 1, cx)),
-            ((cy, cx, "N"), (xl, yl + h), (xl + h, yl + h), (cy + 1, cx)),
-            ((cy, cx, "W"), (xl, yl), (xl, yl + h), (cy, cx - 1)),
-            ((cy, cx, "E"), (xl + h, yl), (xl + h, yl + h), (cy, cx + 1)),
-        )
-
-    def on_cone_boundary(p, q):
-        mid = 0.5 * (np.asarray(p) + np.asarray(q))
-        return abs(float(grid.cone.boundary_distance(mid[None, :])[0])) < 1e-9
-
-    edge_w = {}
-    edge_neighbor = {}
-    edge_on_e_boundary = {}
-    for i, (cy, cx) in enumerate(cells):
-        for key, p, q, nb in cell_edges(cy, cx):
-            if on_cone_boundary(p, q):
-                w = 0.0
-            else:
-                w = _segment_weight_integral(weight, p, q)
-            edge_w[key] = w
-            edge_neighbor[key] = index.get(nb)
-            edge_on_e_boundary[key] = index.get(nb) is None
-
-    centers = grid.cell_centers()
-    cell_vol = weight(centers) * h * h
-    wE = float(cell_vol.sum())
-    half = wE / 2.0
-
-    best = (math.inf, None)
-    for subset in _enumerate_connected_subsets(adj):
-        vol = 0.0
-        for i in range(n):
-            if subset >> i & 1:
-                vol += cell_vol[i]
-        if vol <= 0 or vol > half * (1.0 + 1e-12):
-            continue
-        per = shared = 0.0
-        for i in range(n):
-            if not subset >> i & 1:
-                continue
-            cy, cx = cells[i]
-            for key, _p, _q, _nb in cell_edges(cy, cx):
-                nb = edge_neighbor[key]
-                if nb is not None and subset >> nb & 1:
-                    continue
-                per += edge_w[key]
-                if edge_on_e_boundary[key]:
-                    shared += edge_w[key]
-        if shared <= 0:
-            continue
-        ratio = per / shared
-        if ratio < best[0]:
-            best = (ratio, subset)
-    return CheegerResult(best[0], best[1])
-
-
-class TestCheeger2d:
-    def test_rasterized_quarter_ball(self):
-        grid = GridSet.rasterize(StarSet.ball(QUADRANT, 512), 0.25)
-        assert grid.n_cells <= 24
-        res = cheeger_bruteforce(grid, W_XY)
-        k4 = (2.0 - 2.0 ** 0.75) / 3.0
-        assert res.tau >= 1.0 + k4
-
-    @pytest.mark.parametrize("cone, h, exponents", [
-        (QUADRANT, 0.3, (1, 1)),  # 11 cells; the origin at -0.1 makes sides leave the cone
-        (QUADRANT, 0.3, (1, 0)),
-        (QUADRANT, 0.3, (0.5, 1.5)),
-        (QUADRANT, 0.2, (1, 1)),  # 20 cells
-        (QUADRANT, 0.2, (1, 0)),
-        (QUADRANT, 0.2, (0.5, 1.5)),
-        (Cone.half_plane(), 0.3, (0, 1)),  # 20 cells
-    ])
-    def test_matches_loop_oracle(self, cone, h, exponents):
-        grid = GridSet.rasterize(StarSet.ball(cone, 512), h)
-        weight = HomWeight.monomial(cone, *exponents)
-        res = cheeger_bruteforce(grid, weight)
-        assert math.isfinite(res.tau)
-        # tau, the best subset's bitmask and tau - 1, with their types
-        assert repr(res) == repr(_loop_cheeger_2d(grid, weight))
-
-    def test_too_many_cells_rejected(self):
-        grid = GridSet.rasterize(StarSet.ball(QUADRANT, 512), 0.1)
-        with pytest.raises(InadmissibleInputError):
-            cheeger_bruteforce(grid, W_XY)
 
 
 class TestPsiK:

@@ -484,6 +484,15 @@ class TestConfigReader:
         ("couple", {"mode": "anisotropic", "cone": {"full_plane": True},
                     "body": {"polygon": [[-1, 0], [1, 0]]}, "set": {"ball": {"r": 0.8}},
                     "resolutions": {"eval_h": 0.02, "mesh_h": 0.04}}, "body"),
+        # numpy's "matmul: Input operand 1 has a mismatch" named no key
+        ("check-amgm", {"amgm": {"lambda": [1, 1, 1], "x": [1, 2]}}, "amgm.x"),
+        ("check-amgm", {"amgm": {"lambda": [1, 1, 1]}}, "amgm.x"),
+        # a zero radius divided 0 by 0 in the envelope and exited 0
+        ("envelope", {"envelope": {**ENVELOPE, "body": {"sector_disk": {"rho": 0}}}},
+         "envelope.body.sector_disk.rho"),
+        # a one-point body had slope spacing 0 and exited 0; the reason is named
+        ("envelope", {"envelope": {**ENVELOPE, "body": {"polygon": [[0, 0], [0, 0]]}}},
+         "polygon vertices all coincide"),
     ])
     def test_bad_value_names_its_key_before_any_output(self, tmp_path, capsys, verb, patch,
                                                        key):

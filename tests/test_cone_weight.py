@@ -1,23 +1,17 @@
-"""Cones, homogeneous weights, and the concave 1-homogeneous calculus."""
+"""Cones, homogeneous weights and their concavity admission."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from isocone.cone_weight import (
     Cone,
-    ConcaveHomFn,
     HomWeight,
     InadmissibleWeightError,
-    NotCompactlyContainedError,
     concavity_sides,
     decompose_subspaces,
-    spherical_concavity_check,
     unit,
-    zero_trace_extension,
 )
 
 QUADRANT = Cone.quadrant()
@@ -196,89 +190,3 @@ class TestDecomposeSubspaces:
     def test_cone_and_weight_disagree(self):
         with pytest.raises(ValueError, match="cone and weight disagree"):
             decompose_subspaces(HALF, W_XY)
-
-
-class TestZeroTraceExtension:
-    INNER = Cone(0.15, math.pi / 2 - 0.15)
-
-    # the 16-node grid has no node inside (0.75, 0.8), so the inner arc is resampled
-    @pytest.mark.parametrize("n, inner", [(256, INNER), (16, Cone(0.75, 0.8))],
-                             ids=["nodes_inside", "no_node_inside"])
-    def test_zero_stays_zero(self, n, inner):
-        v = ConcaveHomFn(QUADRANT, QUADRANT.arc_grid(n), np.zeros(n))
-        ext = zero_trace_extension(v, inner)
-        assert np.max(np.abs(ext.values)) == 0.0
-
-    def test_linear_is_pulled_to_zero_on_boundary(self):
-        th = QUADRANT.arc_grid(256)
-        v = ConcaveHomFn(QUADRANT, th, np.cos(th - math.pi / 4))
-        ext = zero_trace_extension(v, self.INNER)
-        assert abs(ext.values[0]) <= 1e-12
-        assert abs(ext.values[-1]) <= 1e-12
-        assert ext.values[2] < v.values[2]  # strictly below near the boundary
-        mask = (th >= self.INNER.angle_lo) & (th <= self.INNER.angle_hi)
-        # brute-force oracle: a denser supporting-slope family can only agree
-        dense = zero_trace_extension(v, self.INNER, n_directions=8192)
-        assert np.max(np.abs(ext.values - dense.values)) <= 2e-3
-        assert np.all(ext.values[mask] >= v.values[mask] - 1e-12)
-        assert np.max(np.abs(ext.values - v.values)[mask]) <= 3e-3
-
-    def test_already_zero_trace_is_fixed_on_inner_cone(self):
-        # For concave v vanishing on the rays the extension reproduces v on the
-        # inner arc and never exceeds it (the minimal concave extension may dip
-        # below a strictly concave profile between the inner arc and the rays).
-        th = QUADRANT.arc_grid(256)
-        v = ConcaveHomFn(QUADRANT, th, W_XY.arc_values(th) ** 0.5)  # zero on both rays
-        ext = zero_trace_extension(v, self.INNER, n_directions=4096)
-        mask = (th >= self.INNER.angle_lo) & (th <= self.INNER.angle_hi)
-        assert np.max(np.abs(ext.values - v.values)[mask]) <= 2e-3
-        assert np.all(ext.values <= v.values + 1e-9)
-        assert abs(ext.values[0]) <= 1e-12 and abs(ext.values[-1]) <= 1e-12
-
-    def test_not_compactly_contained(self):
-        v = ConcaveHomFn(QUADRANT, QUADRANT.arc_grid(64), np.zeros(64))
-        with pytest.raises(NotCompactlyContainedError):
-            zero_trace_extension(v, Cone(0.0, 1.0))
-
-
-class TestSphericalConcavity:
-    def test_linear_restriction_zero(self):
-        th = QUADRANT.arc_grid(64)
-        v = ConcaveHomFn(QUADRANT, th, 1.3 * np.cos(th - 0.4))
-        assert abs(spherical_concavity_check(v, 5000)) <= 1e-12
-
-    # 32 nodes check every one of the C(32, 3) triples, 256 draw them at random
-    @pytest.mark.parametrize("n", [256, 32])
-    def test_root_of_admissible_weight(self, n):
-        v = W_XY.root_profile(n)
-        assert spherical_concavity_check(v, 20000) <= 1e-9
-
-    def test_oscillatory_profile_flagged(self):
-        th = QUADRANT.arc_grid(128)
-        v = ConcaveHomFn(QUADRANT, th, 1.0 + 0.5 * np.cos(8 * th))
-        assert spherical_concavity_check(v, 20000) > 1e-3
-
-    def test_resolution_precondition(self):
-        v = ConcaveHomFn(QUADRANT, QUADRANT.arc_grid(8), np.ones(8))
-        with pytest.raises(ValueError):
-            spherical_concavity_check(v)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-                    min_size=2, max_size=5))
-    def test_min_closure(self, slopes):
-        # min of linear restrictions stays concave on the arc
-        th = QUADRANT.arc_grid(96)
-        vals = [a * np.cos(th) + b * np.sin(th) for a, b in slopes]
-        v = ConcaveHomFn(QUADRANT, th, np.min(vals, axis=0))
-        assert spherical_concavity_check(v, 4000) <= 1e-10
-
-    def test_rotation_closure(self):
-        v = W_XY.root_profile(128)
-        assert spherical_concavity_check(v.rotated(0.7), 5000) <= 1e-9
-
-    def test_min_with_linear_restriction(self):
-        v = W_XY.root_profile(128)
-        linear = ConcaveHomFn(v.cone, v.thetas, 0.45 * np.cos(v.thetas - 0.9))
-        vmin = v.minimum_with(linear)
-        assert spherical_concavity_check(vmin, 5000) <= 1e-9

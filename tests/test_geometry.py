@@ -1,4 +1,4 @@
-"""Star-set functionals: volume, perimeter, deficit, asymmetry, grid sets."""
+"""Star-set functionals: volume, perimeter, deficit, asymmetry."""
 
 import math
 
@@ -6,21 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import ndimage
 
 from isocone import geometry
 from isocone.cone_weight import Cone, HomWeight, unit
 from isocone.experiments import eta_fourier_cos
 from isocone.geometry import (
-    GridSet,
     StarSet,
     UnsupportedTranslationError,
     asymmetry,
     boundary_weighted_integral,
     deficit,
     deficit_value,
-    grid_midpoint_volume,
-    is_indecomposable,
     power_mass,
     symdiff_with_ball,
     unit_ball_volume,
@@ -368,45 +364,6 @@ class TestBoundaryIntegral:
             lambda p: np.abs(np.hypot(p[:, 0], p[:, 1]) - 1.0))
         assert got == pytest.approx(oracle, abs=1e-6)
         assert 0.01 < got < 0.2  # roughly eps * perimeter scale
-
-
-class TestGridSet:
-    def test_rasterized_ball_connected(self):
-        grid = GridSet.rasterize(StarSet.ball(QUADRANT, 512), 0.05)
-        assert is_indecomposable(grid)
-        # oracle: scipy labeling with 4-connectivity
-        structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-        _, n = ndimage.label(grid.mask, structure=structure)
-        assert n == 1
-
-    def test_two_balls_disconnected(self):
-        mask = np.zeros((5, 11), dtype=bool)
-        mask[1:4, 1:4] = True
-        mask[1:4, 7:10] = True
-        grid = GridSet(Cone.plane(), (-1.0, -1.0), 0.2, mask)
-        assert not is_indecomposable(grid)
-
-    def test_pipe_connects(self):
-        mask = np.zeros((5, 11), dtype=bool)
-        mask[1:4, 1:4] = True
-        mask[1:4, 7:10] = True
-        mask[2, 4:7] = True
-        grid = GridSet(Cone.plane(), (-1.0, -1.0), 0.2, mask)
-        assert is_indecomposable(grid)
-        structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-        _, n = ndimage.label(grid.mask, structure=structure)
-        assert n == 1
-
-    def test_midpoint_volume_cross_check(self):
-        star = StarSet.ball(QUADRANT, 2048)
-        grid = GridSet.rasterize(star, 1e-3)
-        mc = grid_midpoint_volume(grid, W_XY)
-        assert mc == pytest.approx(weighted_volume(star, W_XY), rel=0.01)
-
-    def test_cells_inside_cone_enforced(self):
-        mask = np.ones((3, 3), dtype=bool)
-        with pytest.raises(ValueError):
-            GridSet(QUADRANT, (-1.0, -1.0), 0.2, mask)
 
 
 class TestPolarSlicing:
