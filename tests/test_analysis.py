@@ -80,6 +80,35 @@ class TestQuantitativeAmgm:
         assert holds
 
 
+class TestIntervalSet:
+    E = IntervalSet(((0.0, 1.0), (2.0, 3.0)))
+
+    def test_measure_integrates_powers(self):
+        assert self.E.measure() == pytest.approx(2.0, abs=1e-15)
+        assert self.E.measure(1.0) == pytest.approx(0.5 + 2.5, abs=1e-15)
+        assert self.E.measure(2.0) == pytest.approx(1.0 / 3.0 + 19.0 / 3.0, abs=1e-15)
+
+    def test_boundary_keeps_interior_endpoints(self):
+        assert self.E.boundary() == [1.0, 2.0, 3.0]
+        assert IntervalSet(((0.5, 1.0),)).boundary() == [0.5, 1.0]
+
+    def test_overlap_clips_to_the_window(self):
+        assert self.E.overlap(0.5, 2.5) == pytest.approx(1.0, abs=1e-15)
+        assert self.E.overlap(0.5, 2.5, 1.0) == pytest.approx(0.375 + 1.125, abs=1e-15)
+        assert self.E.overlap(1.0, 2.0) == 0.0  # the window touches E only at points
+        assert self.E.overlap(0.0, 5.0, 2.0) == pytest.approx(self.E.measure(2.0), abs=1e-15)
+
+    @pytest.mark.parametrize("intervals, match", [
+        (((-0.1, 1.0),), "positive-length"),
+        (((0.5, 0.5),), "positive-length"),
+        (((0.0, 1.0), (0.9, 2.0)), "sorted and disjoint"),
+        (tuple((k, k + 0.5) for k in range(17)), "at most 16"),
+    ], ids=["negative", "empty", "overlapping", "seventeen"])
+    def test_malformed_intervals_rejected(self, intervals, match):
+        with pytest.raises(ValueError, match=match):
+            IntervalSet(intervals)
+
+
 class TestOneDimStability:
     def test_exact_interval_zero(self):
         E = IntervalSet(((0.0, 1.0),))

@@ -487,11 +487,20 @@ class TestConfigReader:
         # numpy's "matmul: Input operand 1 has a mismatch" named no key
         ("check-amgm", {"amgm": {"lambda": [1, 1, 1], "x": [1, 2]}}, "amgm.x"),
         ("check-amgm", {"amgm": {"lambda": [1, 1, 1]}}, "amgm.x"),
+        ("check-amgm", {"amgm": {"lambda": [1, 1], "x": [1, 2, 3]}}, "amgm.x"),
         # a zero radius divided 0 by 0 in the envelope and exited 0
         ("envelope", {"envelope": {**ENVELOPE, "body": {"sector_disk": {"rho": 0}}}},
          "envelope.body.sector_disk.rho"),
+        ("envelope", {"envelope": {**ENVELOPE, "body": {"sector_disk": {"rho": -0.5}}}},
+         "envelope.body.sector_disk.rho"),
+        ("couple", {"mode": "anisotropic", "cone": {"full_plane": True},
+                    "body": {"sector_disk": {"rho": 0}}, "set": {"ball": {"r": 0.8}}},
+         "body.sector_disk.rho"),
         # a one-point body had slope spacing 0 and exited 0; the reason is named
         ("envelope", {"envelope": {**ENVELOPE, "body": {"polygon": [[0, 0], [0, 0]]}}},
+         "polygon vertices all coincide"),
+        ("couple", {"mode": "anisotropic", "cone": {"full_plane": True},
+                    "body": {"polygon": [[1, 1], [1, 1], [1, 1]]}, "set": {"ball": {"r": 0.8}}},
          "polygon vertices all coincide"),
     ])
     def test_bad_value_names_its_key_before_any_output(self, tmp_path, capsys, verb, patch,

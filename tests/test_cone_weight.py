@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isocone.cone_weight import (
     Cone,
@@ -48,6 +50,23 @@ class TestCone:
         assert QUADRANT.box_margin(((0.2, 0.6), (0.3, 0.5))) == pytest.approx(0.2)
         assert HALF.box_margin(((-5.0, 5.0), (0.1, 0.4))) == pytest.approx(0.1)
         assert QUADRANT.box_margin(((-0.1, 0.6), (0.3, 0.5))) == pytest.approx(-0.1)
+
+    # wedges keep both end nodes at half weight, the plane wraps without a duplicate
+    @pytest.mark.parametrize("cone, n", [(QUADRANT, 17), (HALF, 16), (Cone.plane(), 16)],
+                             ids=["quadrant", "half_plane", "plane"])
+    def test_arc_quadrature_sums_to_opening(self, cone, n):
+        thetas = cone.arc_grid(n)
+        step = cone.arc_step(n)
+        assert np.allclose(np.diff(thetas), step, rtol=0, atol=1e-15)
+        assert thetas[-1] + (step if cone.full_plane else 0.0) == pytest.approx(
+            cone.angle_lo + cone.opening, abs=1e-15)
+        assert cone.arc_quad_weights(thetas).sum() == pytest.approx(cone.opening, rel=1e-15)
+
+    def test_same_as_within_angle_tolerance(self):
+        assert QUADRANT.same_as(Cone(5e-13, math.pi / 2 - 5e-13))
+        assert not QUADRANT.same_as(Cone(1e-9, math.pi / 2))
+        assert not QUADRANT.same_as(Cone.plane())
+        assert Cone.plane().same_as(Cone.plane())
 
 
 class TestHomWeight:
@@ -112,6 +131,10 @@ class TestHomWeight:
         with pytest.raises(InadmissibleWeightError):
             HomWeight.monomial(QUADRANT, -1, 2)
 
+    def test_root_clips_negative_values(self):
+        assert W_XY.root_of(np.array([-1.0, 0.0, 4.0])).tolist() == [0.0, 0.0, 2.0]
+        assert W_XY.root(np.array([[2.0, 8.0], [-1.0, 3.0]])).tolist() == [4.0, 0.0]
+
 
 def concavity_residual(weight, x, z):
     """rhs - lhs of the concave-root criterion at one pair, as an array."""
@@ -159,6 +182,74 @@ class TestConcavityCondition:
             rhs = np.einsum("ij,ij->i", weight.grad(x), z) / wx
             worst = float(np.min(rhs - lhs))
             assert worst >= -1e-12
+
+
+class MinOfLinearRoots:
+    """w = (min_i a_i x + b_i y)^alpha with its exact gradient; the root is concave."""
+
+    def __init__(self, slopes, alpha):
+        self.slopes = np.asarray(slopes, dtype=float)
+        self.alpha = alpha
+
+    def __call__(self, pts):
+        return np.min(pts @ self.slopes.T, axis=-1) ** self.alpha
+
+    def grad(self, pts):
+        lin = pts @ self.slopes.T
+        active = self.slopes[np.argmin(lin, axis=-1)]
+        return self.alpha * np.min(lin, axis=-1)[:, None] ** (self.alpha - 1.0) * active
+
+
+class TestConcavityAdmission:
+    """The admission criterion on concave roots: linear ones, minima and rotations."""
+
+    @pytest.mark.parametrize("exponents", [(1, 0), (2, 0), (0, 3)])
+    def test_linear_root_is_the_equality_case(self, exponents):
+        weight = HomWeight.monomial(QUADRANT, *exponents)
+        rng = np.random.default_rng(13)
+        thetas = rng.uniform(0.05, math.pi / 2 - 0.05, (2000, 2))
+        radii = rng.uniform(0.3, 2.5, (2000, 2))
+        lhs, rhs = concavity_sides(weight, radii[:, 0, None] * unit(thetas[:, 0]),
+                                   radii[:, 1, None] * unit(thetas[:, 1]))
+        assert np.max(np.abs(rhs - lhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+    # 32 nodes are coarser than the sampled pairs, 256 finer
+    @pytest.mark.parametrize("n", [256, 32])
+    def test_sampled_admissible_profile_admitted(self, n):
+        thetas = QUADRANT.arc_grid(n)
+        weight = HomWeight.from_profile(QUADRANT, thetas, W_XY.arc_values(thetas), alpha=2.0)
+        # linear interpolation of sin(2 theta) / 2 is off by at most h^2 / 4
+        assert weight(np.array([0.6, 0.8])) == pytest.approx(
+            0.48, abs=QUADRANT.arc_step(n) ** 2 / 4.0)
+
+    def test_oscillatory_profile_rejected_at_coarse_grid(self):
+        thetas = QUADRANT.arc_grid(128)
+        with pytest.raises(InadmissibleWeightError, match="concavity condition"):
+            HomWeight.from_profile(QUADRANT, thetas, 1.0 + 0.5 * np.cos(8 * thetas), alpha=2.0)
+
+    def test_rotated_profile_admitted(self):
+        cone = Cone(0.7, 0.7 + math.pi / 2)
+        thetas = cone.arc_grid(128)
+        weight = HomWeight.from_profile(cone, thetas, W_XY.arc_values(thetas - 0.7), alpha=2.0)
+        assert weight(unit(0.7 + math.pi / 4)) == pytest.approx(0.5, rel=1e-3)
+
+    def test_min_with_linear_root_admitted(self):
+        thetas = QUADRANT.arc_grid(128)
+        root = np.minimum(W_XY.arc_values(thetas) ** 0.5, 0.45 * np.cos(thetas - 0.9))
+        HomWeight.from_profile(QUADRANT, thetas, root ** 2, alpha=2.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
+                    min_size=2, max_size=5),
+           st.sampled_from([0.5, 1.0, 2.0]))
+    def test_min_of_linear_roots_meets_criterion(self, slopes, alpha):
+        weight = MinOfLinearRoots(slopes, alpha)
+        rng = np.random.default_rng(17)
+        thetas = rng.uniform(0.02, math.pi / 2 - 0.02, (2000, 2))
+        radii = rng.uniform(0.3, 2.5, (2000, 2))
+        lhs, rhs = concavity_sides(weight, radii[:, 0, None] * unit(thetas[:, 0]),
+                                   radii[:, 1, None] * unit(thetas[:, 1]))
+        assert np.min(rhs - lhs) >= -1e-12 * np.max(np.abs(rhs))
 
 
 class TestDecomposeSubspaces:

@@ -83,6 +83,13 @@ class TestSupportFunction:
         with pytest.raises(ValueError):
             SlopeBody.polygon([(0, 0), (0, 1), (1, 0)])  # clockwise
 
+    @pytest.mark.parametrize("vertices", [[(0.5, 0.5), (0.5, 0.5)], [(1, 2), (1, 2), (1, 2)]])
+    def test_polygon_of_one_point_rejected(self, vertices):
+        # a point has no slope spacing; the error names where the vertices sit
+        with pytest.raises(ValueError, match=r"polygon vertices all coincide at \[") as err:
+            SlopeBody.polygon(vertices)
+        assert str(list(map(float, vertices[0]))) in str(err.value)
+
 
 SEGMENT = SlopeBody.polygon([(-1.0, 0.0), (1.0, 0.0)])
 QUADRANT_DISK = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 32, 48)

@@ -366,6 +366,41 @@ class TestBoundaryIntegral:
         assert 0.01 < got < 0.2  # roughly eps * perimeter scale
 
 
+def midpoint_volume(star, weight, box, h):
+    """w(E) as a midpoint sum over the square cells of side h tiling ``box``."""
+    xs = np.arange(box[0][0] + h / 2, box[0][1], h)
+    ys = np.arange(box[1][0] + h / 2, box[1][1], h)
+    mids = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+    inside = star.contains(mids, tol=0.0)
+    return float(weight(mids[inside]).sum()) * h * h
+
+
+class TestMidpointVolumeOracle:
+    # cells cut by the curved boundary leave an O(h) error
+    @pytest.mark.parametrize("make_star, weight, box", [
+        (lambda: StarSet.ball(QUADRANT, 2048), W_XY, ((0.0, 1.2), (0.0, 1.2))),
+        (lambda: StarSet.perturbed_ball(QUADRANT, W_XY, 2048, 0.15, eta4), W_XY,
+         ((0.0, 1.4), (0.0, 1.4))),
+        (lambda: StarSet.ball(HALF, 2048, center=(0.3, 0.2)), W_Y, ((-0.8, 1.4), (0.0, 1.3))),
+    ], ids=["quadrant_ball", "perturbed_ball", "half_plane_shifted_ball"])
+    def test_polar_quadrature_matches_cell_sum(self, make_star, weight, box):
+        star = make_star()
+        pts = star.boundary_points()
+        assert np.all((pts >= [box[0][0], box[1][0]]) & (pts <= [box[0][1], box[1][1]]))
+        got = midpoint_volume(star, weight, box, 2e-3)
+        assert got == pytest.approx(weighted_volume(star, weight), rel=1e-3)
+
+
+class TestRadialDerivative:
+    @pytest.mark.parametrize("cone", [QUADRANT, Cone.plane()], ids=["quadrant", "plane"])
+    def test_matches_analytic_derivative(self, cone):
+        star = StarSet.from_radial(cone, 512, lambda t: 1.0 + 0.2 * np.cos(3.0 * t))
+        exact = -0.6 * np.sin(3.0 * star.thetas)
+        # second-order differences, one-sided at the ends of a wedge
+        assert np.max(np.abs(star.radial_derivative() - exact)) <= 0.6 * 9.0 * (
+            cone.arc_step(512) ** 2)
+
+
 class TestPolarSlicing:
     def test_per_ray_measures_reproduce_volume(self):
         star = StarSet.perturbed_ball(QUADRANT, W_XY, 2048, 0.15, eta4)
