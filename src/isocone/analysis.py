@@ -25,7 +25,6 @@ from .geometry import (
     deficit_value,
     power_mass,
     symdiff_with_ball,
-    unit_ball_volume,
     weighted_volume,
 )
 
@@ -252,38 +251,24 @@ def shift_lower_bound(eta_breaks, eta_values, a: float, b: float, eps: float):
 # Translation diagnostics (ball growth and weight-shift separation)
 # ---------------------------------------------------------------------------
 
-def _segment_weight_integral(weight: HomWeight, p, q):
-    """integral of w over the straight segment [p, q], for one pair of points
-    or for each row of two (n, 2) arrays.
+def _column_weight_integral(weight: HomWeight, xs, lo, hi):
+    """integral of w over each vertical segment {xs[i]} x [lo[i], hi[i]],
+    with lo < hi.
 
-    Closed form for monomial weights on axis-parallel segments (the weight
-    is a power of the free coordinate there), 8-point Gauss-Legendre
-    otherwise, with one weight call for all Gauss segments.
+    Closed form for monomial weights (a power of y times a constant there),
+    8-point Gauss-Legendre otherwise, with one weight call for all columns.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    single = p.ndim == 1
-    p, q = np.atleast_2d(p), np.atleast_2d(q)
-    out = np.empty(len(p))
-    gauss = np.ones(len(p), dtype=bool)
     if weight.exponents is not None:
-        for along in (1, 0):
-            fixed = 1 - along
-            axis = gauss & (np.abs(p[:, fixed] - q[:, fixed]) < 1e-15)
-            lo = np.minimum(p[axis, along], q[axis, along])
-            hi = np.maximum(p[axis, along], q[axis, along])
-            if weight.exponents[along] > 0:  # a positive power is 0 below 0
-                lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
-            f = np.maximum(p[axis, fixed], 0.0) ** weight.exponents[fixed]
-            out[axis] = f * power_mass(lo, hi, weight.exponents[along] + 1.0)
-            gauss &= ~axis
-    if gauss.any():
-        a, b = p[gauss], q[gauss]
-        nodes, gw = np.polynomial.legendre.leggauss(8)
-        pts = 0.5 * (a + b)[:, None, :] + 0.5 * nodes[None, :, None] * (b - a)[:, None, :]
-        vals = weight(pts.reshape(-1, 2)).reshape(-1, len(nodes))
-        out[gauss] = 0.5 * np.linalg.norm(b - a, axis=1) * (vals @ gw)
-    return float(out[0]) if single else out
+        a_x, a_y = weight.exponents
+        if a_y > 0:  # a positive power is 0 below 0
+            lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
+        return np.maximum(xs, 0.0) ** a_x * power_mass(lo, hi, a_y + 1.0)
+    nodes, gw = np.polynomial.legendre.leggauss(8)
+    pts = np.empty((len(xs), len(nodes), 2))
+    pts[:, :, 0] = xs[:, None]
+    pts[:, :, 1] = 0.5 * (lo + hi)[:, None] + 0.5 * nodes[None, :] * (hi - lo)[:, None]
+    vals = weight(pts.reshape(-1, 2)).reshape(-1, len(nodes))
+    return 0.5 * (hi - lo) * (vals @ gw)
 
 
 def _cone_vertical_slices(cone: Cone, xs):
@@ -321,9 +306,7 @@ def shifted_ball_volume(cone: Cone, weight: HomWeight, center) -> float:
     lo = np.maximum(cy - half, clo)
     hi = np.minimum(cy + half, chi)
     cut = hi > lo
-    segments = _segment_weight_integral(weight, np.column_stack([xs[cut], lo[cut]]),
-                                        np.column_stack([xs[cut], hi[cut]]))
-    return float(segments.sum()) * h
+    return float(_column_weight_integral(weight, xs[cut], lo[cut], hi[cut]).sum()) * h
 
 
 def ball_volume_growth(cone: Cone, weight: HomWeight, xi) -> float:
@@ -370,7 +353,7 @@ def translated_ball_control_check(star: StarSet, weight: HomWeight, x0):
     if float(np.linalg.norm(x0)) > 0.2 + 1e-12:
         raise InadmissibleInputError("|x0| must be at most 0.2")
     capped = StarSet(star.cone, star.thetas, np.minimum(star.radii, 0.5))
-    w_half = unit_ball_volume(star, weight) * 0.5 ** weight.D
+    w_half = deficit(star, weight).unit_volume * 0.5 ** weight.D
     if weighted_volume(capped, weight) < 0.5 * w_half - 1e-12:
         raise HypothesisFailure("set holds less than half the small ball's mass")
     lhs = symdiff_with_ball(star, weight, x0, 1.0)
@@ -634,7 +617,7 @@ def removal_lemma_check(star: StarSet, weight: HomWeight, theta_a: float,
 
     deficit_ok = None
     if delta_E <= k:
-        delta_rest = deficit_value(per_rest, vol_rest, unit_ball_volume(star, weight), D)
+        delta_rest = deficit_value(per_rest, vol_rest, rep.unit_volume, D)
         deficit_ok = delta_rest <= (3.0 / k) * delta_E + 1e-12
         details["delta_E_minus_F"] = delta_rest
     return RemovalReport(True, hyp_margin, volume_ok, perimeter_ok, deficit_ok, details)

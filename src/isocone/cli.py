@@ -339,7 +339,8 @@ def _run_check_amgm(config, out_dir):
 
 
 def _run_check_1d(config, out_dir):
-    intervals = _read(config, "one_dim.intervals", shape=(None, 2), default=((0.0, 0.8),))
+    intervals = _read(config, "one_dim.intervals", shape=(None, 2), default=((0.0, 0.8),),
+                      test=lambda ivs: len(ivs) > 0, need=" with at least one interval")
     l = _read(config, "one_dim.l", default=1.0, test=lambda l: 0.75 <= l <= 1.25,
               need=" in [0.75, 1.25]")
     gamma = _read(config, "one_dim.gamma", default=2.0, test=lambda g: g >= 0, need=" >= 0")
@@ -377,10 +378,13 @@ def _run_check_fmp(config, out_dir):
 
 
 def _run_envelope(config, out_dir):
-    h = _read(config, "envelope.h", default=0.05, test=lambda h: h > 0, need=" > 0")
+    box = _read(config, "envelope.box", default=((-2.0, 2.0), (-2.0, 2.0)), **_BOX)
+    # the envelope grid needs at least 3 nodes per axis
+    side = min(hi - lo for lo, hi in box)
+    h = _read(config, "envelope.h", default=0.05, test=lambda h: 0 < h < side,
+              need=f" > 0 and below the shorter box side {side:.12g}")
     n_pts = _read(config, "envelope.n_points", int, default=60,
                   test=lambda n: n >= 2, need=" >= 2")
-    box = _read(config, "envelope.box", default=((-2.0, 2.0), (-2.0, 2.0)), **_BOX)
     body = (parse_body(config, "envelope.body")
             if "body" in _read(config, "envelope", dict, default={})
             else SlopeBody.sector_disk(Cone.plane(), 1.0))

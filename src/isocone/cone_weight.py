@@ -164,8 +164,8 @@ class HomWeight:
     :class:`InadmissibleWeightError`; no later code tests these again.
 
     Carries the effective dimension ``D = 2 + alpha``.  w(B1 cap cone) comes
-    from ``geometry.unit_ball_volume`` at each set's own angular quadrature,
-    so that discrete identities hold exactly.
+    from ``geometry.MeasureReport.unit_volume``, at each set's own angular
+    quadrature, so that discrete identities hold exactly.
     """
 
     def __init__(self, cone, alpha, exponents=None, profile_thetas=None,

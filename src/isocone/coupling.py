@@ -38,7 +38,7 @@ from .analysis import amgm_sides
 from .cone_weight import HomWeight
 from .envelope import EnvelopeField, SlopeBody, k_envelope, restricted_conjugate
 from .expectations import EXPECTATIONS
-from .geometry import StarSet, deficit, deficit_value, unit_ball_volume
+from .geometry import StarSet, deficit, deficit_value
 from .pde import (
     AnisotropicMode,
     NodalField,
@@ -171,7 +171,7 @@ def build_coupling(star: StarSet, mode: WeightedMode | AnisotropicMode,
         body = SlopeBody.sector_disk(weight.cone, 1.0, *res.n_slope)
         rep = deficit(star, weight)
         delta = rep.deficit
-        ref_volume = unit_ball_volume(star, weight)
+        ref_volume = rep.unit_volume
     else:
         weight = None
         body = mode.body

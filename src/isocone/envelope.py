@@ -119,10 +119,6 @@ class SlopeBody:
         return SlopeBody(None, cone, float(rho), samples,
                          float(max(dr, darc)), polar_shape=(n_radial, n_angular))
 
-    @staticmethod
-    def disk(rho: float = 1.0, n_radial: int = 256, n_angular: int = 512) -> "SlopeBody":
-        return SlopeBody.sector_disk(Cone.plane(), rho, n_radial, n_angular)
-
     # -- geometry -----------------------------------------------------------
 
     def support(self, v) -> np.ndarray | float:

@@ -123,12 +123,14 @@ class StarSet:
 
 @dataclasses.dataclass(frozen=True)
 class MeasureReport:
-    """Weighted volume, perimeter, isoperimetric deficit, equivalent radius."""
+    """Weighted volume, perimeter, isoperimetric deficit, equivalent radius,
+    and w(B1 cap cone) at the set's own angular quadrature."""
 
     w_volume: float
     w_perimeter: float
     deficit: float
     r_eq: float
+    unit_volume: float
 
 
 def _require_weighted(star: StarSet, weight: HomWeight):
@@ -161,17 +163,6 @@ def _arc_element(star: StarSet, D: float, wv) -> np.ndarray:
     return r ** (D - 1.0) * np.sqrt(1.0 + (dr / r) ** 2) * wv
 
 
-def weighted_perimeter(star: StarSet, weight: HomWeight) -> float:
-    """Per_w(E) by polar quadrature with the radial-graph arc element."""
-    _require_weighted(star, weight)
-    return float(star.quad_weights() @ boundary_element(star, weight))
-
-
-def unit_ball_volume(star: StarSet, weight: HomWeight) -> float:
-    """w(B1 cap cone) at the set's angular resolution (consistent quadrature)."""
-    return float(star.quad_weights() @ weight.arc_values(star.thetas)) / weight.D
-
-
 def deficit(star: StarSet, weight: HomWeight) -> MeasureReport:
     """Scale-invariant weighted isoperimetric deficit report.
 
@@ -190,7 +181,7 @@ def deficit(star: StarSet, weight: HomWeight) -> MeasureReport:
     per = float(qw @ _arc_element(star, D, wv))
     w1 = float(qw @ wv) / D
     r_eq = (vol / w1) ** (1.0 / D)
-    return MeasureReport(vol, per, deficit_value(per, vol, w1, D), r_eq)
+    return MeasureReport(vol, per, deficit_value(per, vol, w1, D), r_eq, w1)
 
 
 def deficit_value(per: float, vol: float, unit_volume: float, D: float) -> float:

@@ -12,7 +12,7 @@ from isocone.analysis import (
     HypothesisFailure,
     InadmissibleInputError,
     IntervalSet,
-    _segment_weight_integral,
+    _column_weight_integral,
     ball_volume_growth,
     cheeger_bruteforce,
     one_dim_stability_batch,
@@ -289,36 +289,36 @@ class TestTranslationOps:
             shifted_weight_separation(W_XY, ((0.05, 0.25), (0.05, 0.25)), (-0.1, 0.0))
 
 
-class TestSegmentWeightIntegral:
-    @pytest.mark.parametrize("p, q, exact", [
-        # w = xy along y = 0.3 from x = 0.2 to 0.7, and along x = 0.4 downwards
-        ((0.2, 0.3), (0.7, 0.3), 0.3 * (0.7 ** 2 - 0.2 ** 2) / 2.0),
-        ((0.4, 0.9), (0.4, 0.1), 0.4 * (0.9 ** 2 - 0.1 ** 2) / 2.0),
-    ])
-    def test_axis_parallel_edges(self, p, q, exact):
-        assert _segment_weight_integral(W_XY, p, q) == pytest.approx(exact, rel=1e-14)
+def column(weight, x, lo, hi):
+    """The integral of ``weight`` over the one column {x} x [lo, hi]."""
+    return float(_column_weight_integral(weight, np.array([x]), np.array([lo]),
+                                         np.array([hi]))[0])
+
+
+class TestColumnWeightIntegral:
+    def test_xy_column(self):
+        # w = xy along x = 0.4 from y = 0.1 to 0.9
+        exact = 0.4 * (0.9 ** 2 - 0.1 ** 2) / 2.0
+        assert column(W_XY, 0.4, 0.1, 0.9) == pytest.approx(exact, rel=1e-14)
         # the same weight given by profile samples takes the Gauss branch
         thetas = QUADRANT.arc_grid(2049)
         profile = HomWeight.from_profile(QUADRANT, thetas, np.cos(thetas) * np.sin(thetas), 2.0)
-        assert _segment_weight_integral(profile, p, q) == pytest.approx(exact, rel=1e-6)
+        assert column(profile, 0.4, 0.1, 0.9) == pytest.approx(exact, rel=1e-6)
 
-
-    @pytest.mark.parametrize("a1, a2, exact", [
+    @pytest.mark.parametrize("a_x, a_y, exact", [
         (1, 1, 0.5 * 0.2 ** 2 / 2.0),
-        (2, 1, 0.5 * 0.2 ** 3 / 3.0),
-        (0.5, 1.5, 0.5 ** 1.5 * 0.2 ** 1.5 / 1.5),
+        (1, 2, 0.5 * 0.2 ** 3 / 3.0),
+        (1.5, 0.5, 0.5 ** 1.5 * 0.2 ** 1.5 / 1.5),
     ])
-    def test_side_leaving_the_quadrant_is_clipped(self, a1, a2, exact):
-        # a positive power of x is 0 at x < 0: only x in [0, 0.2] counts
-        weight = HomWeight.monomial(QUADRANT, a1, a2)
-        got = _segment_weight_integral(weight, (-0.1, 0.5), (0.2, 0.5))
-        assert got == pytest.approx(exact, rel=1e-14)
+    def test_side_leaving_the_quadrant_is_clipped(self, a_x, a_y, exact):
+        # a positive power of y is 0 at y < 0: only y in [0, 0.2] counts
+        weight = HomWeight.monomial(QUADRANT, a_x, a_y)
+        assert column(weight, 0.5, -0.1, 0.2) == pytest.approx(exact, rel=1e-14)
 
     def test_zeroth_power_is_not_clipped(self):
-        # y on the half-plane does not vanish at x < 0: the whole side counts
-        weight = HomWeight.monomial(Cone.half_plane(), 0, 1)
-        got = _segment_weight_integral(weight, (-0.1, 0.5), (0.2, 0.5))
-        assert got == pytest.approx(0.5 * 0.3, rel=1e-14)
+        # x on the right half-plane does not vanish at y < 0: the whole column counts
+        weight = HomWeight.monomial(Cone.sector(math.pi, -math.pi / 2), 1, 0)
+        assert column(weight, 0.5, -0.1, 0.2) == pytest.approx(0.5 * 0.3, rel=1e-14)
 
 
 class TestTranslatedBallControl:

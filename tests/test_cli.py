@@ -124,6 +124,13 @@ class TestCheckers:
         assert code == EXIT_USAGE
         assert list(out.iterdir()) == []
 
+    def test_step_below_the_box_side_accepted(self, tmp_path):
+        # a 3-node grid per axis is the least the envelope verb runs on
+        config = {**BASE_CONFIG, "envelope": {"u": "quadratic", "h": 3.9, "n_points": 40}}
+        code, out = run(tmp_path, "envelope", config)
+        assert code == EXIT_OK
+        assert len((out / "envelope.csv").read_text().splitlines()) == 1 + 3 * 3
+
     @pytest.mark.parametrize("n_points", [7.9, True, 1, "40"])
     def test_bad_point_count_rejected_before_work(self, tmp_path, n_points):
         config = dict(BASE_CONFIG)
@@ -502,6 +509,11 @@ class TestConfigReader:
         ("couple", {"mode": "anisotropic", "cone": {"full_plane": True},
                     "body": {"polygon": [[1, 1], [1, 1], [1, 1]]}, "set": {"ball": {"r": 0.8}}},
          "polygon vertices all coincide"),
+        # an empty interval set exited 0 with ratio 8
+        ("check-1d", {"one_dim": {"intervals": []}}, "one_dim.intervals"),
+        # a step at the box side wrote envelope.csv, then numpy's "zero-size array"
+        ("envelope", {"envelope": {**ENVELOPE, "h": 4}}, "envelope.h"),
+        ("envelope", {"envelope": {**ENVELOPE, "h": 1, "box": [[-2, 2], [0, 1]]}}, "envelope.h"),
     ])
     def test_bad_value_names_its_key_before_any_output(self, tmp_path, capsys, verb, patch,
                                                        key):

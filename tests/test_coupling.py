@@ -152,7 +152,7 @@ class TestAbpChain:
 
     def test_chain_rejects_anisotropic(self):
         star = StarSet.ball(Cone.plane(), 1024)
-        body = SlopeBody.disk(1.0, 64, 64)
+        body = SlopeBody.sector_disk(Cone.plane(), 1.0, 64, 64)
         rep = build_coupling(star, AnisotropicMode(body),
                              Resolutions(mesh_h=0.05, eval_h=0.02))
         with pytest.raises(ValueError):
@@ -162,7 +162,7 @@ class TestAbpChain:
 class TestAnisotropic:
     def test_unit_disk_coupling(self):
         star = StarSet.ball(Cone.plane(), 4096)
-        body = SlopeBody.disk(1.0, 512, 192)
+        body = SlopeBody.sector_disk(Cone.plane(), 1.0, 512, 192)
         rep = build_coupling(star, AnisotropicMode(body), Resolutions(eval_h=0.008))
         assert rep.b_E == pytest.approx(2.0, abs=5e-3)
         assert rep.sup_violation <= SUP_C * (rep.resolutions.mesh_h + rep.slope_spacing)
@@ -170,7 +170,7 @@ class TestAnisotropic:
 
     def test_mode_dispatch_replaces_ratio_table(self):
         star = StarSet.ball(Cone.plane(), 1024)
-        body = SlopeBody.disk(1.0, 64, 64)
+        body = SlopeBody.sector_disk(Cone.plane(), 1.0, 64, 64)
         rep = build_coupling(star, AnisotropicMode(body),
                              Resolutions(mesh_h=0.05, eval_h=0.02))
         table = verify_coupling_estimates(rep)
@@ -315,8 +315,8 @@ class TestMidpointSharing:
     def test_anisotropic_op_interpolates_the_hessian_only(self, monkeypatch):
         bilinear = _count_calls(monkeypatch, envelope, "_bilinear")
         star = StarSet.ball(Cone.plane(), 1024)
-        rep = build_coupling(star, AnisotropicMode(SlopeBody.disk(1.0, 64, 64)),
-                             Resolutions(mesh_h=0.05, eval_h=0.02))
+        body = SlopeBody.sector_disk(Cone.plane(), 1.0, 64, 64)
+        rep = build_coupling(star, AnisotropicMode(body), Resolutions(mesh_h=0.05, eval_h=0.02))
         verify_coupling_estimates(rep)
         assert len(bilinear) == 1
         assert rep.mid_eigen is None and rep.mid_w is None and rep.mid_w_xi is None

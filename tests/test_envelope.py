@@ -24,7 +24,7 @@ from isocone.envelope import (
 from isocone.geometry import StarSet
 from isocone.pde import WeightedMode, fan_triangulate, solve_neumann
 
-DISK = SlopeBody.disk(1.0, 128, 256)
+DISK = SlopeBody.sector_disk(Cone.plane(), 1.0, 128, 256)
 SQUARE = SlopeBody.polygon([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
 
 
@@ -206,7 +206,7 @@ SMALL = quad_cloud(n_ang=60, n_rad=21)
 QUADRANT_BODY = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 48, 33)
 # 60 cloud rays 6 degrees apart; the disk's odd rays bisect two of them, so
 # the edges between their rings' neighbours run across those rays
-BISECTING_DISK = SlopeBody.disk(1.0, 40, 120)
+BISECTING_DISK = SlopeBody.sector_disk(Cone.plane(), 1.0, 40, 120)
 # u = x / 2 on the five inner nodes, so at angle 0 and radius 1/2 (slope
 # index 1 + 3) their scores tie exactly at 0, node 0 among them
 FLAT_FACET = np.array([
@@ -227,7 +227,7 @@ SECTOR_CASES = {
     "bisecting-rays": (lambda: _with_values(SMALL, _paraboloid), BISECTING_DISK),
     # 1,801 nodes: over _TILE_MIN_SITES, so the conjugate takes the tile bound
     "1801": (lambda: _with_values(quad_cloud(n_ang=60, n_rad=31), _paraboloid),
-             SlopeBody.disk(1.0, 256, 120)),
+             SlopeBody.sector_disk(Cone.plane(), 1.0, 256, 120)),
     "flat-facet": (lambda: _with_values(
         FLAT_FACET, lambda p: 0.5 * p[:, 0] + (np.hypot(p[:, 0], p[:, 1]) > 2.0)),
         SlopeBody.sector_disk(Cone.quadrant(), 1.0, 5, 3)),
@@ -288,7 +288,7 @@ class TestSectorArgmaxTies:
     the lowest radius.  Three radii (0, 1/2, 1) and 64 angles in four blocks
     of 16; the intercepts are -1 except where a case sets a column."""
 
-    BODY = SlopeBody.disk(1.0, 3, 64)
+    BODY = SlopeBody.sector_disk(Cone.plane(), 1.0, 3, 64)
 
     def argmax(self, columns):
         intercepts = np.full(1 + 2 * 64, -1.0)
@@ -367,7 +367,7 @@ class TestSectorArgmaxPruning:
 BOUND_BODIES = {
     "quadrant": SlopeBody.sector_disk(Cone.quadrant(), 1.0, 24, 40),
     "half-plane": SlopeBody.sector_disk(Cone.half_plane(), 1.0, 24, 37),
-    "disk": SlopeBody.disk(1.0, 24, 48),
+    "disk": SlopeBody.sector_disk(Cone.plane(), 1.0, 24, 48),
 }
 
 
@@ -668,8 +668,9 @@ class TestKEnvelope:
     def test_monotone_in_body_with_nested_grids(self):
         pts = quad_cloud()
         vals = 0.5 * np.einsum("ij,ij->i", pts, pts)
-        small = SlopeBody.disk(0.5, 65, 64)
-        large = SlopeBody.disk(1.0, 129, 64)  # radial grid contains the small one
+        small = SlopeBody.sector_disk(Cone.plane(), 0.5, 65, 64)
+        # the large radial grid contains the small one
+        large = SlopeBody.sector_disk(Cone.plane(), 1.0, 129, 64)
         phi_small, _, _ = restricted_conjugate(pts, vals, small).envelope_at(pts[::29])
         phi_large, _, _ = restricted_conjugate(pts, vals, large).envelope_at(pts[::29])
         assert np.all(phi_small <= phi_large + 1e-12)
@@ -678,7 +679,7 @@ class TestKEnvelope:
         pts = quad_cloud()
         A = np.array([[0.8, 0.2], [0.2, 0.6]])
         vals = 0.5 * np.einsum("ij,jk,ik->i", pts, A, pts)
-        body = SlopeBody.disk(2.0, 256, 256)
+        body = SlopeBody.sector_disk(Cone.plane(), 2.0, 256, 256)
         conj = restricted_conjugate(pts, vals, body)
         phi, _, _ = conj.envelope_at(pts)
         h_pts = 2.0 / 80
@@ -892,7 +893,7 @@ class TestCheckC11:
         # grid keeps the discrete quotient within the 1 + 5h budget
         pts = quad_cloud(radius=2.0, n_ang=240, n_rad=101)
         vals = 0.5 * np.einsum("ij,ij->i", pts, pts)
-        body = SlopeBody.disk(1.0, 512, 2048)
+        body = SlopeBody.sector_disk(Cone.plane(), 1.0, 512, 2048)
         conj = restricted_conjugate(pts, vals, body)
         h = 0.1
         field = k_envelope(conj, ((-1.8, 1.8), (-1.8, 1.8)), h)
@@ -914,7 +915,8 @@ class TestCheckC11:
     def test_field_dump_columns(self, tmp_path):
         pts = quad_cloud(n_ang=40, n_rad=11)
         vals = 0.5 * np.einsum("ij,ij->i", pts, pts)
-        conj = restricted_conjugate(pts, vals, SlopeBody.disk(1.0, 16, 16))
+        body = SlopeBody.sector_disk(Cone.plane(), 1.0, 16, 16)
+        conj = restricted_conjugate(pts, vals, body)
         field = k_envelope(conj, ((-0.5, 0.5), (-0.5, 0.5)), 0.25)
         out = tmp_path / "field.csv"
         field.dump_csv(out)

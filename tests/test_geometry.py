@@ -19,8 +19,6 @@ from isocone.geometry import (
     deficit_value,
     power_mass,
     symdiff_with_ball,
-    unit_ball_volume,
-    weighted_perimeter,
     weighted_volume,
 )
 
@@ -53,10 +51,10 @@ class TestVolume:
         star = StarSet.ball(QUADRANT, 4096)
         assert weighted_volume(star, W_X) == pytest.approx(1.0 / 3.0, abs=1e-8)
 
-    def test_unit_ball_volume_reference(self):
+    def test_unit_volume_reference(self):
         # w(B1 cap cone) at the set's own quadrature; quadrant xy has 1/8
         star = StarSet.ball(QUADRANT, 8192)
-        assert unit_ball_volume(star, W_XY) == pytest.approx(0.125, rel=1e-6)
+        assert deficit(star, W_XY).unit_volume == pytest.approx(0.125, rel=1e-6)
 
     def test_dilation_scaling(self):
         star = StarSet.ball(QUADRANT, 1024, r=2.0)
@@ -76,14 +74,14 @@ class TestPerimeter:
         # Per_w(B1) = D w(B1): the discrete quadratures agree to roundoff and
         # both sit within trapezoid error of the closed forms 1/2 and 1/8.
         star = StarSet.ball(QUADRANT, 4096)
-        per = weighted_perimeter(star, W_XY)
+        per = deficit(star, W_XY).w_perimeter
         vol = weighted_volume(star, W_XY)
         assert per == pytest.approx(W_XY.D * vol, abs=1e-10)
         assert per == pytest.approx(0.5, abs=1e-7)
 
     def test_ball_identity_half_plane(self):
         star = StarSet.ball(HALF, 4096)
-        per = weighted_perimeter(star, W_Y)
+        per = deficit(star, W_Y).w_perimeter
         assert per == pytest.approx(W_Y.D * weighted_volume(star, W_Y), abs=1e-10)
         assert per == pytest.approx(2.0, abs=1e-6)
 
@@ -91,7 +89,7 @@ class TestPerimeter:
         # r * Per_w(B_r) = D * w(B_r) by homogeneity (the unit-ball identity scaled)
         for r in (0.5, 1.0, 2.0):
             star = StarSet.ball(QUADRANT, 4096, r=r)
-            per = weighted_perimeter(star, W_XY)
+            per = deficit(star, W_XY).w_perimeter
             vol = weighted_volume(star, W_XY)
             assert r * per == pytest.approx(W_XY.D * vol, rel=1e-10)
 
@@ -99,10 +97,10 @@ class TestPerimeter:
         # zero-weighted-mean bump: volume grows at second order, so the
         # isoperimetric inequality pushes the perimeter strictly above 1/2
         star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, 0.1, eta4)
-        per = weighted_perimeter(star, W_XY)
+        per = deficit(star, W_XY).w_perimeter
         assert per > 0.5
-        oracle = weighted_perimeter(
-            StarSet.perturbed_ball(QUADRANT, W_XY, 2 ** 16, 0.1, eta4), W_XY)
+        fine = StarSet.perturbed_ball(QUADRANT, W_XY, 2 ** 16, 0.1, eta4)
+        oracle = deficit(fine, W_XY).w_perimeter
         assert per == pytest.approx(oracle, abs=1e-7)
 
 
@@ -155,11 +153,15 @@ class TestDeficit:
     def test_report_equals_the_public_functions_bit_for_bit(self, cone, weight):
         star = StarSet.perturbed_ball(cone, weight, 2048, 0.1, eta4)
         rep = deficit(star, weight)
-        vol, per = weighted_volume(star, weight), weighted_perimeter(star, weight)
-        w1 = unit_ball_volume(star, weight)
+        # the polar quadratures the report shares its arrays between
+        qw = star.quad_weights()
+        vol = weighted_volume(star, weight)
+        per = float(qw @ geometry.boundary_element(star, weight))
+        w1 = float(qw @ weight.arc_values(star.thetas)) / weight.D
         assert (rep.w_volume, rep.w_perimeter) == (vol, per)
         assert rep.deficit == deficit_value(per, vol, w1, weight.D)
         assert rep.r_eq == (vol / w1) ** (1.0 / weight.D)
+        assert rep.unit_volume == w1
 
     def test_arc_arrays_built_once_per_deficit(self, monkeypatch):
         # the volume, the perimeter and w(B1 cap cone) share one angular
@@ -347,7 +349,7 @@ class TestBoundaryIntegral:
     def test_constant_recovers_perimeter(self):
         star = StarSet.perturbed_ball(QUADRANT, W_XY, 2048, 0.1, eta4)
         got = boundary_weighted_integral(star, W_XY, lambda p: np.ones(len(p)))
-        assert got == pytest.approx(weighted_perimeter(star, W_XY), rel=1e-12)
+        assert got == pytest.approx(deficit(star, W_XY).w_perimeter, rel=1e-12)
 
     def test_radial_distance_zero_on_ball(self):
         star = StarSet.ball(QUADRANT, 2048)

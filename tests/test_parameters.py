@@ -13,8 +13,9 @@ variables through defaults).
 Likewise a pin in ``EXPECTATIONS`` that nothing reads guards nothing; a
 pin counts as read where ``EXPECTATIONS["key"]`` is written out.  And a
 module-level import that its module never names is dead weight (no linter
-is assumed).  ``__init__.py`` is skipped for its re-exports, and imports
-under ``if TYPE_CHECKING:`` are not top-level statements, so both are exempt.
+is assumed); ``__init__.py`` included, so a package-root re-export counts
+as unused.  Imports under ``if TYPE_CHECKING:`` are not top-level
+statements, so they are exempt.
 An exception class that no ``raise`` in ``src/`` names is left over from
 the code that raised it.
 """
@@ -113,8 +114,6 @@ def unused_imports():
     module in ``src/`` whose bound name the module never reads."""
     unused = []
     for path in sorted((ROOT / "src").rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(), str(path))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in tree.body:

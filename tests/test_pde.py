@@ -396,7 +396,7 @@ class TestAnisotropicSolve:
     def test_unit_disk_radial_solution(self):
         star = StarSet.ball(Cone.plane(), 4096)
         mesh = fan_triangulate(star, 0.04)
-        body = SlopeBody.disk(1.0, 64, 128)
+        body = SlopeBody.sector_disk(Cone.plane(), 1.0, 64, 128)
         field = solve_neumann(mesh, AnisotropicMode(body))
         assert field.b_E == pytest.approx(2.0, abs=5e-3)
         err = weighted_h1_error(field, lambda p: p)
