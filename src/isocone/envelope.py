@@ -31,10 +31,6 @@ import dataclasses
 import math
 
 import numpy as np
-# the one SciPy import at load time, because both verbs that use this module
-# query a tree on every op; the package imports other SciPy submodules inside
-# the functions that call them, so light verbs never pay for them
-from scipy.spatial import cKDTree
 
 from .cone_weight import Cone, unit
 from .geometry import emit_csv
@@ -50,6 +46,8 @@ _ANGLE_BLOCK = 16  # sector-disk angles per argmax bound
 _BOUND_KNOTS = 64  # knots of the chord bound of one block
 _HESS_WINDOW = 5  # grid nodes per side of the Hessian's least-squares window
 _NORMAL_CONE_TOL = 1e-9  # distance within which a slope lies on a face of K
+_NEAREST_SEED = 64  # queries of largest bound that _farthest_nearest resolves first
+_NEAREST_MARGIN = 1e-9  # relative reach of _farthest_nearest's windows past a bound
 
 
 @dataclasses.dataclass(frozen=True)
@@ -496,6 +494,115 @@ def _sorted_unique(keys):
     return keys[first]
 
 
+def _sq_dist(x, y, sx, sy):
+    """dx*dx + dy*dy with dx = x - sx, dy = y - sy, in float64."""
+    dx = x - sx
+    dy = y - sy
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
+def _ranges(first, counts):
+    """(owner, value): entry i of ``first`` and ``counts`` expands to the
+    values first[i], first[i] + 1, ... (counts[i] of them), each owned by i."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    shift = first - (np.cumsum(counts) - counts)
+    return owner, np.arange(len(owner)) + shift[owner]
+
+
+def _farthest_nearest(sites, queries) -> float:
+    """max over the (n, 2) queries of the distance to the nearest of the
+    (m, 2) sites: inf with no site, 0.0 with no query.
+
+    Bound, then prune.  The sites are bucketed in row-major order on a grid
+    of square cells, about one site per cell.  Each query's bound is its
+    squared distance to six sites: in its row and in the rows above and below,
+    the last site before its cell and the first at or after it.  Queries are
+    then resolved in order of decreasing bound, over the cells within their
+    bound, ``_NEAREST_SEED`` first, then in batches of at most ``_BLOCK``
+    (query, site) pairs; the largest squared distance resolved so far prunes
+    every query whose bound does not exceed it.  A window reaches past the
+    bound by ``_NEAREST_MARGIN`` (relative, plus that fraction of the
+    coordinate scale), far more than the rounding of its edges, so a site
+    outside it is farther than the bound's site inside.
+    Bounds and exact distances alike are ``_sq_dist`` of a query and a site,
+    so the result is the float a k-d tree query gives, bit for bit.
+    """
+    if len(queries) == 0:
+        return 0.0
+    if len(sites) == 0:
+        return math.inf
+    # by coordinate: reductions over (n, 2) columns are several times slower
+    qx, qy = queries[:, 0].copy(), queries[:, 1].copy()
+    sx, sy = sites[:, 0].copy(), sites[:, 1].copy()
+    x0, y0 = min(qx.min(), sx.min()), min(qy.min(), sy.min())
+    wx, wy = max(qx.max(), sx.max()) - x0, max(qy.max(), sy.max()) - y0
+    m = len(sx)
+    side = max(math.sqrt(wx * wy / m), max(wx, wy) / m)  # at most 3m + 1 cells
+    if side == 0.0:
+        return 0.0  # every point coincides
+    nx, ny = int(wx / side) + 1, int(wy / side) + 1
+
+    def cell(v, v0, n):
+        # clip, then truncate: monotone in v, so a window's cells hold every
+        # site whose coordinate lies between the window's edges
+        return np.clip((v - v0) / side, 0, n - 1).astype(np.intp)
+
+    key = cell(sy, y0, ny) * nx + cell(sx, x0, nx)
+    order = np.argsort(key)
+    sx, sy = sx[order], sy[order]
+    start = np.zeros(nx * ny + 1, dtype=np.intp)  # sites before each cell
+    np.cumsum(np.bincount(key, minlength=nx * ny), out=start[1:])
+
+    qcol, qrow = cell(qx, x0, nx), cell(qy, y0, ny)
+    bound = np.full(len(qx), np.inf)
+    for step in (-1, 0, 1):
+        after = start[np.clip(qrow + step, 0, ny - 1) * nx + qcol]
+        for k in (after - 1, after):
+            np.clip(k, 0, m - 1, out=k)
+            np.minimum(bound, _sq_dist(qx, qy, sx[k], sy[k]), out=bound)
+
+    slack = _NEAREST_MARGIN * (side + max(abs(x0), abs(y0), abs(x0 + wx), abs(y0 + wy)))
+
+    def resolve(sel):
+        """Overwrite the bounds of a leading part of ``sel`` with their exact
+        squared nearest distances; returns that part's length."""
+        x, y = qx[sel], qy[sel]
+        reach = np.sqrt(bound[sel]) * (1.0 + _NEAREST_MARGIN) + slack
+        c0, c1 = cell(x - reach, x0, nx), cell(x + reach, x0, nx) + 1
+        r0 = cell(y - reach, y0, ny)
+        n_rows = cell(y + reach, y0, ny) - r0 + 1
+        owner, row = _ranges(r0, n_rows)  # one record per (query, row), query-major
+        lo, hi = start[row * nx + c0[owner]], start[row * nx + c1[owner]]
+        pairs = np.cumsum(np.add.reduceat(hi - lo, np.cumsum(n_rows) - n_rows))
+        n = max(1, int(np.searchsorted(pairs, _BLOCK, side="right")))
+        r = int(np.searchsorted(owner, n))
+        rec, site = _ranges(lo[:r], hi[:r] - lo[:r])
+        q = owner[rec]
+        d = _sq_dist(x[q], y[q], sx[site], sy[site])
+        # each window holds its bound's site, so no query's run is empty
+        bound[sel[:n]] = np.minimum.reduceat(d, np.concatenate([[0], pairs[:n - 1]]))
+        return n
+
+    def drain(todo, best):
+        """Resolve ``todo`` (by decreasing bound) until no bound exceeds the best."""
+        size = _NEAREST_SEED
+        while len(todo):
+            todo = todo[bound[todo] > best]
+            if len(todo):
+                n = resolve(todo[:size])
+                best = max(best, float(bound[todo[:n]].max()))
+                todo, size = todo[n:], 4 * size
+        return best
+
+    seed = np.argpartition(bound, -min(len(bound), _NEAREST_SEED))[-_NEAREST_SEED:]
+    best = drain(seed[np.argsort(-bound[seed])], 0.0)
+    rest = np.flatnonzero(bound > best)
+    return math.sqrt(drain(rest[np.argsort(-bound[rest])], best))
+
+
 @dataclasses.dataclass
 class EnvelopeField:
     """The envelope evaluated on a regular grid, with slope and Hessian data."""
@@ -594,19 +701,21 @@ class EnvelopeField:
     def range_hausdorff(self, mask: np.ndarray | None = None):
         """(distance from the body's samples to the achieved slopes, their count).
 
-        The achieved slopes are sample points, so the distance is one-sided,
-        and an achieved sample is at distance exactly 0: only the others are
-        queried, and the distance is 0.0 when there are none.  An optional
-        boolean ``mask`` (ny, nx) keeps only the selected nodes.
+        The achieved slopes are sample points, so the distance is one-sided:
+        the largest distance from an unachieved sample to its nearest
+        achieved one (``_farthest_nearest``).  It is exact, the float a k-d
+        tree gives, float(cKDTree(achieved).query(others)[0].max()), bit
+        for bit: each candidate is dx*dx + dy*dy with dx = q - s in
+        float64, and one sqrt of the largest nearest candidate follows.  It
+        is 0.0 when every sample is achieved and inf when none is (count
+        0).  An optional boolean ``mask`` (ny, nx) keeps only the selected
+        nodes.
         """
         hit = self.achieved_indices(mask)
         samples = self.body.samples
         missed = np.ones(len(samples), dtype=bool)
         missed[hit] = False
-        if not missed.any():
-            return 0.0, len(hit)
-        d, _ = cKDTree(samples[hit]).query(samples[missed])
-        return float(d.max()), len(hit)
+        return _farthest_nearest(samples[hit], samples[missed]), len(hit)
 
     def convexity_violation(self) -> float:
         """Worst negative midpoint second difference (axes and diagonals)."""

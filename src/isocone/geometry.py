@@ -135,7 +135,8 @@ class MeasureReport:
 
 def _require_weighted(star: StarSet, weight: HomWeight):
     if star.cone.full_plane:
-        raise ValueError("weighted functionals need a wedge or half-plane cone")
+        raise ValueError("weighted functionals need a wedge or half-plane cone, "
+                         "not the full plane")
     if not star.cone.same_as(weight.cone):
         raise ValueError("set and weight live on different cones")
 
@@ -305,11 +306,11 @@ def asymmetry(star: StarSet, weight: HomWeight, rep: MeasureReport):
     translation.
     """
     vol, r_eq = rep.w_volume, rep.r_eq
-    symdiff = _symdiff_with_balls(star, weight)
+    symdiff = _symdiff_with_balls(star, weight)  # rejects the full plane (k = 2)
     if star.cone.k == 0:
         return symdiff(np.zeros(2), r_eq) / vol, np.zeros(2)
 
-    direction = star.cone.basis_L()[0]
+    direction, = star.cone.basis_L()
 
     def objective(t):
         return symdiff(t * direction, r_eq) / vol

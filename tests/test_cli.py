@@ -294,37 +294,51 @@ class TestCoupleVerb:
         assert checks["chain_image_jacobian"]["ok"] is False
 
 
-# run in a fresh interpreter: prints the SciPy submodules of argv[1] that are
-# loaded after importing the CLI, then those loaded after one couple op
+# run in a fresh interpreter: prints the SciPy modules loaded after importing
+# the CLI, then after one op of the verb argv[1] on the config argv[2]
 _LOADED_SCIPY = """
 import sys
 import isocone.cli
-lazy = sys.argv[1].split(",")
-print(",".join(m for m in lazy if m in sys.modules))
-isocone.cli.main(["couple", "--config", sys.argv[2], "--out", sys.argv[3]])
-print(",".join(m for m in lazy if m in sys.modules))
+
+def loaded():
+    return ",".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+
+print(loaded())
+isocone.cli.main([sys.argv[1], "--config", sys.argv[2], "--out", sys.argv[3]])
+print(loaded())
 """
 
 
+def _scipy_loaded(tmp_path, verb, config):
+    """(SciPy modules after the import, after the op) in a fresh interpreter."""
+    cfg = write_config(tmp_path, config)
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, verb, cfg,
+                           str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, check=True)
+    at_import, after_op = done.stdout.splitlines()
+    return at_import, set(after_op.split(",")) - {""}
+
+
 class TestStartup:
+    # the CLI loads no SciPy; a verb imports the submodules it calls on
+    # first use, so the light verbs never pay for them
+    def test_cli_import_and_envelope_op_load_no_scipy(self, tmp_path):
+        config = {**BASE_CONFIG, "envelope": {"u": "quadratic", "h": 0.2, "n_points": 40}}
+        at_import, after_op = _scipy_loaded(tmp_path, "envelope", config)
+        assert at_import == ""
+        assert after_op == set()
+        assert (tmp_path / "out" / "envelope_c11.csv").exists()
+
     def test_scipy_submodules_load_on_first_use(self, tmp_path):
-        # scipy.spatial (cKDTree) loads with the CLI; these wait for the verbs
-        # that call them, so the light verbs never pay for their import
-        lazy = ["scipy.ndimage", "scipy.optimize", "scipy.sparse.linalg",
-                "scipy.sparse.csgraph"]
         config = dict(BASE_CONFIG)
         config["resolutions"] = {"n_theta": 512, "mesh_h": 0.08, "n_slope": [64, 48],
                                  "eval_h": 0.03}
-        cfg = write_config(tmp_path, config)
-        src = pathlib.Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, ",".join(lazy), cfg,
-                               str(tmp_path / "out")],
-                              env=env, capture_output=True, text=True, check=True)
-        at_import, after_couple = done.stdout.splitlines()
+        at_import, after_couple = _scipy_loaded(tmp_path, "couple", config)
         assert at_import == ""
-        assert {"scipy.ndimage", "scipy.sparse.linalg"} <= set(after_couple.split(","))
+        assert {"scipy.ndimage", "scipy.sparse.linalg"} <= after_couple
         assert (tmp_path / "out" / "report.json").exists()
 
 

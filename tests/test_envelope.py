@@ -830,6 +830,80 @@ class TestRangeHausdorff:
         assert got == _all_samples_hausdorff(field, None)
 
 
+def _brute_farthest_nearest(sites, queries):
+    """The pairwise minimum in the kernel's operations: dx*dx + dy*dy with
+    dx = q - s in float64, one sqrt of the largest minimum."""
+    dx = queries[:, None, 0] - sites[None, :, 0]
+    dy = queries[:, None, 1] - sites[None, :, 1]
+    return math.sqrt(float((dx * dx + dy * dy).min(axis=1).max()))
+
+
+def _tree_farthest_nearest(sites, queries):
+    d, _ = cKDTree(sites).query(queries)
+    return float(d.max())
+
+
+def _split(points, frac, seed):
+    """(hit, missed) rows of points, each kept as a hit with probability frac."""
+    hit = np.random.default_rng(seed).random(len(points)) < frac
+    return points[hit], points[~hit]
+
+
+class TestFarthestNearest:
+    def assert_exact(self, sites, queries):
+        got = envelope._farthest_nearest(sites, queries)
+        assert got == _brute_farthest_nearest(sites, queries)
+        assert got == _tree_farthest_nearest(sites, queries)
+        return got
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_clouds(self, seed):
+        rng = np.random.default_rng(seed)
+        scale, offset = [(1.0, 0.0), (1e-6, 3.0), (1e3, -50.0)][seed % 3]
+        pts = rng.random((int(rng.integers(50, 600)), 2)) * scale + offset
+        self.assert_exact(*_split(pts, [0.02, 0.3][seed % 2], seed))
+        self.assert_exact(pts[:40], rng.random((300, 2)) * 3 * scale + offset - scale)
+
+    @pytest.mark.parametrize("cone", [Cone.quadrant(), Cone.half_plane(), Cone.plane()],
+                             ids=["quadrant", "half_plane", "plane"])
+    @pytest.mark.parametrize("frac", [0.01, 0.2, 0.7])
+    def test_sector_lattices(self, cone, frac):
+        # the plane's arc grid is periodic: its last angle neighbours the first
+        body = SlopeBody.sector_disk(cone, 1.0, 24, 64)
+        self.assert_exact(*_split(body.samples, frac, 7))
+
+    @pytest.mark.parametrize("vertices", [[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+                                          [(-1.0, 0.0), (1.0, -0.5), (0.5, 1.0)],
+                                          [(0.0, 0.0), (1.0, 2.0)],
+                                          [(0.0, 1.0), (0.0, 2.0)]],
+                             ids=["square", "triangle", "segment", "vertical_segment"])
+    @pytest.mark.parametrize("frac", [0.05, 0.5])
+    def test_polygon_and_segment_lattices(self, vertices, frac):
+        body = SlopeBody.polygon(vertices, n_samples=1500)
+        self.assert_exact(*_split(body.samples, frac, 3))
+
+    def test_duplicates_and_a_single_hit(self):
+        pts = np.random.default_rng(1).integers(0, 6, (400, 2)).astype(float)
+        self.assert_exact(*_split(pts, 0.1, 2))
+        assert self.assert_exact(pts[:1], pts) > 0.0
+        assert envelope._farthest_nearest(pts[:1], np.repeat(pts[:1], 5, axis=0)) == 0.0
+
+    def test_all_hit_and_no_hit(self):
+        body = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 8, 8)
+        assert envelope._farthest_nearest(body.samples, body.samples[:0]) == 0.0
+        assert envelope._farthest_nearest(body.samples[:0], body.samples) == math.inf
+        pts = quad_cloud(radius=1.5, n_ang=60, n_rad=21)
+        field = k_envelope(restricted_conjugate(pts, _paraboloid(pts), body),
+                           ((-1.0, 1.0), (-1.0, 1.0)), 0.05)
+        assert field.range_hausdorff(np.zeros(field.phi.shape, dtype=bool)) == (math.inf, 0)
+
+    def test_sparse_hits_far_apart(self):
+        # 40 hits among 40k samples: the answer is many spacings
+        body = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 160, 256)
+        sites, queries = _split(body.samples, 1e-3, 5)
+        assert self.assert_exact(sites, queries) >= 10 * body.spacing
+
+
 class TestContactData:
     @staticmethod
     def grid_samples():

@@ -249,6 +249,13 @@ class TestAsymmetry:
         a, _ = asymmetry(star, W_XY, deficit(star, W_XY))
         assert 0.0 <= a <= 2.0
 
+    def test_full_plane_is_rejected(self):
+        # the plane translates in two directions; the search covers one line
+        star = StarSet.ball(Cone.plane(), 256)
+        rep = deficit(StarSet.ball(HALF, 256), W_Y)
+        with pytest.raises(ValueError, match="not the full plane"):
+            asymmetry(star, W_Y, rep)
+
 
 def _symdiff_per_call(star, weight, x0, r):
     """Reference: w(E symdiff B_r(x0)) rebuilding every array on each call."""

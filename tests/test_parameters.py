@@ -18,6 +18,8 @@ as unused.  Imports under ``if TYPE_CHECKING:`` are not top-level
 statements, so they are exempt.
 An exception class that no ``raise`` in ``src/`` names is left over from
 the code that raised it.
+No module in ``src/`` imports SciPy when it is loaded: outside functions
+and ``if TYPE_CHECKING:`` blocks, so ``import isocone.cli`` loads none of it.
 """
 
 import ast
@@ -128,6 +130,63 @@ def unused_imports():
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+def _load_time_statements(body):
+    """The statements of ``body`` that run when their module is imported,
+    nested ones included, except under functions and ``if TYPE_CHECKING:``
+    (whose ``else`` still runs)."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            yield from _load_time_statements(node.orelse)
+            continue
+        yield node
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _load_time_statements(getattr(node, field, []))
+
+
+def scipy_at_load(tree):
+    """``line: module`` for each SciPy import that runs when ``tree`` is
+    imported."""
+    found = []
+    for node in _load_time_statements(tree.body):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names
+                  if name == "scipy" or name.startswith("scipy.")]
+    return found
+
+
+def test_scipy_scan_sees_only_load_time_imports():
+    source = """
+import numpy
+try:
+    from scipy import sparse
+except ImportError:
+    import scipy.linalg
+if TYPE_CHECKING:
+    import scipy.spatial
+else:
+    import scipy.optimize as opt
+class A:
+    import scipy.ndimage
+def f():
+    import scipy.special
+"""
+    assert scipy_at_load(ast.parse(source)) == [
+        "4: scipy", "6: scipy.linalg", "10: scipy.optimize", "12: scipy.ndimage"]
+
+
+def test_no_module_imports_scipy_at_load_time():
+    found = {path.name: scipy_at_load(ast.parse(path.read_text(), str(path)))
+             for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def unraised_exceptions():
