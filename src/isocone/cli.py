@@ -149,10 +149,12 @@ def parse_weight(config) -> HomWeight:
         return HomWeight.monomial(cone, *_read(config, "weight.monomial", shape=(2,)))
     if "profile" in spec:
         thetas = _read(config, "weight.profile.thetas", shape=(None,),
-                       test=lambda t: len(t) >= 2 and all(a < b for a, b in zip(t, t[1:])),
-                       need=" with at least two strictly increasing angles")
+                       test=lambda t: len(t) >= 2 and cone.spanned_by(np.array(t)),
+                       need=" with at least two increasing angles from the cone's "
+                            f"{cone.angle_lo:.12g} to {cone.angle_hi:.12g}, each gap below pi")
         values = _read(config, "weight.profile.values", shape=(None,),
-                       test=lambda v: len(v) == len(thetas), need=" with one value per angle")
+                       test=lambda v: len(v) == len(thetas) and all(x >= 0 for x in v),
+                       need=" with one nonnegative value per angle")
         return HomWeight.from_profile(cone, np.array(thetas), np.array(values),
                                       _read(config, "weight.profile.alpha"))
     raise ConfigError("weight needs 'monomial' or 'profile'")

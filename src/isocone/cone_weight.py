@@ -3,13 +3,10 @@
 A cone is an open angular sector with vertex at the origin and opening at
 most pi (a half-plane when the opening equals pi, in which case it contains
 exactly one line).  Weights are alpha-homogeneous, nonnegative on the closed
-cone, and admissible when their alpha-th root is concave.  The admission
-criterion is sampled, not proved symbolically: for interior points x, z the
-inequality
-
-    alpha * (w(z)/w(x))^(1/alpha)  <=  grad w(x) . z / w(x)
-
-characterizes concavity of w^(1/alpha).
+cone, and admissible when their root G = w^(1/alpha) is concave; G >= 0 is
+1-homogeneous, so it is concave exactly when {G >= 1} is convex
+(Rockafellar, *Convex Analysis*, section 15).  Each weight is admitted from
+its closed form, with no sampling (see :class:`HomWeight`).
 """
 
 from __future__ import annotations
@@ -21,14 +18,12 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-ADMISSION_PAIRS = 10_000
-ADMISSION_TOL = 1e-10
 _SAME_CONE_TOL = 1e-12  # wedge angles this close give the same cone
-_CONSTANCY_TOL = 1e-10  # relative weight change still constant along a direction
+_KINK_TOL = 1e-12  # relative rounding allowance of the profile kink test
 
 
 class InadmissibleWeightError(ValueError):
-    """The weight fails homogeneity or the concavity admission check."""
+    """The weight is negative, vanishes, or has a root that is not concave."""
 
 
 def unit(theta):
@@ -125,6 +120,20 @@ class Cone:
             w[0] = w[-1] = w[0] / 2.0
         return w
 
+    def frame_angle(self, theta):
+        """theta moved by whole turns to within pi of the bisector, so the closed
+        cone's angles fall in [angle_lo, angle_hi]; those are returned unchanged."""
+        mid = 0.5 * (self.angle_lo + self.angle_hi)
+        return theta + TWO_PI * np.round((mid - theta) / TWO_PI)
+
+    def spanned_by(self, thetas) -> bool:
+        """True when the angles run from angle_lo to angle_hi (within the
+        same-cone tolerance) with every gap in (0, pi)."""
+        gaps = np.diff(thetas)
+        return bool(abs(thetas[0] - self.angle_lo) <= _SAME_CONE_TOL
+                    and abs(thetas[-1] - self.angle_hi) <= _SAME_CONE_TOL
+                    and np.all(gaps > 0) and np.all(gaps < math.pi))
+
     def same_as(self, other: "Cone") -> bool:
         if self.full_plane or other.full_plane:
             return self.full_plane == other.full_plane
@@ -151,44 +160,70 @@ class Cone:
 
 
 class HomWeight:
-    """Alpha-homogeneous weight on a cone with concave alpha-th root.
+    """Alpha-homogeneous weight on a cone with concave alpha-th root G.
 
-    Two forms are supported.  Monomial weights ``x^a1 * y^a2`` are evaluated
-    analytically.  Spherical-profile weights carry samples of the angular
-    profile p with ``w(r*u(theta)) = r^alpha * p(theta)``; the profile is
-    interpolated linearly in angle and differentiated by central differences
-    with step equal to one grid cell.
+    Both forms are admitted in closed form when built, or construction raises
+    :class:`InadmissibleWeightError`; no later code tests them again.
 
-    Construction admits the weight (nonnegative, not identically zero,
-    alpha-homogeneous, sampled concave root) or raises
-    :class:`InadmissibleWeightError`; no later code tests these again.
+    A monomial ``x^a1 * y^a2`` has alpha = a1 + a2 and the root
+    x^(a1/alpha) y^(a2/alpha), a weighted geometric mean (linear when an
+    exponent is 0), concave where positive.  It is admitted exactly when
+    w > 0 on the open cone: both rays and the bisector lie in {x >= 0} if
+    a1 > 0, and in {y >= 0} if a2 > 0.
+
+    A profile weight carries samples p_i of w at angles angle_lo = t_0 < ...
+    < t_n = angle_hi, each gap below pi.  Its root is linear in x between
+    consecutive sample rays: with G_i = p_i^(1/alpha), G(x) = c_i . x on the
+    wedge [t_i, t_(i+1)], where c_i . u(t_i) = G_i and c_i . u(t_(i+1)) =
+    G_(i+1); the end wedges extend past the rays, and a point's wedge comes
+    from its angle in the cone's frame (:meth:`Cone.frame_angle`).  So
+    w = max(G, 0)^alpha is alpha-homogeneous and grad w = alpha G^(alpha-1) c_i.
+
+    Interpolation error.  On the arc, g_h = G(u(theta)) solves g'' + g = 0
+    in each wedge, so e = g - g_h solves e'' + e = g'' + g with e = 0 at the
+    ends, and M (sec(h/2) cos(theta - mid) - 1), which solves v'' + v = -M,
+    bounds it on a wedge of angle h where the sampled root g is C^2:
+
+        |g - g_h| <= (sec(h/2) - 1) max |g'' + g|  ~  h^2/8 max |g'' + g|.
+
+    For x^a1 y^a2, g'' + g = -(a1 a2/alpha^2) g / (sin cos)^2.  It is 0 for a
+    linear root, whose profile is exact, and unbounded at an axis ray, where
+    g grows as the angle from the ray to the power a/alpha; volumes,
+    perimeters and deficits then differ by O(h^min(2, 1 + a/alpha)), with a
+    the smallest positive exponent.
+
+    Admission of a profile is the kink test.  A piecewise linear G is concave
+    on the convex cone exactly when it bends down across every interior ray,
+    c_(i-1) . u_(i+1) >= G_(i+1).  By sin(t_i - t_(i-1)) u_(i+1) =
+    sin(t_(i+1) - t_(i-1)) u_i - sin(t_(i+1) - t_i) u_(i-1), that reads
+
+        sin(t_i - t_(i-1)) G_(i+1) + sin(t_(i+1) - t_i) G_(i-1) <= sin(t_(i+1) - t_(i-1)) G_i,
+
+    the discrete g'' + g <= 0, or the turning test on the points u_i / G_i of
+    the boundary of {G >= 1}.  It is exact for the interpolant, linear roots
+    are its equality case, and it grants only a relative rounding allowance
+    (``_KINK_TOL``).
 
     Carries the effective dimension ``D = 2 + alpha``.  w(B1 cap cone) comes
     from ``geometry.MeasureReport.unit_volume``, at each set's own angular
     quadrature, so that discrete identities hold exactly.
     """
 
-    def __init__(self, cone, alpha, exponents=None, profile_thetas=None,
-                 profile_values=None):
+    def __init__(self, cone, alpha, exponents=None, profile_thetas=None, profile_values=None):
         if alpha <= 0:
             raise InadmissibleWeightError("homogeneity degree must be positive")
         if cone.full_plane:
             raise InadmissibleWeightError("weights require a wedge or half-plane cone")
         self.cone = cone
         self.alpha = float(alpha)
-        self.exponents = None if exponents is None else tuple(float(a) for a in exponents)
-        self.profile_thetas = self.profile_values = self._profile_slopes = None
-        if profile_thetas is not None:
-            self.profile_thetas = np.asarray(profile_thetas, dtype=float)
-            self.profile_values = np.asarray(profile_values, dtype=float)
-            t, v = self.profile_thetas, self.profile_values
-            if t.ndim != 1 or len(t) < 2 or v.shape != t.shape or not np.all(np.diff(t) > 0):
-                raise InadmissibleWeightError("profile needs two or more strictly increasing "
-                                              f"angles, one value each: thetas {t.tolist()}, "
-                                              f"values {v.tolist()}")
-            self._profile_slopes = np.gradient(self.profile_values, self.profile_thetas)
         self.D = 2.0 + self.alpha
-        self._check_admissible()
+        self.exponents = self.profile_thetas = self._slopes = None
+        if exponents is not None:
+            self.exponents = tuple(float(a) for a in exponents)
+            self._admit_monomial()
+        else:
+            self._admit_profile(np.asarray(profile_thetas, dtype=float),
+                                np.asarray(profile_values, dtype=float))
 
     @staticmethod
     def monomial(cone, a1, a2) -> "HomWeight":
@@ -202,7 +237,46 @@ class HomWeight:
         """Weight r^alpha * p(theta) from samples of the angular profile p."""
         return HomWeight(cone, alpha, profile_thetas=thetas, profile_values=values)
 
+    def _admit_monomial(self):
+        lo, hi = self.cone.angle_lo, self.cone.angle_hi
+        rays = unit([lo, 0.5 * (lo + hi), hi])
+        for axis, a in enumerate(self.exponents):
+            if a > 0 and np.any(rays[:, axis] < -_SAME_CONE_TOL):
+                raise InadmissibleWeightError(f"monomial with exponents {self.exponents} "
+                                              f"vanishes on part of the cone [{lo}, {hi}]")
+
+    def _admit_profile(self, t, v):
+        if (t.ndim != 1 or len(t) < 2 or v.shape != t.shape or not self.cone.spanned_by(t)
+                or not np.all(np.isfinite(v))):
+            raise InadmissibleWeightError(
+                "profile needs two or more increasing angles from angle_lo to angle_hi, "
+                f"each gap below pi, one finite value each: thetas {t.tolist()}, "
+                f"values {v.tolist()}")
+        if np.any(v < 0):
+            raise InadmissibleWeightError("weight is negative inside the cone")
+        if np.all(v == 0):
+            raise InadmissibleWeightError("weight vanishes identically")
+        g = v ** (1.0 / self.alpha)
+        u = unit(t)
+        rays = np.stack([u[:-1], u[1:]], axis=1)
+        self._slopes = np.linalg.solve(rays, np.stack([g[:-1], g[1:]], axis=1)[..., None])[..., 0]
+        self.profile_thetas = t
+        gap = np.sin(np.diff(t))
+        lhs = gap[:-1] * g[2:] + gap[1:] * g[:-2]
+        rhs = np.sin(t[2:] - t[:-2]) * g[1:-1]
+        bent_up = lhs - rhs > _KINK_TOL * (lhs + rhs)
+        if np.any(bent_up):
+            raise InadmissibleWeightError("concavity condition fails: the root bends up at "
+                                          f"theta {t[1 + np.argmax(bent_up)]:.12g}")
+
     # -- evaluation ---------------------------------------------------------
+
+    def _profile_root(self, p):
+        """(G, c_i) at the rows of ``p``, G clipped at 0."""
+        theta = self.cone.frame_angle(np.arctan2(p[:, 1], p[:, 0]))
+        i = np.searchsorted(self.profile_thetas, theta, side="right") - 1
+        c = self._slopes[np.clip(i, 0, len(self._slopes) - 1)]
+        return np.maximum(np.einsum("ij,ij->i", c, p), 0.0), c
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -214,9 +288,7 @@ class HomWeight:
             y = np.clip(p[:, 1], 0.0, None)
             vals = x ** a1 * y ** a2
         else:
-            r = np.hypot(p[:, 0], p[:, 1])
-            theta = np.arctan2(p[:, 1], p[:, 0])
-            vals = r ** self.alpha * self._profile(theta)
+            vals = self._profile_root(p)[0] ** self.alpha
         return float(vals[0]) if single else vals
 
     def root(self, pts) -> np.ndarray:
@@ -234,10 +306,7 @@ class HomWeight:
             c = np.clip(np.cos(thetas), 0.0, None)
             s = np.clip(np.sin(thetas), 0.0, None)
             return c ** a1 * s ** a2
-        return self._profile(thetas)
-
-    def _profile(self, theta):
-        return np.interp(theta, self.profile_thetas, self.profile_values)
+        return self._profile_root(unit(thetas))[0] ** self.alpha
 
     def grad(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -251,63 +320,16 @@ class HomWeight:
             gy = x ** a1 * a2 * y ** (a2 - 1.0) if a2 > 0 else np.zeros(len(p))
             g = np.stack([gx, gy], axis=-1)
         else:
-            r = np.hypot(p[:, 0], p[:, 1])
-            theta = np.arctan2(p[:, 1], p[:, 0])
-            pr = self._profile(theta)
-            ps = np.interp(theta, self.profile_thetas, self._profile_slopes)
-            u_r = unit(theta)
-            u_t = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-            rad = r ** (self.alpha - 1.0)
-            g = rad[:, None] * (self.alpha * pr[:, None] * u_r + ps[:, None] * u_t)
+            root, c = self._profile_root(p)
+            g = (self.alpha * root ** (self.alpha - 1.0))[:, None] * c
         return g[0] if single else g
 
-    # -- admission ----------------------------------------------------------
-
-    def _interior_samples(self, n, rng):
-        margin = 0.02 * self.cone.opening
-        thetas = rng.uniform(self.cone.angle_lo + margin, self.cone.angle_hi - margin, n)
-        radii = rng.uniform(0.3, 2.5, n)
-        return radii[:, None] * unit(thetas)
-
-    def _check_admissible(self):
-        rng = np.random.default_rng(0)
-        pts = self._interior_samples(256, rng)
-        base = self(pts)
-        if np.any(base < 0):
-            raise InadmissibleWeightError("weight is negative inside the cone")
-        if np.all(base <= 0):
-            raise InadmissibleWeightError("weight vanishes identically")
-        for t in (0.5, 2.0, 7.0):
-            ref = t ** self.alpha * base
-            if np.max(np.abs(self(t * pts) - ref)) > 1e-12 * max(1.0, np.max(np.abs(ref))):
-                raise InadmissibleWeightError("weight is not alpha-homogeneous")
-        x = self._interior_samples(ADMISSION_PAIRS, rng)
-        z = self._interior_samples(ADMISSION_PAIRS, rng)
-        lhs, rhs = concavity_sides(self, x, z)
-        worst = np.min(rhs - lhs)
-        tol = ADMISSION_TOL
-        if self.profile_thetas is not None:
-            # linear interpolation is only quadratically concave between nodes
-            tol = max(tol, float(np.max(np.diff(self.profile_thetas))) ** 2)
-        if worst < -tol * max(1.0, np.max(np.abs(rhs))):
-            raise InadmissibleWeightError(
-                f"concavity condition fails at sampled pairs (worst residual {worst:.3e})"
-            )
-
-
-def concavity_sides(weight: HomWeight, x, z):
-    """Both sides of the concave-root criterion for point pairs (x, z).
-
-    Returns (lhs, rhs) = (alpha (w(z)/w(x))^(1/alpha), grad w(x) . z / w(x))
-    over the rows of the (n, 2) arrays with w(x) > 0; the criterion is
-    lhs <= rhs.
-    """
-    wx = weight(x)
-    ok = wx > 0
-    wx, z = wx[ok], z[ok]
-    lhs = weight.alpha * (weight(z) / wx) ** (1.0 / weight.alpha)
-    rhs = np.einsum("ij,ij->i", weight.grad(x[ok]), z) / wx
-    return lhs, rhs
+    def gradient_rows(self) -> np.ndarray:
+        """Rows whose span holds every gradient of w: the axes of the positive
+        exponents of a monomial, the wedge slopes c_i of a profile."""
+        if self.exponents is not None:
+            return np.eye(2)[[a > 0 for a in self.exponents]]
+        return self._slopes
 
 
 @dataclasses.dataclass(frozen=True)
@@ -320,8 +342,9 @@ class SubspaceBases:
 
 
 def _canonical_direction(d):
+    """d at unit length, pointing right, or up if vertical to within 1e-12."""
     d = d / np.linalg.norm(d)
-    if d[0] < 0 or (abs(d[0]) < 1e-15 and d[1] < 0):
+    if d[0] < -1e-12 or (abs(d[0]) <= 1e-12 and d[1] < 0):
         d = -d
     return d
 
@@ -329,47 +352,22 @@ def _canonical_direction(d):
 def decompose_subspaces(cone: Cone, weight: HomWeight) -> SubspaceBases:
     """Split the plane into line directions, weight-constancy directions, and the rest.
 
-    The line subspace is nontrivial exactly for the half-plane.  Constancy
-    directions (orthogonal to the line subspace) are detected from the null
-    space of sampled weight gradients and then verified by a direct sampled
-    constancy test at tolerance 1e-10.
+    The line subspace is nontrivial exactly for the half-plane, where an
+    admitted weight can be constant only along the line (a linear root >= 0
+    on a half-plane vanishes on its line).  In a wedge, w is constant along
+    d exactly when every gradient is orthogonal to d: the null vector of
+    :meth:`HomWeight.gradient_rows` (relative singular value at most 1e-10).
     """
     if not cone.same_as(weight.cone):
         raise ValueError("cone and weight disagree")
-    pts = weight._interior_samples(128, np.random.default_rng(1))
-
     basis_L = cone.basis_L()
-    grads = weight.grad(pts)
-    _, svals, vt = np.linalg.svd(grads, full_matrices=False)
-    candidates = [vt[i] for i in range(len(svals)) if svals[i] <= 1e-10 * max(svals[0], 1e-300)]
-
-    basis_C = []
-    for d in candidates:
-        if basis_L and abs(float(d @ basis_L[0])) > 1e-8:
-            continue
-        if _constancy_holds(cone, weight, d):
-            basis_C.append(_canonical_direction(d))
-
-    span = list(basis_L) + basis_C
-    basis_E = []
-    if len(span) == 0:
-        basis_E = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    elif len(span) == 1:
-        v = span[0]
-        basis_E = [_canonical_direction(np.array([-v[1], v[0]]))]
-    return SubspaceBases(tuple(basis_L), tuple(basis_C), tuple(basis_E))
-
-
-def _constancy_holds(cone, weight, direction):
-    thetas = np.linspace(cone.angle_lo + 0.05, cone.angle_hi - 0.05, 17)
-    pts = np.concatenate([r * unit(thetas) for r in (0.5, 1.0, 1.9)])
-    vals = weight(pts)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    for t in (-0.3, 0.11, 0.4):
-        shifted = pts + t * direction
-        inside = cone.contains(shifted, tol=0.0)
-        if not np.any(inside):
-            continue
-        if np.max(np.abs(weight(shifted[inside]) - vals[inside])) > _CONSTANCY_TOL * scale:
-            return False
-    return True
+    _, svals, vt = np.linalg.svd(weight.gradient_rows())
+    basis_C = ()
+    if not basis_L and (len(svals) < 2 or svals[1] <= 1e-10 * svals[0]):
+        basis_C = (_canonical_direction(vt[-1]),)
+    span = basis_L + basis_C
+    if span:
+        basis_E = (_canonical_direction(np.array([-span[0][1], span[0][0]])),)
+    else:
+        basis_E = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    return SubspaceBases(basis_L, basis_C, basis_E)

@@ -69,9 +69,11 @@ class StarSet:
 
     def radius_at(self, theta):
         """Radial function at arbitrary angles, linear between nodes; full-plane
-        sets wrap with period 2pi, and wedges hold the end radii beyond the grid."""
-        return np.interp(theta, self.thetas, self.radii,
-                         period=TWO_PI if self.periodic else None)
+        sets wrap with period 2pi, and wedges read each angle in the cone's
+        frame (:meth:`Cone.frame_angle`) and hold the end radii beyond the grid."""
+        if self.periodic:
+            return np.interp(theta, self.thetas, self.radii, period=TWO_PI)
+        return np.interp(self.cone.frame_angle(theta), self.thetas, self.radii)
 
     def boundary_points(self) -> np.ndarray:
         return self.radii[:, None] * unit(self.thetas)

@@ -497,8 +497,9 @@ class TestConfigReader:
          "weight.profile.thetas"),
         ("measure", {"weight": {"profile": {"thetas": [0.7], "values": [1.0], "alpha": 2}}},
          "weight.profile.thetas"),
-        ("measure", {"weight": {"profile": {"thetas": [0.0, 0.7, 1.5], "values": [1.0, 1.0],
-                                            "alpha": 2}}}, "weight.profile.values"),
+        ("measure", {"weight": {"profile": {"thetas": [0.0, 0.7, math.pi / 2],
+                                            "values": [1.0, 1.0], "alpha": 2}}},
+         "weight.profile.values"),
         ("measure", {"weight": {"profile": {"thetas": [1.5, 0.7, 0.0], "values": [1.0, 1.0, 1.0],
                                             "alpha": 2}}}, "weight.profile.thetas"),
         # a zero-area body: ZeroDivisionError in the deficit after meshing
@@ -528,6 +529,15 @@ class TestConfigReader:
         # a step at the box side wrote envelope.csv, then numpy's "zero-size array"
         ("envelope", {"envelope": {**ENVELOPE, "h": 4}}, "envelope.h"),
         ("envelope", {"envelope": {**ENVELOPE, "h": 1, "box": [[-2, 2], [0, 1]]}}, "envelope.h"),
+        # profile samples that stop short of the arc, a negative value, a gap of pi
+        ("measure", {"weight": {"profile": {"thetas": [0.0, 0.7, 1.5], "values": [1.0, 1.0, 1.0],
+                                            "alpha": 2}}}, "weight.profile.thetas"),
+        ("measure", {"weight": {"profile": {"thetas": [0.0, 0.7, math.pi / 2],
+                                            "values": [0.0, 1.0, -0.5], "alpha": 2}}},
+         "weight.profile.values"),
+        ("measure", {"cone": {"angles": [0, math.pi]},
+                     "weight": {"profile": {"thetas": [0, math.pi], "values": [0.0, 0.0],
+                                            "alpha": 1}}}, "weight.profile.thetas"),
     ])
     def test_bad_value_names_its_key_before_any_output(self, tmp_path, capsys, verb, patch,
                                                        key):

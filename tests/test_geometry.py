@@ -249,6 +249,23 @@ class TestAsymmetry:
         a, _ = asymmetry(star, W_XY, deficit(star, W_XY))
         assert 0.0 <= a <= 2.0
 
+    # a mode-1 star on the half-plane y > 0 is, to first order, the ball moved
+    # by eps along the line; the search takes that move out, so A is O(eps^2)
+    @pytest.mark.parametrize("eps, a_over_eps, shift", [
+        (0.04, 0.015335, 0.039957), (0.02, 0.0076903, 0.019995), (0.01, 0.0038480, 0.0099993)])
+    def test_half_plane_search_removes_the_translation_mode(self, eps, a_over_eps, shift):
+        star = StarSet.perturbed_ball(HALF, W_Y, 2048, eps, eta_fourier_cos(HALF, 1))
+        a, x0 = asymmetry(star, W_Y, deficit(star, W_Y))
+        assert a / eps == pytest.approx(a_over_eps, rel=1e-3)
+        assert x0[0] == pytest.approx(shift, rel=1e-3) and x0[1] == 0.0
+
+    # for contrast, mode 2 is not a translation: A/eps stays near 1.55
+    @pytest.mark.parametrize("eps", [0.04, 0.02, 0.01])
+    def test_half_plane_mode_two_is_not_removed(self, eps):
+        star = StarSet.perturbed_ball(HALF, W_Y, 2048, eps, eta_fourier_cos(HALF, 2))
+        a, _ = asymmetry(star, W_Y, deficit(star, W_Y))
+        assert a / eps == pytest.approx(1.55, rel=0.01)
+
     def test_full_plane_is_rejected(self):
         # the plane translates in two directions; the search covers one line
         star = StarSet.ball(Cone.plane(), 256)
@@ -318,6 +335,32 @@ SEARCH_CASES = {
                                             eta_fourier_cos(HALF, 3)), W_Y_PROFILE),
     "quadrant_fourier": (StarSet.perturbed_ball(QUADRANT, W_XY, 2048, 0.1, eta4), W_XY),
 }
+
+
+class TestAngleFrame:
+    """A cone given one turn later is the same cone: its sets read every
+    angle in the cone's frame, not at the raw arctan2."""
+
+    LATER = Cone(2.0 * math.pi, 2.5 * math.pi)
+
+    def _star(self, cone):
+        return StarSet.perturbed_ball(cone, HomWeight.monomial(cone, 1, 1), 2048, 0.2,
+                                      eta_fourier_cos(cone, 4))
+
+    def test_radius_and_membership_agree(self):
+        star, later = self._star(QUADRANT), self._star(self.LATER)
+        assert later.radius_at(0.3) == pytest.approx(star.radius_at(0.3), abs=1e-12)
+        assert later.radius_at(0.3) == pytest.approx(1.1391, abs=1e-4)
+        xs = np.linspace(-0.3, 1.4, 81)
+        pts = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
+        inside = star.contains(pts)
+        assert 0 < inside.sum() < len(pts)
+        assert np.array_equal(later.contains(pts), inside)
+
+    def test_deficits_agree(self):
+        rep = deficit(self._star(QUADRANT), W_XY)
+        later = deficit(self._star(self.LATER), HomWeight.monomial(self.LATER, 1, 1))
+        assert later.deficit == pytest.approx(rep.deficit, abs=1e-12)
 
 
 class TestTranslationSearch:

@@ -20,11 +20,16 @@ An exception class that no ``raise`` in ``src/`` names is left over from
 the code that raised it.
 No module in ``src/`` imports SciPy when it is loaded: outside functions
 and ``if TYPE_CHECKING:`` blocks, so ``import isocone.cli`` loads none of it.
+And a top-level function or class, or a method, whose name appears nowhere
+in ``src/`` but at its definition serves no verb; the few kept for the tests
+are listed in ``UNCALLED_LEDGER``.
 """
 
 import ast
 import builtins
+import collections
 import pathlib
+import re
 
 from isocone.expectations import EXPECTATIONS
 
@@ -218,3 +223,58 @@ def test_every_exception_class_is_raised():
     unraised, n_defined = unraised_exceptions()
     assert n_defined > 0  # the class scan found the package's errors
     assert unraised == []
+
+
+# Named in src/ only where they are defined.  Each is reached from the tests
+# alone, until a verb calls it or it leaves src/ (ROADMAP item 7).
+UNCALLED_LEDGER = [
+    "Cone.half_plane", "TriMesh.max_diameter", "TriMesh.min_angle_deg", "contact_data",
+    "one_dim_stability_batch", "quantitative_amgm_batch", "removal_lemma_check",
+    "shift_lower_bound", "translated_ball_control_check", "triangulate_polygon",
+    "weighted_h1_error",
+]
+
+
+def unnamed_definitions(sources):
+    """Qualified names of the module-level functions and classes, and of the
+    methods other than dunders, whose name occurs as a word in ``sources``
+    no more often than it is defined there (docstrings and comments count)."""
+    words = collections.Counter(w for text in sources for w in re.findall(r"\w+", text))
+    defined = []
+    for text in sources:
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{node.name}.{item.name}", item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__") and item.name.endswith("__"))]
+    n_defs = collections.Counter(short for _, short in defined)
+    return sorted(qual for qual, short in defined if words[short] <= n_defs[short])
+
+
+def test_name_scan_on_a_synthetic_module():
+    source = """
+def used():
+    pass
+def unused():
+    pass
+class A:
+    def __init__(self):
+        pass
+    def m(self):
+        pass
+    def n(self):
+        pass
+class B:
+    def m(self):
+        pass
+value = used() + A().m
+"""
+    # m is defined twice and named once more: both count as named
+    assert unnamed_definitions([source]) == ["A.n", "B", "unused"]
+
+
+def test_every_definition_is_named_in_src_or_ledgered():
+    sources = [path.read_text() for path in sorted((ROOT / "src").rglob("*.py"))]
+    assert unnamed_definitions(sources) == UNCALLED_LEDGER
