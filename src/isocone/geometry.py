@@ -246,14 +246,30 @@ def power_mass(a, b, p):
 
 def _ball_ray_interval(u, x0, r):
     """Intersection (t-, t+) of the rays along the unit vectors ``u`` with the
-    ball B_r(x0); empty -> t-=t+=0."""
-    b = u @ np.asarray(x0, dtype=float)
-    disc = b * b + r * r - float(np.dot(x0, x0))
-    has = disc > 0
-    root = np.sqrt(np.where(has, disc, 0.0))
-    t_minus = np.where(has, np.maximum(b - root, 0.0), 0.0)
-    t_plus = np.where(has, np.maximum(b + root, 0.0), 0.0)
+    ball B_r(x0); empty -> t-=t+=0.
+
+    With disc = (b^2 + r^2) - |x0|^2 and b = u . x0, a ray that meets the ball
+    (disc > 0) gets t-+ = max(b -+ sqrt(disc), 0).  A ray that misses it has
+    b zeroed and sqrt(max(disc, 0)) = 0, so both ends come out +0.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    b = u @ x0
+    disc = b * b
+    disc += r * r
+    disc -= float(np.dot(x0, x0))
+    np.copyto(b, 0.0, where=disc <= 0.0)
+    root = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+    t_minus = np.maximum(b - root, 0.0)
+    t_plus = np.maximum(np.add(b, root, out=root), 0.0, out=root)
     return t_minus, t_plus
+
+
+def _power_of_positive(t, D):
+    """t^D with +0 where t is 0; only the positive entries go to ``np.power``."""
+    positive = t > 0.0
+    if positive.all():
+        return np.power(t, D)
+    return np.power(t, D, out=np.zeros_like(t), where=positive)
 
 
 def _symdiff_with_balls(star: StarSet, weight: HomWeight):
@@ -261,8 +277,29 @@ def _symdiff_with_balls(star: StarSet, weight: HomWeight):
     valid for any center (rays may miss the ball).
 
     The arrays that depend on the set alone (ray directions, angular weight,
-    quadrature weights and w(E) per ray) are computed here once; each call
-    computes only the ray intervals and the two masses that depend on x0.
+    quadrature weights, rE^D and w(E) per ray) are computed here once; each
+    call computes only the ray intervals and the two masses that depend on
+    x0.  On a ray the ball covers [t-, t+] and E covers [0, rE], so with
+    hi = max(min(rE, t+), t-) the ray's share is
+    m_e + m_b - 2 m_i = rE^D/D + (t+^D - t-^D)/D - 2 (hi^D - t-^D)/D.  Four
+    facts let one call take at most two powers, of positive radii only, and
+    still give every ray the bits of the direct formula:
+
+    - t+ >= t- on every ray (b + root >= b - root, max(., 0) is monotone, and
+      both are 0 on a ray that misses), so max(t+, t-)^D is t+^D;
+    - hi is exactly one of rE, t+ and t-, so hi^D is picked from rE^D, t+^D
+      and t-^D;
+    - 0^D = +0 for D = 2 + alpha > 0, so a zero radius needs no power, and
+      t- is 0 on every ray whenever the origin lies inside the ball;
+    - ``np.power`` rounds each element on its own, so powering the positive
+      entries alone gives each of them the same bits.
+
+    Zeros are kept out of ``np.power`` because 0 is the slowest input of its
+    vectorized loop (several times the cost of a positive one), and most
+    radii are 0: t- on every ray while the origin is inside the ball, and
+    both ends on the rays that miss it.  When t- is 0 on every ray its
+    subtraction is skipped (x - 0 is x), and the in-place ``-=``, ``/=`` and
+    ``*=`` round as the direct expression does.
     """
     _require_weighted(star, weight)
     D = weight.D
@@ -270,14 +307,25 @@ def _symdiff_with_balls(star: StarSet, weight: HomWeight):
     rE = star.radii
     qw = star.quad_weights()
     wv = weight.arc_values(star.thetas)
-    m_e = power_mass(0.0, rE, D)
+    rE_D = rE ** D
+    m_e = rE_D / D  # power_mass(0.0, rE, D): rE^D - 0^D is rE^D
 
     def symdiff(x0, r: float) -> float:
         t_minus, t_plus = _ball_ray_interval(u, x0, r)
-        tm_D = t_minus ** D  # power_mass(t_minus, hi, D) = (hi^D - tm_D) / D
-        m_b = (np.maximum(t_plus, t_minus) ** D - tm_D) / D
-        m_i = (np.maximum(np.minimum(rE, t_plus), t_minus) ** D - tm_D) / D
-        return float(qw @ (wv * (m_e + m_b - 2.0 * m_i)))
+        m_b = _power_of_positive(t_plus, D)
+        m_i = np.where(rE < t_plus, rE_D, m_b)  # hi^D where t- <= rE
+        if t_minus.any():
+            tm_D = _power_of_positive(t_minus, D)
+            np.copyto(m_i, tm_D, where=rE < t_minus)
+            m_b -= tm_D
+            m_i -= tm_D
+        m_b /= D
+        m_i /= D
+        m_b += m_e
+        m_i *= 2.0
+        m_b -= m_i
+        m_b *= wv
+        return float(qw @ m_b)
 
     return symdiff
 

@@ -1,5 +1,6 @@
 """Star-set functionals: volume, perimeter, deficit, asymmetry."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -274,14 +275,22 @@ class TestAsymmetry:
             asymmetry(star, W_Y, rep)
 
 
-def _symdiff_per_call(star, weight, x0, r):
-    """Reference: w(E symdiff B_r(x0)) rebuilding every array on each call."""
-    b = unit(star.thetas) @ np.asarray(x0, dtype=float)
+def _ray_interval_per_call(thetas, x0, r):
+    """Reference: (t-, t+) of the rays at ``thetas`` through B_r(x0), 0 where
+    a ray misses the ball."""
+    b = unit(thetas) @ np.asarray(x0, dtype=float)
     disc = b * b + r * r - float(np.dot(x0, x0))
     has = disc > 0
     root = np.sqrt(np.where(has, disc, 0.0))
     t_minus = np.where(has, np.maximum(b - root, 0.0), 0.0)
     t_plus = np.where(has, np.maximum(b + root, 0.0), 0.0)
+    return t_minus, t_plus
+
+
+def _symdiff_per_call(star, weight, x0, r):
+    """Reference: w(E symdiff B_r(x0)) rebuilding every array on each call,
+    with three powers of the ray ends, zeros included."""
+    t_minus, t_plus = _ray_interval_per_call(star.thetas, x0, r)
     D = weight.D
     rE = star.radii
     m_e = power_mass(0.0, rE, D)
@@ -335,6 +344,34 @@ SEARCH_CASES = {
                                             eta_fourier_cos(HALF, 3)), W_Y_PROFILE),
     "quadrant_fourier": (StarSet.perturbed_ball(QUADRANT, W_XY, 2048, 0.1, eta4), W_XY),
 }
+# the evaluation kernel also sees a half-plane whose line is not an axis and a
+# wedge narrower than the quadrant
+ROTATED_HALF = Cone(0.4, 0.4 + math.pi)
+_ROTATED_ARC = np.linspace(0.4, 0.4 + np.pi, 257)
+W_ROTATED_PROFILE = HomWeight.from_profile(ROTATED_HALF, _ROTATED_ARC,
+                                           np.sin(_ROTATED_ARC - 0.4), 1.0)
+WEDGE = Cone(0.2, 1.2)
+W_WEDGE = HomWeight.monomial(WEDGE, 1, 1)
+KERNEL_CASES = {
+    **SEARCH_CASES,
+    "rotated_half_profile": (
+        StarSet.perturbed_ball(ROTATED_HALF, W_ROTATED_PROFILE, 2048, 0.1,
+                               eta_fourier_cos(ROTATED_HALF, 3)), W_ROTATED_PROFILE),
+    "wedge_fourier": (StarSet.perturbed_ball(WEDGE, W_WEDGE, 1024, 0.15,
+                                             eta_fourier_cos(WEDGE, 2)), W_WEDGE),
+}
+
+
+def _kernel_centres(star, r):
+    """Centres on the cone's middle ray at |x0| = 0, r/2, r, 3r/2 and 3r,
+    then the 65 centres of the translation scan when the cone has a line."""
+    cone = star.cone
+    mid = unit(0.5 * (cone.angle_lo + cone.angle_hi))
+    centres = [f * r * mid for f in (0.0, 0.5, 1.0, 1.5, 3.0)]
+    if cone.k == 1:
+        direction, = cone.basis_L()
+        centres += [t * direction for t in np.linspace(-2.0 * r, 2.0 * r, 65)]
+    return centres
 
 
 class TestAngleFrame:
@@ -374,10 +411,56 @@ class TestTranslationSearch:
             assert symdiff_with_ball(star, weight, x, r) == _symdiff_per_call(
                 star, weight, np.asarray(x), r)
 
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_kernel_matches_per_call_formula_bit_for_bit(self, case):
+        star, weight = KERNEL_CASES[case]
+        r = deficit(star, weight).r_eq
+        symdiff = geometry._symdiff_with_balls(star, weight)
+        for x0 in _kernel_centres(star, r):
+            assert symdiff(x0, r) == _symdiff_per_call(star, weight, x0, r)
+
+    @pytest.mark.parametrize("case", ["half_profile", "quadrant_fourier",
+                                      "rotated_half_profile", "wedge_fourier"])
+    def test_far_centre_reaches_zero_radii(self, case):
+        # at |x0| = 3r some rays start inside the set (t- > 0) and an arc misses
+        # the ball (t+ = 0): the rays whose zero radii skip np.power
+        star, weight = KERNEL_CASES[case]
+        r = deficit(star, weight).r_eq
+        t_minus, t_plus = _ray_interval_per_call(star.thetas, _kernel_centres(star, r)[4], r)
+        assert np.any(t_minus > 0.0) and np.any(t_plus == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["half_fourier_m5_e0.2", "quadrant_fourier",
+                            "rotated_half_profile", "wedge_fourier"]),
+           st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.01, 3.0))
+    def test_kernel_matches_per_call_formula_at_random_balls(self, case, x, y, r):
+        star, weight = KERNEL_CASES[case]
+        got = geometry._symdiff_with_balls(star, weight)((x, y), r)
+        assert got == _symdiff_per_call(star, weight, np.array([x, y]), r)
+
+    @pytest.mark.parametrize("cone", [HALF, QUADRANT, ROTATED_HALF, WEDGE, Cone.plane()],
+                             ids=["half", "quadrant", "rotated_half", "wedge", "plane"])
+    def test_ray_interval_and_ball_radii_match_per_call_formula(self, cone):
+        thetas = cone.arc_grid(1024)
+        mid = unit(0.5 * (cone.angle_lo + cone.angle_hi))
+        for x0, r in ((np.zeros(2), 0.7), (0.3 * mid, 1.0), (mid, 1.0), (2.0 * mid, 1.0),
+                      (np.array([-1.1, 0.4]), 0.6), (np.array([0.3, -0.2]), 1e-3),
+                      (np.array([0.2, 0.1]), 0.8), (np.array([-0.3, 0.25]), 1.4)):
+            got = geometry._ball_ray_interval(unit(thetas), x0, r)
+            want = _ray_interval_per_call(thetas, x0, r)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            if float(np.linalg.norm(x0)) < r:
+                ball = StarSet.ball(cone, 1024, r=r, center=x0)
+                assert ball.radii.tobytes() == want[1].tobytes()
+
     def test_set_arrays_built_once_per_search(self, monkeypatch):
-        # the set's angular arrays must not be rebuilt for each of the ~91 evaluations
-        counts = {"arc_values": 0, "unit": 0}
+        # the set's arrays, rE^D among them, must not be rebuilt for each of the
+        # 93 evaluations (91, 93 and 94 for the half-plane balls of radius 0.5,
+        # 1 and 2), and an evaluation powers at most t+ and t-
+        counts = {"arc_values": 0, "unit": 0, "radii_pow": 0, "evaluations": 0, "powers": 0}
         arc_values, unit_fn = HomWeight.arc_values, geometry.unit
+        interval, power = geometry._ball_ray_interval, geometry._power_of_positive
 
         def counted_arc_values(weight, thetas):
             counts["arc_values"] += 1
@@ -387,12 +470,32 @@ class TestTranslationSearch:
             counts["unit"] += 1
             return unit_fn(theta)
 
+        def counted_interval(u, x0, r):
+            counts["evaluations"] += 1
+            return interval(u, x0, r)
+
+        def counted_power(t, D):
+            counts["powers"] += 1
+            return power(t, D)
+
+        class CountedRadii(np.ndarray):
+            def __pow__(self, p):
+                counts["radii_pow"] += 1
+                return np.asarray(self) ** p
+
         star = StarSet.perturbed_ball(HALF, W_Y, 2048, 0.1, eta_fourier_cos(HALF, 4))
         rep = deficit(star, W_Y)
+        want = asymmetry(star, W_Y, rep)
+        star = dataclasses.replace(star, radii=star.radii.view(CountedRadii))
         monkeypatch.setattr(HomWeight, "arc_values", counted_arc_values)
         monkeypatch.setattr(geometry, "unit", counted_unit)
-        asymmetry(star, W_Y, rep)
-        assert counts == {"arc_values": 1, "unit": 1}
+        monkeypatch.setattr(geometry, "_ball_ray_interval", counted_interval)
+        monkeypatch.setattr(geometry, "_power_of_positive", counted_power)
+        a, x0 = asymmetry(star, W_Y, rep)
+        assert a == want[0] and x0.tobytes() == want[1].tobytes()
+        assert counts["evaluations"] == 93 and counts["powers"] <= 2 * 93
+        del counts["evaluations"], counts["powers"]
+        assert counts == {"arc_values": 1, "unit": 1, "radii_pow": 1}
 
 
 class TestBoundaryIntegral:
