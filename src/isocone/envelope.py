@@ -603,6 +603,34 @@ def _farthest_nearest(sites, queries) -> float:
     return math.sqrt(drain(rest[np.argsort(-bound[rest])], best))
 
 
+def _window_sum(field, kernel):
+    """Correlation of ``field`` (ny, nx) with the odd square ``kernel``, zero
+    outside the grid: out[i, j] = sum kernel[a, b] * field[i + a - k, j + b - k]
+    with k the kernel's half width.
+
+    It is scipy.ndimage.correlate(field, kernel, mode="constant", cval=0.0)
+    bit for bit: that adds, starting from +0.0, one product per kernel entry
+    with |w| > DBL_EPSILON, in row-major kernel order, and a product with the
+    zero padding is the product with cval.  The same sums in the same order
+    over a zero-padded copy give the same floats.
+    """
+    k = kernel.shape[0] // 2
+    ny, nx = field.shape
+    padded = np.zeros((ny + 2 * k, nx + 2 * k))
+    padded[k:k + ny, k:k + nx] = field
+    out = np.zeros((ny, nx))
+    term = np.empty((ny, nx))
+    eps = np.finfo(float).eps
+    for (a, b), w in np.ndenumerate(kernel):
+        window = padded[a:a + ny, b:b + nx]
+        if w == 1.0:  # x * 1.0 is x, bit for bit
+            out += window
+        elif abs(w) > eps:
+            np.multiply(window, w, out=term)
+            out += term
+    return out
+
+
 @dataclasses.dataclass
 class EnvelopeField:
     """The envelope evaluated on a regular grid, with slope and Hessian data."""
@@ -636,24 +664,18 @@ class EnvelopeField:
         boundary; nodes whose window holds fewer than three masked points
         get a zero Hessian.
         """
-        from scipy import ndimage
-
         k = _HESS_WINDOW // 2
         offs = np.arange(-k, k + 1) * self.h
         ox = np.tile(offs, (_HESS_WINDOW, 1))
         oy = ox.T
         m = mask.astype(float)
-
-        def box(field, kernel):
-            return ndimage.correlate(field, kernel, mode="constant", cval=0.0)
-
         one = np.ones((_HESS_WINDOW, _HESS_WINDOW))
-        S = box(m, one)
-        Sx = box(m, ox)
-        Sy = box(m, oy)
-        Sxx = box(m, ox * ox)
-        Sxy = box(m, ox * oy)
-        Syy = box(m, oy * oy)
+        S = _window_sum(m, one)
+        Sx = _window_sum(m, ox)
+        Sy = _window_sum(m, oy)
+        Sxx = _window_sum(m, ox * ox)
+        Sxy = _window_sum(m, ox * oy)
+        Syy = _window_sum(m, oy * oy)
         M = np.stack([
             np.stack([S, Sx, Sy], axis=-1),
             np.stack([Sx, Sxx, Sxy], axis=-1),
@@ -668,7 +690,8 @@ class EnvelopeField:
         H = np.zeros(self.phi.shape + (2, 2))
         for comp in range(2):
             f = self.xi[:, :, comp] * m
-            rhs = np.stack([box(f, one), box(f, ox), box(f, oy)], axis=-1)
+            rhs = np.stack([_window_sum(f, one), _window_sum(f, ox), _window_sum(f, oy)],
+                           axis=-1)
             beta = np.linalg.solve(M_good, rhs[good][..., None])[..., 0]
             H[good, comp, 0] = beta[:, 1]
             H[good, comp, 1] = beta[:, 2]

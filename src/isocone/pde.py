@@ -146,8 +146,10 @@ class TriMesh:
         n = np.column_stack([t[:, 1], -t[:, 0]])
         n /= _row_norms(n)[:, None]
         nv = self.n_vertices
-        directed = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        forward = np.isin(edges[:, 0] * nv + edges[:, 1], directed[:, 0] * nv + directed[:, 1])
+        keys = np.sort(self.triangles * nv + self.triangles[:, [1, 2, 0]], axis=None)
+        query = edges[:, 0] * nv + edges[:, 1]
+        found = keys[np.minimum(np.searchsorted(keys, query), len(keys) - 1)]
+        forward = found == query
         return np.where(forward[:, None], n, -n)
 
 
@@ -357,13 +359,41 @@ def _stiffness(mesh: TriMesh, tri_wq) -> sparse.csr_matrix:
     from scipy import sparse
 
     grads = _p1_gradients(mesh)
-    k_loc = np.einsum("tid,tjd->tij", grads, grads)
+    # grads_i . grads_j as two broadcast products added in d order: the
+    # einsum "tid,tjd->tij" sum, bit for bit, at half its time
+    gx, gy = grads[:, :, 0], grads[:, :, 1]
+    k_loc = gx[:, :, None] * gx[:, None, :]
+    k_loc += gy[:, :, None] * gy[:, None, :]
     k_loc *= tri_wq.sum(axis=1)[:, None, None]
     tri = mesh.triangles.astype(np.int32)
     rows = np.repeat(tri, 3, axis=1).reshape(-1)
     cols = np.tile(tri, (1, 3)).reshape(-1)
     nv = mesh.n_vertices
     return sparse.coo_matrix((k_loc.reshape(-1), (rows, cols)), shape=(nv, nv)).tocsr()
+
+
+def _n_components(n_vertices: int, triangles: np.ndarray) -> int:
+    """The number of connected components of the mesh graph: the vertices,
+    joined by the triangles' edges; a vertex in no triangle is one alone.
+
+    Min-label hooking, then pointer jumping: label[v] <= v is a vertex of
+    v's component, and a root is its own label.  Each round hooks the roots
+    at a triangle's corners to the smallest of them, then points every
+    vertex at its root, until every triangle has one root.
+    """
+    label = np.arange(n_vertices)
+    corners = triangles.T.copy()
+    while True:
+        roots = label[corners]
+        lo = roots.min(axis=0)
+        if (roots == lo).all():
+            return int(np.count_nonzero(label == np.arange(n_vertices)))
+        # one call per corner: NumPy 2.4.6 wrote wrong labels for the 2-D
+        # index with broadcast values
+        for corner in roots:
+            np.minimum.at(label, corner, lo)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
 
 
 def solve_neumann(mesh: TriMesh, mode: WeightedMode | AnisotropicMode) -> NodalField:
@@ -376,7 +406,6 @@ def solve_neumann(mesh: TriMesh, mode: WeightedMode | AnisotropicMode) -> NodalF
     stiffness matrix with the last node pinned gives u, which is then shifted
     to weighted mean zero.  A disconnected mesh raises :class:`SolverError`.
     """
-    from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import splu
 
     weighted = isinstance(mode, WeightedMode)
@@ -412,7 +441,7 @@ def solve_neumann(mesh: TriMesh, mode: WeightedMode | AnisotropicMode) -> NodalF
     if abs(rhs.sum()) > 1e-10 * np.abs(rhs).sum():
         raise CompatibilityError("right-hand side is not orthogonal to constants")
 
-    n_parts, _ = connected_components(A, directed=False)
+    n_parts = _n_components(nv, mesh.triangles)
     if n_parts > 1:
         raise SolverError(f"mesh has {n_parts} connected components, not one")
     # pin the gauge at the last node; the rest of a connected mesh is nonsingular

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from isocone import envelope
@@ -773,6 +774,27 @@ class TestHessianField:
         assert whole.sum() == 6 * 8
         assert np.max(np.abs(H[whole] - A)) <= 1e-12
         assert np.all(H[14, 18] == 0.0)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 4), (3, 4), (4, 3), (16, 21)])
+    @pytest.mark.parametrize("h", [0.05, 0.0123, 1e-8])
+    def test_window_sum_is_ndimage_correlate_bit_for_bit(self, shape, h):
+        # the six kernels of hessian_field; at h 1e-8 the corner weights of
+        # ox * ox fall to DBL_EPSILON and below, which ndimage leaves out
+        offs = np.arange(-2, 3) * h
+        ox = np.tile(offs, (5, 1))
+        oy = ox.T
+        kernels = [np.ones((5, 5)), ox, oy, ox * ox, ox * oy, oy * oy]
+        rng = np.random.default_rng(sum(shape))
+        mask = (rng.random(shape) < 0.6).astype(float)
+        # masked values of mixed sign and scale, with -0.0 both where the
+        # mask drops a negative value and among the kept ones
+        f = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape) * mask
+        f[rng.random(shape) < 0.2] = -0.0
+        for field in (mask, f, -f):
+            for kernel in kernels:
+                want = ndimage.correlate(field, kernel, mode="constant", cval=0.0)
+                got = envelope._window_sum(field, kernel)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestAchievedSlopes:

@@ -20,6 +20,9 @@ An exception class that no ``raise`` in ``src/`` names is left over from
 the code that raised it.
 No module in ``src/`` imports SciPy when it is loaded: outside functions
 and ``if TYPE_CHECKING:`` blocks, so ``import isocone.cli`` loads none of it.
+Inside functions, ``src/`` imports only the SciPy modules of
+``SCIPY_ALLOWED``, so a verb loads no other SciPy (each costs start-up
+time and memory in every process that reaches it).
 And a top-level function or class, or a method, whose name appears nowhere
 in ``src/`` but at its definition serves no verb; the few kept for the tests
 are listed in ``UNCALLED_LEDGER``.
@@ -152,20 +155,25 @@ def _load_time_statements(body):
             yield from _load_time_statements(getattr(node, field, []))
 
 
+def _scipy_modules(node):
+    """``line: module`` for each SciPy module the statement ``node``
+    imports; ``from scipy import x`` imports ``scipy.x``."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [f"scipy.{a.name}" if node.module == "scipy" else node.module
+                 for a in node.names]
+    else:
+        return []
+    return [f"{node.lineno}: {name}" for name in names
+            if name == "scipy" or name.startswith("scipy.")]
+
+
 def scipy_at_load(tree):
     """``line: module`` for each SciPy import that runs when ``tree`` is
     imported."""
-    found = []
-    for node in _load_time_statements(tree.body):
-        if isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        found += [f"{node.lineno}: {name}" for name in names
-                  if name == "scipy" or name.startswith("scipy.")]
-    return found
+    return [entry for node in _load_time_statements(tree.body)
+            for entry in _scipy_modules(node)]
 
 
 def test_scipy_scan_sees_only_load_time_imports():
@@ -185,13 +193,45 @@ def f():
     import scipy.special
 """
     assert scipy_at_load(ast.parse(source)) == [
-        "4: scipy", "6: scipy.linalg", "10: scipy.optimize", "12: scipy.ndimage"]
+        "4: scipy.sparse", "6: scipy.linalg", "10: scipy.optimize", "12: scipy.ndimage"]
 
 
 def test_no_module_imports_scipy_at_load_time():
     found = {path.name: scipy_at_load(ast.parse(path.read_text(), str(path)))
              for path in sorted((ROOT / "src").rglob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# the sparse LU of the Neumann solve, and linprog for contact_data
+SCIPY_ALLOWED = {"scipy.sparse", "scipy.sparse.linalg", "scipy.optimize"}
+
+
+def scipy_imports(tree):
+    """``line: module`` for each SciPy module a statement anywhere in
+    ``tree`` imports."""
+    return [entry for node in ast.walk(tree) for entry in _scipy_modules(node)]
+
+
+def test_scipy_import_scan_sees_every_import():
+    source = """
+from scipy import sparse, ndimage
+def f():
+    import scipy.sparse.linalg as sla
+    from scipy.optimize import linprog
+    class A:
+        from scipy.sparse.csgraph import connected_components
+import numpy.linalg
+"""
+    assert scipy_imports(ast.parse(source)) == [
+        "2: scipy.sparse", "2: scipy.ndimage", "4: scipy.sparse.linalg",
+        "5: scipy.optimize", "7: scipy.sparse.csgraph"]
+
+
+def test_src_imports_only_the_allowed_scipy_modules():
+    found = [f"{path.name}:{entry}" for path in sorted((ROOT / "src").rglob("*.py"))
+             for entry in scipy_imports(ast.parse(path.read_text(), str(path)))
+             if entry.split(": ")[1] not in SCIPY_ALLOWED]
+    assert found == []
 
 
 def unraised_exceptions():

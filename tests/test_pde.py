@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import csgraph
 
 import isocone
 from isocone import pde
@@ -272,6 +274,72 @@ class TestBoundaryNormals:
         mesh = triangulate_polygon([(0.0, -1.0), (1.2, 0.1), (0.3, 1.0), (-0.9, 0.4)], 0.1)
         _assert_outward(mesh, mesh.free_edges, mesh.boundary_outward_normals(mesh.free_edges))
 
+    def test_edge_lookup_on_both_directions_and_missing_edges(self):
+        # the unit square as triangles (0, 1, 2) and (0, 2, 3), and vertex 4
+        # in no triangle: an edge some triangle traverses keeps its left
+        # normal, any other edge gets the opposite one
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 2.0]])
+        mesh = TriMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]),
+                       np.array([[0, 1], [1, 2], [2, 3], [3, 0]]), np.zeros((0, 2), dtype=np.int64))
+        edges = np.array([
+            [0, 1], [1, 0],  # boundary edge, then against its triangle
+            [0, 2], [2, 0],  # the diagonal, traversed both ways
+            [1, 3],  # no triangle has it
+            [4, 3],  # its key exceeds every triangle's
+        ])
+        r2, r5 = np.sqrt(2.0), np.sqrt(5.0)
+        expected = np.array([[0.0, -1.0], [0.0, -1.0], [1 / r2, -1 / r2], [-1 / r2, 1 / r2],
+                             [-1 / r2, -1 / r2], [1 / r5, -2 / r5]])
+        assert np.allclose(mesh.boundary_outward_normals(edges), expected, rtol=0.0, atol=1e-15)
+
+
+class TestStiffness:
+    @pytest.mark.parametrize("mesh", [
+        fan_triangulate(StarSet.ball(QUADRANT, 1024), 0.05),
+        triangulate_polygon([(0.0, -1.0), (1.2, 0.1), (0.3, 1.0), (-0.9, 0.4)], 0.1),
+    ], ids=["fan", "polygon"])
+    def test_assembly_matches_einsum_formula(self, mesh):
+        mids, wq = mesh.midpoint_rule()
+        tri_wq = (wq * (1.0 + mids[:, 0] ** 2)).reshape(-1, 3)
+        grads = pde._p1_gradients(mesh)
+        k_loc = np.einsum("tid,tjd->tij", grads, grads) * tri_wq.sum(axis=1)[:, None, None]
+        tri = mesh.triangles.astype(np.int32)
+        rows = np.repeat(tri, 3, axis=1).reshape(-1)
+        cols = np.tile(tri, (1, 3)).reshape(-1)
+        nv = mesh.n_vertices
+        want = sparse.coo_matrix((k_loc.reshape(-1), (rows, cols)),
+                                 shape=(nv, nv)).tocsr().toarray()
+        assert np.array_equal(pde._stiffness(mesh, tri_wq).toarray(), want)
+
+
+class TestComponentCount:
+    def test_fan_mesh_is_one_component(self):
+        mesh = fan_triangulate(StarSet.ball(HALF, 1024), 0.05)
+        assert pde._n_components(mesh.n_vertices, mesh.triangles) == 1
+
+    @pytest.mark.parametrize("n_verts, tris, want", [
+        (3, [[0, 1, 2]], 1),
+        (6, [[0, 1, 2], [3, 4, 5]], 2),
+        (4, [[0, 1, 2]], 2),
+        (9, [[8, 0, 4], [1, 5, 7], [2, 6, 3]], 3),
+        (7, [[6, 5, 4], [4, 3, 2], [2, 1, 0]], 1),  # a chain hooked from its top
+        (5, np.zeros((0, 3), dtype=np.int64), 5),
+    ])
+    def test_small_meshes(self, n_verts, tris, want):
+        assert pde._n_components(n_verts, np.array(tris, dtype=np.int64)) == want
+
+    @pytest.mark.parametrize("keep", [0.2, 0.5, 0.9])
+    def test_matches_csgraph_on_relabelled_pieces(self, keep):
+        mesh = fan_triangulate(StarSet.ball(QUADRANT, 1024), 0.05)
+        rng = np.random.default_rng(int(keep * 10))
+        nv = mesh.n_vertices
+        tris = rng.permutation(nv)[mesh.triangles[rng.random(len(mesh.triangles)) < keep]]
+        rows = np.repeat(tris, 3, axis=1).reshape(-1)
+        cols = np.tile(tris, (1, 3)).reshape(-1)
+        graph = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(nv, nv)).tocsr()
+        want, _ = csgraph.connected_components(graph, directed=False)
+        assert pde._n_components(nv, tris) == want
+
 
 class TestPolygonLattice:
     @pytest.mark.parametrize("k", [1, 2, 7])
@@ -376,10 +444,13 @@ class TestWeightedSolve:
     @pytest.mark.parametrize("n_verts, tris, free", [
         (6, [[0, 1, 2], [3, 4, 5]], [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]]),
         (4, [[0, 1, 2]], [[0, 1], [1, 2], [2, 0]]),  # vertex 3 is in no triangle
-    ], ids=["two_triangles", "unused_vertex"])
+        (9, [[8, 0, 4], [1, 5, 7], [2, 6, 3]],
+         [[8, 0], [0, 4], [4, 8], [1, 5], [5, 7], [7, 1], [2, 6], [6, 3], [3, 2]]),
+    ], ids=["two_triangles", "unused_vertex", "three_pieces"])
     def test_disconnected_mesh_rejected(self, n_verts, tris, free):
         verts = np.array([[0.3, 0.3], [0.5, 0.3], [0.3, 0.5],
-                          [1.0, 1.0], [1.3, 1.0], [1.0, 1.3]])[:n_verts]
+                          [1.0, 1.0], [1.3, 1.0], [1.0, 1.3],
+                          [2.0, 2.0], [2.3, 2.0], [2.0, 2.3]])[:n_verts]
         mesh = TriMesh(verts, np.array(tris), np.array(free), np.zeros((0, 2), dtype=np.int64))
         with pytest.raises(SolverError):
             solve_neumann(mesh, WeightedMode(W_XY))
