@@ -289,8 +289,9 @@ def _cone_vertical_slices(cone: Cone, xs):
 _BALL_COLUMN_H = 1e-3  # column width of the shifted-ball quadrature
 
 
-def shifted_ball_volume(cone: Cone, weight: HomWeight, center) -> float:
-    """w(B_1(center) cap cone) by column quadrature (midpoint in x, exact in y).
+def shifted_ball_volume(weight: HomWeight, center) -> float:
+    """w(B_1(center) cap cone) on the weight's cone by column quadrature
+    (midpoint in x, exact in y).
 
     The shifted ball is generally not star-shaped about the origin, so the
     polar formulas do not apply; each vertical slab of width 1e-3 contributes
@@ -302,22 +303,21 @@ def shifted_ball_volume(cone: Cone, weight: HomWeight, center) -> float:
     dx2 = 1.0 - (xs - cx) ** 2
     inside = dx2 > 0
     xs, half = xs[inside], np.sqrt(dx2[inside])
-    clo, chi = _cone_vertical_slices(cone, xs)
+    clo, chi = _cone_vertical_slices(weight.cone, xs)
     lo = np.maximum(cy - half, clo)
     hi = np.minimum(cy + half, chi)
     cut = hi > lo
     return float(_column_weight_integral(weight, xs[cut], lo[cut], hi[cut]).sum()) * h
 
 
-def ball_volume_growth(cone: Cone, weight: HomWeight, xi) -> float:
+def ball_volume_growth(weight: HomWeight, xi) -> float:
     """w(B_1(xi) cap cone) - w(B_1 cap cone), both by the same column quadrature."""
     xi = np.asarray(xi, dtype=float)
     if float(np.linalg.norm(xi)) > 0.5 + 1e-12:
         raise InadmissibleInputError("growth is probed only for |xi| <= 0.5")
     if not np.any(xi):
         return 0.0
-    return (shifted_ball_volume(cone, weight, xi)
-            - shifted_ball_volume(cone, weight, (0.0, 0.0)))
+    return shifted_ball_volume(weight, xi) - shifted_ball_volume(weight, (0.0, 0.0))
 
 
 def shifted_weight_separation(weight: HomWeight, box, xi, h: float = 2e-3) -> float:

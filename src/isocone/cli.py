@@ -171,7 +171,7 @@ def parse_set(cone: Cone, weight, config, n_theta: int) -> StarSet:
             raise ConfigError("star sets need a weight for the zero-mean projection")
         eps = _read(config, "set.star.eps")
         mode = _read(config, "set.star.eta.fourier_cos", int)
-        return StarSet.perturbed_ball(cone, weight, n_theta, eps, eta_fourier_cos(cone, mode))
+        return StarSet.perturbed_ball(weight, n_theta, eps, eta_fourier_cos(cone, mode))
     raise ConfigError("set needs 'ball' or 'star'")
 
 
@@ -285,7 +285,7 @@ def _run_couple(config, out_dir):
 def _run_sweep(config, out_dir):
     n_theta, _ = parse_resolutions(config)
     weight = parse_weight(config)
-    result = stability_sweep(default_corpus(weight.cone, weight, n_theta), weight)
+    result = stability_sweep(default_corpus(weight, n_theta), weight)
     result.to_csv(os.path.join(out_dir, "sweep.csv"))
     m = result.manifest
     cmax = 1.25 * EXPECTATIONS["stability_Cmax_quadrant_xy"]
@@ -304,7 +304,7 @@ def _run_sharpness(config, out_dir):
                      default=(0.02, 0.04, 0.08, 0.16),
                      test=lambda es: len(es) >= 3 and all(e <= 0.25 for e in es),
                      need=" with at least 3 entries, each at most 0.25")
-    result, slope = sharpness_sweep(weight.cone, weight, eta_fourier_cos(weight.cone, mode),
+    result, slope = sharpness_sweep(weight, eta_fourier_cos(weight.cone, mode),
                                     eps_list, n_theta=n_theta)
     result.to_csv(os.path.join(out_dir, "sharpness.csv"))
     return ["sharpness.csv"], [Check("slope_lower", slope, 0.45, 0.45 <= slope),
@@ -321,7 +321,7 @@ def _run_diag(config, out_dir):
     if box is not None:  # the default box is placed deep enough
         # the shifts |xi| <= max(t_list) need dist(box, boundary) >= 2 |xi|
         _require_inside(weight.cone, "diag.box", box, 2.0 * max(t_list))
-    result = translation_diagnostics(weight.cone, weight, t_list, box=box)
+    result = translation_diagnostics(weight, t_list, box=box)
     result.to_csv(os.path.join(out_dir, "diag.csv"))
     # a constancy direction must leave the weight exactly unshifted
     return ["diag.csv"], [

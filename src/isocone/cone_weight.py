@@ -301,12 +301,7 @@ class HomWeight:
 
     def arc_values(self, thetas) -> np.ndarray:
         """Profile w(u(theta)) on the unit arc."""
-        if self.exponents is not None:
-            a1, a2 = self.exponents
-            c = np.clip(np.cos(thetas), 0.0, None)
-            s = np.clip(np.sin(thetas), 0.0, None)
-            return c ** a1 * s ** a2
-        return self._profile_root(unit(thetas))[0] ** self.alpha
+        return self(unit(thetas))
 
     def grad(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -349,7 +344,7 @@ def _canonical_direction(d):
     return d
 
 
-def decompose_subspaces(cone: Cone, weight: HomWeight) -> SubspaceBases:
+def decompose_subspaces(weight: HomWeight) -> SubspaceBases:
     """Split the plane into line directions, weight-constancy directions, and the rest.
 
     The line subspace is nontrivial exactly for the half-plane, where an
@@ -358,9 +353,7 @@ def decompose_subspaces(cone: Cone, weight: HomWeight) -> SubspaceBases:
     d exactly when every gradient is orthogonal to d: the null vector of
     :meth:`HomWeight.gradient_rows` (relative singular value at most 1e-10).
     """
-    if not cone.same_as(weight.cone):
-        raise ValueError("cone and weight disagree")
-    basis_L = cone.basis_L()
+    basis_L = weight.cone.basis_L()
     _, svals, vt = np.linalg.svd(weight.gradient_rows())
     basis_C = ()
     if not basis_L and (len(svals) < 2 or svals[1] <= 1e-10 * svals[0]):

@@ -118,11 +118,12 @@ def anisotropic_perimeter(star: StarSet, body: SlopeBody) -> float:
 
 
 def star_area(star: StarSet) -> float:
-    """Area of the boundary polyline (shoelace over the origin fan)."""
+    """Area of the boundary polyline of a full-plane star set (shoelace over
+    the origin fan)."""
+    if not star.periodic:
+        raise ValueError("star area expects a full-plane star set")
     pts = star.boundary_points()
     nxt = np.roll(pts, -1, axis=0)
-    if not star.periodic:
-        return 0.5 * float(star.quad_weights() @ star.radii ** 2)
     return 0.5 * float(np.sum(pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0]))
 
 

@@ -11,14 +11,13 @@ and the envelope is phi(x) = max over sampled slopes of a(xi) + xi . x.
 The maximizing slope is the envelope's gradient wherever that argmax is
 unique.  The conjugate on every body, and the argmax on polygons, run through
 ``_dense_min``, which scores each tile of queries only at the sites a bound
-cannot rule out.  Ties break deterministically, by one of two rules:
-
-  * every conjugate and the polygon argmax keep the lowest index among
-    exact optima;
-  * the structured sector-disk argmax gives ties to the origin slope, then
-    to the lowest angle, then to the lowest radius within that angle (the
-    rule of a scan in ascending angle order), which need not be the lowest
-    slope index.
+cannot rule out; the sector-disk argmax scores, on each slope ray, the three
+radii around the crossing of the ray's gains with x . u.  Ties go to the
+lowest index a kernel scores.  ``_dense_min`` keeps every site that ties its
+minimum, so there that is the lowest index among exact optima; sector-disk
+samples are numbered origin first, then angle-major, so the sector argmax
+gives ties to the origin, then the lowest angle, then the lowest radius it
+scores on that ray.
 
 Slope bodies come in two flavors: polygons (vertex list, counterclockwise;
 two vertices describe a segment) and sector-disks, i.e. the closure of
@@ -56,8 +55,8 @@ class SlopeBody:
 
     Sector-disk bodies carry ``polar_shape = (n_radial, n_angular)``, and
     polygons None; sector-disk samples are ordered origin first, then
-    radius-major over the angular grid, which the structured argmax in this
-    module relies on.
+    angle-major (each angle's nonzero radii, ascending), so their lowest
+    index is the origin, then the lowest angle, then the lowest radius.
     """
 
     vertices: np.ndarray | None
@@ -110,7 +109,7 @@ class SlopeBody:
         """
         thetas = cone.arc_grid(n_angular)
         radii = np.linspace(0.0, rho, n_radial)
-        pts = (radii[1:, None, None] * unit(thetas)[None, :, :]).reshape(-1, 2)
+        pts = (radii[None, 1:, None] * unit(thetas)[:, None, :]).reshape(-1, 2)
         samples = np.vstack([[[0.0, 0.0]], pts])
         dr = radii[1] - radii[0]
         darc = rho * cone.arc_step(n_angular)
@@ -127,17 +126,15 @@ class SlopeBody:
         if self.polar_shape is None:
             out = np.max(vv @ self.vertices.T, axis=1)
         else:
-            if self.cone.full_plane:
-                out = self.rho * np.hypot(vv[:, 0], vv[:, 1])
-            else:
-                norm = np.hypot(vv[:, 0], vv[:, 1])
-                phi = np.arctan2(vv[:, 1], vv[:, 0])
-                lo, hi = self.cone.angle_lo, self.cone.angle_hi
-                rel = np.mod(phi - lo, 2.0 * math.pi)
-                inside = rel <= (hi - lo)
-                gap = np.minimum(np.abs(_angdiff(phi, lo)), np.abs(_angdiff(phi, hi)))
-                best = np.where(inside, 1.0, np.cos(gap))
-                out = self.rho * norm * np.maximum(best, 0.0)
+            # the full plane's arc is [0, 2 pi], so every direction is inside
+            norm = np.hypot(vv[:, 0], vv[:, 1])
+            phi = np.arctan2(vv[:, 1], vv[:, 0])
+            lo, hi = self.cone.angle_lo, self.cone.angle_hi
+            rel = np.mod(phi - lo, 2.0 * math.pi)
+            inside = rel <= (hi - lo)
+            gap = np.minimum(np.abs(_angdiff(phi, lo)), np.abs(_angdiff(phi, hi)))
+            best = np.where(inside, 1.0, np.cos(gap))
+            out = self.rho * norm * np.maximum(best, 0.0)
         return float(out[0]) if single else out
 
     def area(self) -> float:
@@ -353,8 +350,8 @@ def _sector_argmax(conj: "RestrictedConjugate", pts):
     whose bound reaches its best value so far, so a point the origin wins
     can skip every block.  c is formed elementwise (``_projections``), so it
     rounds the same for a point whichever points a pass scores with it.
-    Ties resolve as the sequential scan resolves them: the origin sample
-    wins all ties, then the lowest angle, then the lowest radius.
+    Ties go to the lowest slope index scored: the origin, then the lowest
+    angle, then the lowest radius ``_block_best`` scores on that ray.
     """
     body = conj.body
     n_r, n_ang = body.polar_shape
@@ -365,7 +362,7 @@ def _sector_argmax(conj: "RestrictedConjugate", pts):
     a0 = conj.intercepts[0]
     cols = np.empty((n_ang, n_r))
     cols[:, 0] = a0
-    cols[:, 1:] = conj.intercepts[1:].reshape(n_r - 1, n_ang).T
+    cols[:, 1:] = conj.intercepts[1:].reshape(n_ang, n_r - 1)
     gains = np.maximum.accumulate((cols[:, :-1] - cols[:, 1:]) / dr, axis=1)
     n = len(pts)
     blocks = [slice(b0, b0 + _ANGLE_BLOCK) for b0 in range(0, n_ang, _ANGLE_BLOCK)]
@@ -374,8 +371,7 @@ def _sector_argmax(conj: "RestrictedConjugate", pts):
     for b, (block, c) in enumerate(zip(blocks, c_max)):
         bound[b] = _block_bound(cols[block, 1:].max(axis=0), radii[1:], c)
     best_val = np.full(n, a0)
-    best_idx = np.zeros(n, dtype=np.int64)
-    best_ang = np.full(n, -1)  # the origin, which wins every tie
+    best_idx = np.zeros(n, dtype=np.int64)  # the origin, which wins every tie
     top = np.argmax(bound, axis=0)
     # each point's most promising block first, then its other blocks in order
     for first in (True, False):
@@ -385,14 +381,13 @@ def _sector_argmax(conj: "RestrictedConjugate", pts):
                 continue
             val, k, j = _block_best(cols[block], gains[block], radii,
                                     _projections(U[block], pts[sel]))
-            j += block.start
+            idx = 1 + (block.start + j) * (n_r - 1) + (k - 1)
             old = best_val[sel]
-            better = (val > old) | ((val == old) & (best_ang[sel] > j))
+            better = (val > old) | ((val == old) & (best_idx[sel] > idx))
             win = sel[better]
             # radius 0 never wins: it scores a0, and the origin wins ties
             best_val[win] = val[better]
-            best_idx[win] = 1 + (k[better] - 1) * n_ang + j[better]
-            best_ang[win] = j[better]
+            best_idx[win] = idx[better]
     return best_val, body.samples[best_idx], best_idx
 
 
@@ -443,7 +438,9 @@ def _block_best(cols, gains, radii, c):
     Along a ray the scores col[k] + radii[k] * c are concave in k, and its
     ``gains`` are their nondecreasing differences per unit radius, so the
     best lies among the three radii around the crossing of the gains with c.
-    Ties go to the lowest radius, then to the lowest ray.
+    Ties go to the lowest radius scored, then to the lowest ray.  A run of
+    gains equal to c puts the crossing at the run's end, so where three or
+    more radii tie, the lower ones are not scored.
     """
     pos = np.array([np.searchsorted(g, c_ray, side="right") for g, c_ray in zip(gains, c)])
     k_best = np.maximum(pos - 1, 0)  # pos <= len(gain), one less than the radii
@@ -793,9 +790,8 @@ def k_envelope(conj: RestrictedConjugate, eval_box, resolution: float,
     The optional (n, 2) ``probes`` are scored in the grid's argmax pass, and
     their (phi, xi, slope index) is the field's ``at_probes``; each point's
     result depends on that point alone, so it equals
-    ``conj.envelope_at(probes)`` bit for bit.  Ties in the argmax follow the
-    path's rule (see the module docstring): the lowest slope index on dense
-    bodies, the origin and then ascending angle order on sector-disks.
+    ``conj.envelope_at(probes)`` bit for bit.  Ties in the argmax go to the
+    lowest slope index it scores (see the module docstring).
     """
     (x0, x1), (y0, y1) = eval_box
     nx = int(math.ceil((x1 - x0) / resolution)) + 1

@@ -58,8 +58,7 @@ def eta_fourier_cos(cone: Cone, mode: int):
     return eta
 
 
-def sharpness_sweep(cone: Cone, weight: HomWeight, eta_fn, eps_list,
-                    n_theta: int = 4096):
+def sharpness_sweep(weight: HomWeight, eta_fn, eps_list, n_theta: int = 4096):
     """Deficit/asymmetry scaling of the perturbed-ball family r = 1 + eps*eta.
 
     eta is projected to zero weighted mean with the volume quadrature, so
@@ -75,7 +74,7 @@ def sharpness_sweep(cone: Cone, weight: HomWeight, eta_fn, eps_list,
     if max(eps_list) > 0.25:
         raise ValueError("epsilon must stay at or below 0.25")
 
-    rows = [_stability_row(eps, StarSet.perturbed_ball(cone, weight, n_theta, eps, eta_fn),
+    rows = [_stability_row(eps, StarSet.perturbed_ball(weight, n_theta, eps, eta_fn),
                            weight) for eps in eps_list]
     deltas = np.array([r[1] for r in rows])
     asyms = np.array([r[2] for r in rows])
@@ -89,13 +88,14 @@ def sharpness_sweep(cone: Cone, weight: HomWeight, eta_fn, eps_list,
     return result, slope
 
 
-def default_corpus(cone: Cone, weight: HomWeight, n_theta: int = 4096):
-    """Thirty deterministic star sets: perturbed, dilated, and bumped balls."""
+def default_corpus(weight: HomWeight, n_theta: int = 4096):
+    """Thirty deterministic star sets on the weight's cone: perturbed, dilated,
+    and bumped balls."""
+    cone = weight.cone
     members = []
     for mode in (2, 3, 4, 5, 6):
         for eps in (0.02, 0.05, 0.1, 0.2):
-            star = StarSet.perturbed_ball(cone, weight, n_theta, eps,
-                                          eta_fourier_cos(cone, mode))
+            star = StarSet.perturbed_ball(weight, n_theta, eps, eta_fourier_cos(cone, mode))
             members.append((f"fourier_m{mode}_e{eps}", star))
     for r in (0.5, 1.0, 2.0):
         members.append((f"ball_r{r}", StarSet.ball(cone, n_theta, r=r)))
@@ -134,7 +134,7 @@ def stability_sweep(corpus, weight: HomWeight):
     return SweepResult(("param", "delta_w", "asym", "ratio"), rows, manifest)
 
 
-def translation_diagnostics(cone: Cone, weight: HomWeight, t_list, box=None):
+def translation_diagnostics(weight: HomWeight, t_list, box=None):
     """Ball-growth and weight-shift columns for the constancy/rest directions.
 
     For each basis direction d of the constancy and remaining subspaces and
@@ -143,11 +143,12 @@ def translation_diagnostics(cone: Cone, weight: HomWeight, t_list, box=None):
     zeros in the separation column; directions near the cone give
     nonnegative, approximately linear growth.
     """
-    bases = decompose_subspaces(cone, weight)
+    bases = decompose_subspaces(weight)
     directions = [("C", d) for d in bases.basis_C] + [("E", d) for d in bases.basis_E]
     if box is None:
         # deep enough inside the cone that shifts up to max(t_list) stay
         # admissible (|xi| <= dist(Q, boundary) / 2)
+        cone = weight.cone
         mid = 0.5 * (cone.angle_lo + cone.angle_hi)
         t_max = max(t_list)
         depth = max(0.35, (2.0 * t_max + 0.13) / math.sin(cone.opening / 2.0))
@@ -157,7 +158,7 @@ def translation_diagnostics(cone: Cone, weight: HomWeight, t_list, box=None):
     for tag, d in directions:
         name = f"{tag}({d[0]:+.6f},{d[1]:+.6f})"
         for t in sorted(t_list):
-            g = ball_volume_growth(cone, weight, t * d) if t > 0 else 0.0
+            g = ball_volume_growth(weight, t * d) if t > 0 else 0.0
             sep = shifted_weight_separation(weight, box, t * d) if t > 0 else 0.0
             rows.append((name, t, g, sep))
     rows.sort(key=lambda r: (r[0], r[1]))

@@ -102,14 +102,15 @@ class StarSet:
         return StarSet(cone, thetas, np.asarray(fn(thetas), dtype=float))
 
     @staticmethod
-    def perturbed_ball(cone: Cone, weight: HomWeight, n_theta: int, eps: float,
-                       eta_fn) -> "StarSet":
-        """r = 1 + eps * eta with eta projected to zero weighted mean.
+    def perturbed_ball(weight: HomWeight, n_theta: int, eps: float, eta_fn) -> "StarSet":
+        """r = 1 + eps * eta on the weight's cone, with eta projected to zero
+        weighted mean.
 
         The projection uses the same trapezoidal quadrature as the volume so
         that the first-order volume variation cancels exactly in the discrete
         functionals as well.
         """
+        cone = weight.cone
         thetas = cone.arc_grid(n_theta)
         eta = np.asarray(eta_fn(thetas), dtype=float)
         qw = cone.arc_quad_weights(thetas)
@@ -198,45 +199,40 @@ def deficit_value(per: float, vol: float, unit_volume: float, D: float) -> float
 
 
 def emit_csv(path, columns, rows) -> None:
-    """Header line, then one line per row: strings as they are, numbers to 12
-    significant digits, NaN as an empty cell.  A row of numbers takes one
-    ``%`` format, as ``np.savetxt(fmt="%.12g")`` does; other rows go cell by
-    cell.  A 2-D float64 array takes the column path (``_column_cells``),
-    which writes the same bytes."""
-    numeric = ",".join(["%.12g"] * len(columns))
+    """Header line, then one line per row of ``rows``, a 2-D float array or a
+    sequence of tuples.  A column of strings is written as it is; the
+    columns of numbers go through ``_number_cells`` together, to 12
+    significant digits as ``np.savetxt(fmt="%.12g")`` writes them and NaN as
+    an empty cell."""
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2:
-            if len(rows):
-                cells = [_column_cells(rows[:, j]) for j in range(rows.shape[1])]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-            return
-        for row in rows:
-            try:
-                line = numeric % tuple(row)
-            except TypeError:  # a string cell, or a row of another width
-                line = "nan"  # sends the row to the cell-by-cell format
-            if "nan" in line:
-                line = ",".join(v if isinstance(v, str) else "" if math.isnan(v)
-                                else f"{v:.12g}" for v in row)
-            fh.write(line + "\n")
+        if len(rows):
+            cols = list(rows.T) if isinstance(rows, np.ndarray) else list(zip(*rows))
+            numeric = [j for j, col in enumerate(cols)
+                       if not all(isinstance(v, str) for v in col)]
+            cells = _number_cells(np.array([cols[j] for j in numeric], dtype=float))
+            for j, col in zip(numeric, cells):
+                cols[j] = col
+            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
-def _column_cells(col: np.ndarray) -> list:
-    """The cells of a float64 column as ``emit_csv``'s row path writes them,
-    each distinct bit pattern formatted once: an envelope grid repeats each
-    x per row and each y per column, and its slopes are samples of the body.
-    Bit patterns, not values, keep -0.0 apart from 0.0."""
-    order = np.argsort(col.view(np.uint64))
-    bits = col.view(np.uint64)[order]
-    first = np.ones(len(col), dtype=bool)
-    np.not_equal(bits[1:], bits[:-1], out=first[1:])
-    values = col[order[first]]
+def _number_cells(block: np.ndarray) -> list:
+    """The "%.12g" cells of a float64 array, "" for NaN, as nested lists of
+    its shape, each distinct bit pattern formatted once: an envelope grid
+    repeats each x per row and each y per column, and its slopes are
+    samples of the body.  Bit patterns, not values, keep -0.0 apart from
+    0.0."""
+    bits = np.ravel(block).view(np.uint64)
+    order = np.argsort(bits)
+    ranked = bits[order]
+    first = np.ones(len(bits), dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    values = ranked[first].view(np.float64)
     texts = np.array(["%.12g" % v for v in values.tolist()], dtype=object)
     texts[np.isnan(values)] = ""
-    inverse = np.empty(len(col), dtype=np.intp)
+    inverse = np.empty(len(bits), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    return texts[inverse].tolist()
+    return texts[inverse].reshape(np.shape(block)).tolist()
 
 
 def power_mass(a, b, p):

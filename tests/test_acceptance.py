@@ -110,7 +110,7 @@ def test_criterion_03_sharpness_exponent():
     eps_list = [0.02, 0.04, 0.08, 0.16]
     slopes = []
     for cone, weight, mode in ((QUADRANT, W_XY, 4), (HALF, W_Y, 2)):
-        res, slope = sharpness_sweep(cone, weight, eta_fourier_cos(cone, mode),
+        res, slope = sharpness_sweep(weight, eta_fourier_cos(cone, mode),
                                      eps_list)
         assert 0.45 <= slope <= 0.55
         ratios = res.column("delta_w") / res.column("param") ** 2
@@ -123,8 +123,8 @@ def test_criterion_03_sharpness_exponent():
 
 
 def test_criterion_04_stability_bound():
-    base = stability_sweep(default_corpus(QUADRANT, W_XY, 4096), W_XY)
-    fine = stability_sweep(default_corpus(QUADRANT, W_XY, 8192), W_XY)
+    base = stability_sweep(default_corpus(W_XY, 4096), W_XY)
+    fine = stability_sweep(default_corpus(W_XY, 8192), W_XY)
     c_base = base.manifest["max_ratio"]
     c_fine = fine.manifest["max_ratio"]
     pinned = EXPECTATIONS["stability_Cmax_quadrant_xy"]
@@ -152,7 +152,7 @@ def test_criterion_05_coupling_pipeline():
               (StarSet.ball(QUADRANT, 4096), W_X),
               (StarSet.ball(HALF, 4096), W_Y)]
     for eps in (0.05, 0.1, 0.2):
-        family.append((StarSet.perturbed_ball(QUADRANT, W_XY, 4096, eps,
+        family.append((StarSet.perturbed_ball(W_XY, 4096, eps,
                                               eta_fourier_cos(QUADRANT, 4)), W_XY))
     ratios_seen = []
     for star, weight in family:
@@ -182,7 +182,7 @@ def test_criterion_06_abp_chain():
     assert worst_gap <= 1e-2
     assert chain.ordered
     for eps in (0.05, 0.1, 0.2):
-        star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, eps,
+        star = StarSet.perturbed_ball(W_XY, 4096, eps,
                                       eta_fourier_cos(QUADRANT, 4))
         rep = build_coupling(star, WeightedMode(W_XY))
         assert abp_chain_check(rep).ordered
@@ -295,7 +295,7 @@ def test_criterion_11_translation_diagnostics():
                 [np.full(np.count_nonzero(inside), x), ys[inside]])))) * h_oracle ** 2
         return total
 
-    table = translation_diagnostics(QUADRANT, W_X, [0.05, 0.1])
+    table = translation_diagnostics(W_X, [0.05, 0.1])
     box = table.manifest["box"]
     for name, t, growth, sep in table.rows:
         if t == 0:

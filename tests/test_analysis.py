@@ -225,16 +225,16 @@ def loop_shifted_ball_volume(cone, weight, center, r=1.0, h=1e-3):
 
 class TestTranslationOps:
     def test_growth_zero_shift(self):
-        assert ball_volume_growth(QUADRANT, W_X, (0.0, 0.0)) == 0.0
+        assert ball_volume_growth(W_X, (0.0, 0.0)) == 0.0
 
     def test_growth_constancy_direction_linear(self):
-        vals = {t: ball_volume_growth(QUADRANT, W_X, (0.0, t)) for t in (0.05, 0.1, 0.2)}
+        vals = {t: ball_volume_growth(W_X, (0.0, t)) for t in (0.05, 0.1, 0.2)}
         assert all(v > 0 for v in vals.values())
         slopes = [vals[t] / t for t in vals]
         assert max(slopes) / min(slopes) - 1.0 <= 0.15
 
     def test_growth_against_midpoint_tensor_oracle(self):
-        got = ball_volume_growth(QUADRANT, W_X, (0.0, 0.1))
+        got = ball_volume_growth(W_X, (0.0, 0.1))
         h = 5e-4
 
         def oracle_volume(center):
@@ -250,13 +250,13 @@ class TestTranslationOps:
         assert got == pytest.approx(oracle, abs=1e-3)
 
     def test_growth_out_of_cone_negative(self):
-        assert ball_volume_growth(QUADRANT, W_XY, (-0.1, -0.1)) < 0
+        assert ball_volume_growth(W_XY, (-0.1, -0.1)) < 0
 
     def test_shifted_volume_matches_polar_at_origin(self):
         from isocone.geometry import weighted_volume
         star = StarSet.ball(QUADRANT, 8192)
         polar = weighted_volume(star, W_XY)
-        tensor = shifted_ball_volume(QUADRANT, W_XY, (0.0, 0.0))
+        tensor = shifted_ball_volume(W_XY, (0.0, 0.0))
         assert tensor == pytest.approx(polar, abs=1e-6)
 
     @pytest.mark.parametrize("weight", [
@@ -266,7 +266,7 @@ class TestTranslationOps:
     ], ids=["quadrant_xy", "quadrant_x", "half_y", "quadrant_profile", "sector60_xy"])
     @pytest.mark.parametrize("center", [(0.0, 0.0), (0.2, -0.1), (-0.3, 0.25)])
     def test_shifted_volume_matches_column_loop(self, weight, center):
-        got = shifted_ball_volume(weight.cone, weight, center)
+        got = shifted_ball_volume(weight, center)
         oracle = loop_shifted_ball_volume(weight.cone, weight, center)
         assert got == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
@@ -335,7 +335,7 @@ class TestTranslatedBallControl:
         assert ratio <= EXPECTATIONS["translated_ball_ratio_bound"]
 
     def test_perturbed_set_finite(self):
-        star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, 0.1,
+        star = StarSet.perturbed_ball(W_XY, 4096, 0.1,
                                       lambda th: np.cos(4 * th))
         lhs, rhs, ratio = translated_ball_control_check(star, W_XY, (0.0, 0.0))
         assert np.isfinite(ratio) and rhs > 0

@@ -184,15 +184,20 @@ def _envelope_rows(body):
 
 
 class TestEmitColumns:
-    """A float array takes the column path, which writes the row path's bytes."""
+    """A float array and the same rows as lists write the bytes of a
+    cell-by-cell "%.12g" scan, with NaN as an empty cell."""
 
     @staticmethod
-    def both_paths(tmp_path, rows):
+    def both_inputs(tmp_path, rows):
         from isocone.geometry import emit_csv
         columns = tuple(f"c{j}" for j in range(rows.shape[1]))
         emit_csv(tmp_path / "array.csv", columns, rows)
         emit_csv(tmp_path / "rows.csv", columns, rows.tolist())
-        return (tmp_path / "array.csv").read_bytes(), (tmp_path / "rows.csv").read_bytes()
+        scan = [",".join("" if math.isnan(v) else "%.12g" % v for v in row)
+                for row in rows.tolist()]
+        want = "\n".join([",".join(columns)] + scan) + "\n"
+        assert (tmp_path / "rows.csv").read_bytes() == want.encode()
+        return (tmp_path / "array.csv").read_bytes(), want.encode()
 
     @pytest.mark.parametrize("body", ["sector", "polygon"])
     def test_envelope_fields(self, tmp_path, body):
@@ -200,8 +205,8 @@ class TestEmitColumns:
         from isocone.envelope import SlopeBody
         body = (SlopeBody.sector_disk(Cone.half_plane(), 1.0, 32, 24) if body == "sector"
                 else SlopeBody.polygon([(-1.0, -1.0), (1.0, -0.5), (0.5, 1.0)], n_samples=500))
-        array_bytes, row_bytes = self.both_paths(tmp_path, _envelope_rows(body))
-        assert array_bytes == row_bytes
+        array_bytes, scan_bytes = self.both_inputs(tmp_path, _envelope_rows(body))
+        assert array_bytes == scan_bytes
 
     @pytest.mark.parametrize("rows", [
         [[-0.0, 0.0, float("nan"), 1e14, -1.2345678901234e14],
@@ -211,15 +216,15 @@ class TestEmitColumns:
         [[1.5, -0.0, float("nan")]],
     ], ids=["signed-zeros-nan-large-repeats", "one-row"])
     def test_synthetic_arrays(self, tmp_path, rows):
-        array_bytes, row_bytes = self.both_paths(tmp_path, np.array(rows))
-        assert array_bytes == row_bytes
+        array_bytes, scan_bytes = self.both_inputs(tmp_path, np.array(rows))
+        assert array_bytes == scan_bytes
         assert b"nan" not in array_bytes and b"-0," in array_bytes
 
     @pytest.mark.parametrize("rows", [np.zeros((0, 3)), np.array([[np.nan], [np.nan]])],
                              ids=["no-rows", "empty-lines"])
     def test_empty_rows_and_cells(self, tmp_path, rows):
-        array_bytes, row_bytes = self.both_paths(tmp_path, rows)
-        assert array_bytes == row_bytes
+        array_bytes, scan_bytes = self.both_inputs(tmp_path, rows)
+        assert array_bytes == scan_bytes
 
 
 class TestCoupleVerb:

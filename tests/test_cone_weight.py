@@ -304,6 +304,21 @@ def sampled(weight, n):
     return HomWeight.from_profile(weight.cone, thetas, weight.arc_values(thetas), weight.alpha)
 
 
+class TestArcValues:
+    @pytest.mark.parametrize("cone, exponents", ADMITTED_MONOMIALS, ids=MONOMIAL_IDS)
+    def test_the_weight_on_the_unit_arc_bit_for_bit(self, cone, exponents):
+        weight = HomWeight.monomial(cone, *exponents)
+        # the cone's grids, and a full turn, where the monomial clips x and y
+        thetas = np.concatenate([cone.arc_grid(1001), cone.arc_grid(7),
+                                 np.linspace(-math.pi, math.pi, 101)])
+        for w in (weight, sampled(weight, 64)):
+            assert np.array_equal(w.arc_values(thetas), w(unit(thetas)))
+        # the monomial's own formula on the arc
+        a1, a2 = (float(a) for a in exponents)
+        closed = np.clip(np.cos(thetas), 0.0, None) ** a1 * np.clip(np.sin(thetas), 0.0, None) ** a2
+        assert np.array_equal(weight.arc_values(thetas), closed)
+
+
 class TestExactAdmission:
     """Admission from each weight's closed form: the kink test of a profile's
     interpolated root and the sign rule of a monomial."""
@@ -395,8 +410,8 @@ class TestExactAdmission:
     @pytest.mark.parametrize("n", [16, 2048])
     def test_profile_bases_match_the_monomial(self, cone, exponents, n):
         weight = HomWeight.monomial(cone, *exponents)
-        want = decompose_subspaces(cone, weight)
-        got = decompose_subspaces(cone, sampled(weight, n))
+        want = decompose_subspaces(weight)
+        got = decompose_subspaces(sampled(weight, n))
         for field in ("basis_L", "basis_C", "basis_E"):
             a, b = getattr(got, field), getattr(want, field)
             assert len(a) == len(b) and all(np.allclose(u, v, atol=1e-12) for u, v in zip(a, b))
@@ -432,7 +447,7 @@ class TestInterpolationError:
     @pytest.mark.parametrize("n", [16, 2048])
     def test_linear_root_gives_the_monomial_deficit(self, cone, exponents, n):
         weight = HomWeight.monomial(cone, *exponents)
-        star = StarSet.perturbed_ball(cone, weight, 4096, 0.1, eta_fourier_cos(cone, 3))
+        star = StarSet.perturbed_ball(weight, 4096, 0.1, eta_fourier_cos(cone, 3))
         assert deficit(star, sampled(weight, n)).deficit == pytest.approx(
             deficit(star, weight).deficit, abs=1e-12)
 
@@ -441,7 +456,7 @@ class TestInterpolationError:
     def test_deficit_converges_at_the_stated_order(self, cone, exponents):
         # order min(2, 1 + a/alpha) for the smallest positive exponent a
         weight = HomWeight.monomial(cone, *exponents)
-        star = StarSet.perturbed_ball(cone, weight, 4096, 0.1, eta_fourier_cos(cone, 3))
+        star = StarSet.perturbed_ball(weight, 4096, 0.1, eta_fourier_cos(cone, 3))
         exact = deficit(star, weight).deficit
         gap = {n: abs(deficit(star, sampled(weight, n)).deficit - exact) for n in (64, 2048)}
         order = min(2.0, 1.0 + min(a for a in exponents if a > 0) / weight.alpha)
@@ -451,30 +466,26 @@ class TestInterpolationError:
 
 class TestDecomposeSubspaces:
     def test_quadrant_xy(self):
-        b = decompose_subspaces(QUADRANT, W_XY)
+        b = decompose_subspaces(W_XY)
         assert b.basis_L == () and b.basis_C == ()
         assert len(b.basis_E) == 2
 
     def test_quadrant_x(self):
-        b = decompose_subspaces(QUADRANT, W_X)
+        b = decompose_subspaces(W_X)
         assert b.basis_L == ()
         assert len(b.basis_C) == 1 and np.allclose(b.basis_C[0], [0.0, 1.0])
         assert len(b.basis_E) == 1 and np.allclose(np.abs(b.basis_E[0]), [1.0, 0.0])
 
     def test_half_plane_y(self):
-        b = decompose_subspaces(HALF, W_Y_HALF)
+        b = decompose_subspaces(W_Y_HALF)
         assert len(b.basis_L) == 1 and np.allclose(b.basis_L[0], [1.0, 0.0])
         assert b.basis_C == ()
         assert len(b.basis_E) == 1 and np.allclose(np.abs(b.basis_E[0]), [0.0, 1.0])
 
     def test_orthonormal_span(self):
         for cone, weight in ((QUADRANT, W_XY), (QUADRANT, W_X), (HALF, W_Y_HALF)):
-            b = decompose_subspaces(cone, weight)
+            b = decompose_subspaces(weight)
             vecs = list(b.basis_L) + list(b.basis_C) + list(b.basis_E)
             M = np.array(vecs)
             assert M.shape == (2, 2)
             assert np.allclose(M @ M.T, np.eye(2), atol=1e-12)
-
-    def test_cone_and_weight_disagree(self):
-        with pytest.raises(ValueError, match="cone and weight disagree"):
-            decompose_subspaces(HALF, W_XY)

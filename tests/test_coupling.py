@@ -45,7 +45,7 @@ def ball_report():
 def eps_reports():
     out = {}
     for eps in (0.05, 0.1, 0.2):
-        star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, eps, eta4)
+        star = StarSet.perturbed_ball(W_XY, 4096, eps, eta4)
         out[eps] = build_coupling(star, WeightedMode(W_XY))
     return out
 
@@ -105,7 +105,7 @@ class TestEpsFamily:
         assert max(vals) / min(vals) <= 3.0
 
     def test_resolution_doubling_drift(self):
-        star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, 0.1, eta4)
+        star = StarSet.perturbed_ball(W_XY, 4096, 0.1, eta4)
         base = build_coupling(star, WeightedMode(W_XY))
         fine = build_coupling(star, WeightedMode(W_XY),
                               Resolutions(mesh_h=0.01, eval_h=0.004))
@@ -144,7 +144,7 @@ class TestAbpChain:
         assert gap <= 50.0 * max(rep.hessian_l1 ** 2, 1e-4)
 
     def test_halved_resolution_still_ordered(self):
-        star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, 0.2, eta4)
+        star = StarSet.perturbed_ball(W_XY, 4096, 0.2, eta4)
         res = Resolutions(mesh_h=0.04, n_slope=(256, 96), eval_h=0.012)
         rep = build_coupling(star, WeightedMode(W_XY), res)
         chain = abp_chain_check(rep)
@@ -185,6 +185,13 @@ class TestAnisotropic:
         assert anisotropic_perimeter(star, body) == pytest.approx(8.0, abs=1e-9)
         assert star_area(star) == pytest.approx(4.0, abs=1e-12)
         assert abs(anisotropic_deficit(star, body)) <= 1e-9
+
+    def test_wedge_sets_rejected(self):
+        star = StarSet.ball(QUADRANT, 256)
+        with pytest.raises(ValueError, match="full-plane"):
+            star_area(star)
+        with pytest.raises(ValueError, match="full-plane"):
+            anisotropic_perimeter(star, SlopeBody.polygon(SQUARE_VERTS))
 
     def test_zero_area_body_rejected(self):
         star = StarSet.ball(Cone.plane(), 256)
@@ -284,7 +291,7 @@ class TestMidpointSharing:
     @pytest.fixture(scope="class", params=sorted(SHARING_CASES))
     def case(self, request):
         weight, Q = SHARING_CASES[request.param]
-        star = StarSet.perturbed_ball(weight.cone, weight, 2048, 0.1, eta4)
+        star = StarSet.perturbed_ball(weight, 2048, 0.1, eta4)
         return build_coupling(star, WeightedMode(weight), SHARING_RES), Q
 
     def test_same_bits_as_per_call_formulas(self, case):
@@ -305,7 +312,7 @@ class TestMidpointSharing:
     def test_weighted_op_interpolates_twice_and_builds_one_rule(self, monkeypatch):
         bilinear = _count_calls(monkeypatch, envelope, "_bilinear")
         midpoints = _count_calls(monkeypatch, TriMesh, "edge_midpoints")
-        star = StarSet.perturbed_ball(QUADRANT, W_XY, 2048, 0.1, eta4)
+        star = StarSet.perturbed_ball(W_XY, 2048, 0.1, eta4)
         rep = build_coupling(star, WeightedMode(W_XY), SHARING_RES)
         verify_coupling_estimates(rep, Q_BOX)
         abp_chain_check(rep)

@@ -144,9 +144,9 @@ class TestRestrictedConjugate:
         vals = pts[:, 0] ** 4 + pts[:, 1] ** 2
         body = SlopeBody.sector_disk(Cone.plane(), 1.0, 64, 32)
         conj = restricted_conjugate(pts, vals, body)
-        A = conj.intercepts[1:].reshape(63, 32)
-        mid = A[1:-1]
-        assert np.all(A[:-2] + A[2:] <= 2.0 * mid + 1e-10)
+        A = conj.intercepts[1:].reshape(32, 63)  # one row per angle
+        mid = A[:, 1:-1]
+        assert np.all(A[:, :-2] + A[:, 2:] <= 2.0 * mid + 1e-10)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -162,7 +162,7 @@ def _loop_sector_argmax(conj, pts):
     thetas = body.cone.arc_grid(n_ang)
     U = unit(thetas)
     a0 = conj.intercepts[0]
-    A = conj.intercepts[1:].reshape(n_r - 1, n_ang)
+    A = conj.intercepts[1:].reshape(n_ang, n_r - 1)
     n = len(pts)
     best_val = np.full(n, a0)
     best_idx = np.zeros(n, dtype=np.int64)
@@ -170,7 +170,7 @@ def _loop_sector_argmax(conj, pts):
     for j in range(n_ang):
         col = np.empty(n_r)
         col[0] = a0
-        col[1:] = A[:, j]
+        col[1:] = A[j]
         gain = np.maximum.accumulate((col[:-1] - col[1:]) / dr)
         c = pts[:, 0] * U[j, 0] + pts[:, 1] * U[j, 1]
         pos = np.searchsorted(gain, c, side="right")
@@ -182,7 +182,7 @@ def _loop_sector_argmax(conj, pts):
         k = cand[pick, idx_all]
         val = scores[pick, idx_all]
         better = val > best_val
-        gidx = np.where(k == 0, 0, 1 + (k - 1) * n_ang + j)
+        gidx = np.where(k == 0, 0, 1 + j * (n_r - 1) + (k - 1))
         best_val = np.where(better, val, best_val)
         best_idx = np.where(better, gidx, best_idx)
     return best_val, body.samples[best_idx], best_idx
@@ -209,7 +209,7 @@ QUADRANT_BODY = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 48, 33)
 # the edges between their rings' neighbours run across those rays
 BISECTING_DISK = SlopeBody.sector_disk(Cone.plane(), 1.0, 40, 120)
 # u = x / 2 on the five inner nodes, so at angle 0 and radius 1/2 (slope
-# index 1 + 3) their scores tie exactly at 0, node 0 among them
+# index 1 + 1) their scores tie exactly at 0, node 0 among them
 FLAT_FACET = np.array([
     [-0.5625, -0.625], [-2.1875, 1.25], [-2.1875, -1.25], [0.0, -2.5], [0.0, 2.5],
     [-2.5, 0.0], [1.25, -2.1875], [-1.25, 2.1875], [0.6875, 0.4375], [-1.25, -2.1875],
@@ -280,14 +280,16 @@ class TestSectorKernelsMatchLoops:
     def test_flat_facet_tie_goes_to_lowest_index(self):
         pts, vals = SECTOR_CASES["flat-facet"][0]()
         conj = restricted_conjugate(pts, vals, SECTOR_CASES["flat-facet"][1])
-        assert conj.intercepts[1 + 3] == 0.0 and conj.argmin_index[1 + 3] == 0
+        assert conj.intercepts[1 + 1] == 0.0 and conj.argmin_index[1 + 1] == 0
 
 
 class TestSectorArgmaxTies:
     """Each tie class of the argmax rule at x = 0, where every score is a
-    column entry: value first, then the origin, then the lowest angle, then
-    the lowest radius.  Three radii (0, 1/2, 1) and 64 angles in four blocks
-    of 16; the intercepts are -1 except where a case sets a column."""
+    column entry: value first, then the lowest slope index, which is the
+    origin, then the lowest angle, then the lowest radius.  Three radii (0,
+    1/2, 1) and 64 angles in four blocks of 16, so angle j holds indices
+    1 + 2 j and 2 + 2 j; the intercepts are -1 except where a case sets a
+    column."""
 
     BODY = SlopeBody.sector_disk(Cone.plane(), 1.0, 3, 64)
 
@@ -295,8 +297,8 @@ class TestSectorArgmaxTies:
         intercepts = np.full(1 + 2 * 64, -1.0)
         intercepts[0] = 0.0
         for j, (a1, a2) in columns.items():
-            intercepts[1 + j] = a1
-            intercepts[1 + 64 + j] = a2
+            intercepts[1 + 2 * j] = a1
+            intercepts[2 + 2 * j] = a2
         conj = RestrictedConjugate(self.BODY, np.zeros((1, 2)), np.zeros(1), intercepts,
                                    np.zeros(len(intercepts), dtype=np.int64))
         origin = np.zeros((1, 2))
@@ -307,7 +309,7 @@ class TestSectorArgmaxTies:
         return float(got[0][0]), int(got[2][0])
 
     def test_value_first(self):
-        assert self.argmax({5: (1.0, 0.0), 40: (2.0, 0.0)}) == (2.0, 1 + 40)
+        assert self.argmax({5: (1.0, 0.0), 40: (2.0, 0.0)}) == (2.0, 1 + 2 * 40)
 
     def test_origin_wins_a_tie(self):
         # angle 7 reaches the origin's intercept 0 at both radii
@@ -317,10 +319,10 @@ class TestSectorArgmaxTies:
         # angle 45 lifts its block's bound to 5, so block 2 is scored first,
         # but its search stops at radius 0 and angle 40 ties angle 5 at 1
         got = self.argmax({5: (1.0, 0.0), 40: (1.0, 0.0), 45: (-1.0, 5.0)})
-        assert got == (1.0, 1 + 5)
+        assert got == (1.0, 1 + 2 * 5)
 
     def test_lowest_radius_wins_within_an_angle(self):
-        assert self.argmax({9: (1.0, 1.0)}) == (1.0, 1 + 9)
+        assert self.argmax({9: (1.0, 1.0)}) == (1.0, 1 + 2 * 9)
 
     def test_origin_best_scores_no_angle(self, monkeypatch):
         # every other radius scores below the origin's 0, so no block's
@@ -328,6 +330,55 @@ class TestSectorArgmaxTies:
         passes = _count_block_passes(monkeypatch)
         assert self.argmax({5: (-0.5, -0.25), 40: (-1e-9, -1e-9)}) == (0.0, 0)
         assert passes == []
+
+
+def _all_slope_scores(conj, pts):
+    """(points, slopes) scores a_m + r_k (x . u_j) of every slope sample,
+    each formed as the sector argmax forms it."""
+    body = conj.body
+    n_r, n_ang = body.polar_shape
+    radii = np.linspace(0.0, body.rho, n_r)
+    U = unit(body.cone.arc_grid(n_ang))
+    A = conj.intercepts[1:].reshape(n_ang, n_r - 1)
+    scores = np.empty((len(pts), len(body.samples)))
+    scores[:, 0] = conj.intercepts[0]
+    for j in range(n_ang):
+        c = pts[:, 0] * U[j, 0] + pts[:, 1] * U[j, 1]
+        scores[:, 1 + j * (n_r - 1):1 + (j + 1) * (n_r - 1)] = A[j] + radii[1:] * c[:, None]
+    return scores
+
+
+class TestSectorSampleOrder:
+    def test_origin_first_then_angle_major(self):
+        body = SlopeBody.sector_disk(Cone.quadrant(), 1.0, 5, 7)
+        radii = np.linspace(0.0, 1.0, 5)
+        U = unit(Cone.quadrant().arc_grid(7))
+        want = [[0.0, 0.0]] + [radii[k] * U[j] for j in range(7) for k in range(1, 5)]
+        assert body.polar_shape == (5, 7)
+        assert np.array_equal(body.samples, np.array(want))
+
+    def test_flat_facet_ties_go_to_the_lowest_scored_index(self):
+        make, body = SECTOR_CASES["flat-facet"]
+        pts, vals = make()
+        conj = restricted_conjugate(pts, vals, body)
+        g = np.linspace(-3.0, 3.0, 25)
+        probes = np.vstack([pts, np.stack(np.meshgrid(g, g), -1).reshape(-1, 2)])
+        phi, _xi, idx = conj.envelope_at(probes)
+        scores = _all_slope_scores(conj, probes)
+        optima = scores == scores.max(axis=1, keepdims=True)
+        assert np.array_equal(phi, scores.max(axis=1))
+        assert np.all(optima[np.arange(len(probes)), idx])
+        # the origin, then the lowest ray among the exact optima; index i
+        # lies on ray (i - 1) // (n_r - 1), which is -1 for the origin
+        n_r = body.polar_shape[0]
+        lowest = np.argmax(optima, axis=1)
+        assert np.array_equal((idx - 1) // (n_r - 1), (lowest - 1) // (n_r - 1))
+        assert np.count_nonzero(optima.sum(axis=1) > 1) == 3
+        # within a ray, the lowest of the radii its search scores: on the
+        # facet node (0.8125, 0.1875) radii 1/2, 3/4 and 1 of angle 0 tie,
+        # and the search, at the gains' last crossing, scores 3/4 and 1
+        node = np.flatnonzero((probes == (0.8125, 0.1875)).all(axis=1))[0]
+        assert np.flatnonzero(optima[node]).tolist() == [2, 3, 4] and idx[node] == 3
 
 
 def _count_block_passes(monkeypatch):
@@ -741,7 +792,7 @@ class TestProbePass:
         assert calls == [21 * 21 + 20 * 20]
         calls.clear()
         weight = HomWeight.monomial(Cone.quadrant(), 1, 1)
-        star = StarSet.perturbed_ball(Cone.quadrant(), weight, 512, 0.1,
+        star = StarSet.perturbed_ball(weight, 512, 0.1,
                                       lambda th: np.cos(4.0 * th))
         rep = build_coupling(star, WeightedMode(weight),
                              Resolutions(mesh_h=0.08, n_slope=(64, 32), eval_h=0.04))

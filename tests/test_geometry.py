@@ -65,8 +65,8 @@ class TestVolume:
 
     def test_quadrature_order(self):
         # doubling n_theta changes smooth results below 1e-6
-        star1 = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, 0.1, eta4)
-        star2 = StarSet.perturbed_ball(QUADRANT, W_XY, 8192, 0.1, eta4)
+        star1 = StarSet.perturbed_ball(W_XY, 4096, 0.1, eta4)
+        star2 = StarSet.perturbed_ball(W_XY, 8192, 0.1, eta4)
         assert abs(weighted_volume(star1, W_XY) - weighted_volume(star2, W_XY)) < 1e-6
 
 
@@ -97,10 +97,10 @@ class TestPerimeter:
     def test_perturbed_above_ball_and_matches_fine_oracle(self):
         # zero-weighted-mean bump: volume grows at second order, so the
         # isoperimetric inequality pushes the perimeter strictly above 1/2
-        star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, 0.1, eta4)
+        star = StarSet.perturbed_ball(W_XY, 4096, 0.1, eta4)
         per = deficit(star, W_XY).w_perimeter
         assert per > 0.5
-        fine = StarSet.perturbed_ball(QUADRANT, W_XY, 2 ** 16, 0.1, eta4)
+        fine = StarSet.perturbed_ball(W_XY, 2 ** 16, 0.1, eta4)
         oracle = deficit(fine, W_XY).w_perimeter
         assert per == pytest.approx(oracle, abs=1e-7)
 
@@ -115,13 +115,13 @@ class TestDeficit:
     def test_eps_family_quadratic(self):
         ratios = []
         for eps in (0.05, 0.1, 0.2):
-            star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, eps, eta4)
+            star = StarSet.perturbed_ball(W_XY, 4096, eps, eta4)
             ratios.append(deficit(star, W_XY).deficit / eps ** 2)
         assert max(ratios) / min(ratios) - 1.0 < 0.2
         assert min(ratios) > 0
 
     def test_scale_invariance(self):
-        star = StarSet.perturbed_ball(QUADRANT, W_XY, 2048, 0.1, eta4)
+        star = StarSet.perturbed_ball(W_XY, 2048, 0.1, eta4)
         d0 = deficit(star, W_XY).deficit
         a0, _ = asymmetry(star, W_XY, deficit(star, W_XY))
         for lam in (0.5, 3.0):
@@ -152,7 +152,7 @@ class TestDeficit:
 
     @pytest.mark.parametrize("cone, weight", [(QUADRANT, W_XY), (HALF, W_Y)])
     def test_report_equals_the_public_functions_bit_for_bit(self, cone, weight):
-        star = StarSet.perturbed_ball(cone, weight, 2048, 0.1, eta4)
+        star = StarSet.perturbed_ball(weight, 2048, 0.1, eta4)
         rep = deficit(star, weight)
         # the polar quadratures the report shares its arrays between
         qw = star.quad_weights()
@@ -178,7 +178,7 @@ class TestDeficit:
             counts["quad_weights"] += 1
             return quad_weights(star)
 
-        star = StarSet.perturbed_ball(HALF, W_Y, 2048, 0.1, eta_fourier_cos(HALF, 4))
+        star = StarSet.perturbed_ball(W_Y, 2048, 0.1, eta_fourier_cos(HALF, 4))
         monkeypatch.setattr(HomWeight, "arc_values", counted_arc_values)
         monkeypatch.setattr(StarSet, "quad_weights", counted_quad_weights)
         deficit(star, W_Y)
@@ -219,7 +219,7 @@ class TestSymdiff:
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.4, 2.0))
     def test_symdiff_identity_concentric(self, r):
-        star = StarSet.perturbed_ball(QUADRANT, W_XY, 1024, 0.15, eta4)
+        star = StarSet.perturbed_ball(W_XY, 1024, 0.15, eta4)
         sd = symdiff_with_ball(star, W_XY, (0.0, 0.0), r)
         w_e = weighted_volume(star, W_XY)
         w_f = r ** W_XY.D * weighted_volume(StarSet.ball(QUADRANT, 1024), W_XY)
@@ -246,7 +246,7 @@ class TestAsymmetry:
         assert abs(x0[0] - 0.3) <= 5e-3 and x0[1] == 0.0
 
     def test_range(self):
-        star = StarSet.perturbed_ball(QUADRANT, W_XY, 1024, 0.2, eta4)
+        star = StarSet.perturbed_ball(W_XY, 1024, 0.2, eta4)
         a, _ = asymmetry(star, W_XY, deficit(star, W_XY))
         assert 0.0 <= a <= 2.0
 
@@ -255,7 +255,7 @@ class TestAsymmetry:
     @pytest.mark.parametrize("eps, a_over_eps, shift", [
         (0.04, 0.015335, 0.039957), (0.02, 0.0076903, 0.019995), (0.01, 0.0038480, 0.0099993)])
     def test_half_plane_search_removes_the_translation_mode(self, eps, a_over_eps, shift):
-        star = StarSet.perturbed_ball(HALF, W_Y, 2048, eps, eta_fourier_cos(HALF, 1))
+        star = StarSet.perturbed_ball(W_Y, 2048, eps, eta_fourier_cos(HALF, 1))
         a, x0 = asymmetry(star, W_Y, deficit(star, W_Y))
         assert a / eps == pytest.approx(a_over_eps, rel=1e-3)
         assert x0[0] == pytest.approx(shift, rel=1e-3) and x0[1] == 0.0
@@ -263,7 +263,7 @@ class TestAsymmetry:
     # for contrast, mode 2 is not a translation: A/eps stays near 1.55
     @pytest.mark.parametrize("eps", [0.04, 0.02, 0.01])
     def test_half_plane_mode_two_is_not_removed(self, eps):
-        star = StarSet.perturbed_ball(HALF, W_Y, 2048, eps, eta_fourier_cos(HALF, 2))
+        star = StarSet.perturbed_ball(W_Y, 2048, eps, eta_fourier_cos(HALF, 2))
         a, _ = asymmetry(star, W_Y, deficit(star, W_Y))
         assert a / eps == pytest.approx(1.55, rel=0.01)
 
@@ -338,11 +338,11 @@ SEARCH_CASES = {
     **{f"half_ball_r{r}": (StarSet.ball(HALF, 2048, r=r), W_Y) for r in (0.5, 1.0, 2.0)},
     "half_ball_shifted": (StarSet.ball(HALF, 2048, r=1.0, center=(0.3, 0.0)), W_Y),
     **{f"half_fourier_m{m}_e{eps}": (
-        StarSet.perturbed_ball(HALF, W_Y, 2048, eps, eta_fourier_cos(HALF, m)), W_Y)
+        StarSet.perturbed_ball(W_Y, 2048, eps, eta_fourier_cos(HALF, m)), W_Y)
        for m, eps in ((2, 0.05), (5, 0.2), (6, 0.1))},
-    "half_profile": (StarSet.perturbed_ball(HALF, W_Y_PROFILE, 2048, 0.1,
+    "half_profile": (StarSet.perturbed_ball(W_Y_PROFILE, 2048, 0.1,
                                             eta_fourier_cos(HALF, 3)), W_Y_PROFILE),
-    "quadrant_fourier": (StarSet.perturbed_ball(QUADRANT, W_XY, 2048, 0.1, eta4), W_XY),
+    "quadrant_fourier": (StarSet.perturbed_ball(W_XY, 2048, 0.1, eta4), W_XY),
 }
 # the evaluation kernel also sees a half-plane whose line is not an axis and a
 # wedge narrower than the quadrant
@@ -355,9 +355,9 @@ W_WEDGE = HomWeight.monomial(WEDGE, 1, 1)
 KERNEL_CASES = {
     **SEARCH_CASES,
     "rotated_half_profile": (
-        StarSet.perturbed_ball(ROTATED_HALF, W_ROTATED_PROFILE, 2048, 0.1,
+        StarSet.perturbed_ball(W_ROTATED_PROFILE, 2048, 0.1,
                                eta_fourier_cos(ROTATED_HALF, 3)), W_ROTATED_PROFILE),
-    "wedge_fourier": (StarSet.perturbed_ball(WEDGE, W_WEDGE, 1024, 0.15,
+    "wedge_fourier": (StarSet.perturbed_ball(W_WEDGE, 1024, 0.15,
                                              eta_fourier_cos(WEDGE, 2)), W_WEDGE),
 }
 
@@ -381,7 +381,7 @@ class TestAngleFrame:
     LATER = Cone(2.0 * math.pi, 2.5 * math.pi)
 
     def _star(self, cone):
-        return StarSet.perturbed_ball(cone, HomWeight.monomial(cone, 1, 1), 2048, 0.2,
+        return StarSet.perturbed_ball(HomWeight.monomial(cone, 1, 1), 2048, 0.2,
                                       eta_fourier_cos(cone, 4))
 
     def test_radius_and_membership_agree(self):
@@ -483,7 +483,7 @@ class TestTranslationSearch:
                 counts["radii_pow"] += 1
                 return np.asarray(self) ** p
 
-        star = StarSet.perturbed_ball(HALF, W_Y, 2048, 0.1, eta_fourier_cos(HALF, 4))
+        star = StarSet.perturbed_ball(W_Y, 2048, 0.1, eta_fourier_cos(HALF, 4))
         rep = deficit(star, W_Y)
         want = asymmetry(star, W_Y, rep)
         star = dataclasses.replace(star, radii=star.radii.view(CountedRadii))
@@ -500,7 +500,7 @@ class TestTranslationSearch:
 
 class TestBoundaryIntegral:
     def test_constant_recovers_perimeter(self):
-        star = StarSet.perturbed_ball(QUADRANT, W_XY, 2048, 0.1, eta4)
+        star = StarSet.perturbed_ball(W_XY, 2048, 0.1, eta4)
         got = boundary_weighted_integral(star, W_XY, lambda p: np.ones(len(p)))
         assert got == pytest.approx(deficit(star, W_XY).w_perimeter, rel=1e-12)
 
@@ -511,11 +511,11 @@ class TestBoundaryIntegral:
         assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_radial_distance_on_perturbed_set(self):
-        star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, 0.1, eta4)
+        star = StarSet.perturbed_ball(W_XY, 4096, 0.1, eta4)
         got = boundary_weighted_integral(
             star, W_XY, lambda p: np.abs(np.hypot(p[:, 0], p[:, 1]) - 1.0))
         oracle = boundary_weighted_integral(
-            StarSet.perturbed_ball(QUADRANT, W_XY, 2 ** 16, 0.1, eta4), W_XY,
+            StarSet.perturbed_ball(W_XY, 2 ** 16, 0.1, eta4), W_XY,
             lambda p: np.abs(np.hypot(p[:, 0], p[:, 1]) - 1.0))
         assert got == pytest.approx(oracle, abs=1e-6)
         assert 0.01 < got < 0.2  # roughly eps * perimeter scale
@@ -534,7 +534,7 @@ class TestMidpointVolumeOracle:
     # cells cut by the curved boundary leave an O(h) error
     @pytest.mark.parametrize("make_star, weight, box", [
         (lambda: StarSet.ball(QUADRANT, 2048), W_XY, ((0.0, 1.2), (0.0, 1.2))),
-        (lambda: StarSet.perturbed_ball(QUADRANT, W_XY, 2048, 0.15, eta4), W_XY,
+        (lambda: StarSet.perturbed_ball(W_XY, 2048, 0.15, eta4), W_XY,
          ((0.0, 1.4), (0.0, 1.4))),
         (lambda: StarSet.ball(HALF, 2048, center=(0.3, 0.2)), W_Y, ((-0.8, 1.4), (0.0, 1.3))),
     ], ids=["quadrant_ball", "perturbed_ball", "half_plane_shifted_ball"])
@@ -558,7 +558,7 @@ class TestRadialDerivative:
 
 class TestPolarSlicing:
     def test_per_ray_measures_reproduce_volume(self):
-        star = StarSet.perturbed_ball(QUADRANT, W_XY, 2048, 0.15, eta4)
+        star = StarSet.perturbed_ball(W_XY, 2048, 0.15, eta4)
         qw = star.quad_weights()
         wv = W_XY.arc_values(star.thetas)
         per_ray = star.radii ** W_XY.D / W_XY.D  # integral of t^(D-1) over the slice

@@ -63,7 +63,7 @@ class TestFanTriangulate:
         assert np.max(np.abs(pts[:, 1])) <= 1e-12
 
     def test_quality_and_size(self):
-        star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, 0.1, eta4)
+        star = StarSet.perturbed_ball(W_XY, 4096, 0.1, eta4)
         mesh = fan_triangulate(star, 0.02)
         assert mesh.min_angle_deg() >= 20.0
         assert mesh.max_diameter() <= 0.02 * (1.0 + 1e-9)
@@ -80,7 +80,7 @@ class TestFanTriangulate:
 
     def test_infeasible_angle_bound_raises(self, monkeypatch):
         # steep shear (mode-6 bump at amplitude 0.2) cannot meet 20 degrees
-        star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, 0.2,
+        star = StarSet.perturbed_ball(W_XY, 4096, 0.2,
                                       lambda th: np.cos(6.0 * np.asarray(th)))
         with pytest.raises(MeshQualityError):
             fan_triangulate(star, 0.02)
@@ -109,7 +109,7 @@ class TestFanTriangulate:
 
         monkeypatch.setattr(pde, "_edge_vectors", measured)
         monkeypatch.setattr(pde, "TriMesh", CountedMesh)
-        star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, eps,
+        star = StarSet.perturbed_ball(W_XY, 4096, eps,
                                       lambda th: np.cos(mode * np.asarray(th)))
         if fails:
             with pytest.raises(MeshQualityError):
@@ -128,7 +128,7 @@ class TestFanTriangulate:
         if periodic:
             star = StarSet.ball(Cone.plane(), 1024)
         else:
-            star = StarSet.perturbed_ball(QUADRANT, W_XY, 1024, 0.1, eta4)
+            star = StarSet.perturbed_ball(W_XY, 1024, 0.1, eta4)
         mesh = fan_triangulate(star, h)
         rings = mesh.rings
         first = rings[1]
@@ -164,7 +164,7 @@ class TestFanTriangulate:
         if periodic:
             star = StarSet.ball(Cone.plane(), 1024, r=0.8, center=(0.2, -0.1))
         else:
-            star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, 0.1,
+            star = StarSet.perturbed_ball(W_XY, 4096, 0.1,
                                           lambda th: np.cos(5.0 * np.asarray(th)))
         mesh = fan_triangulate(star, 0.05)
         assert len(calls) == len(sizes) == 2  # the first size is too coarse
@@ -212,7 +212,7 @@ class TestMeshQuality:
     @pytest.mark.parametrize("make", [
         lambda: fan_triangulate(StarSet.ball(HALF, 1024), 0.01),
         lambda: fan_triangulate(StarSet.ball(QUADRANT, 1024), 0.02),
-        lambda: fan_triangulate(StarSet.perturbed_ball(QUADRANT, W_XY, 4096, 0.1, eta4), 0.02),
+        lambda: fan_triangulate(StarSet.perturbed_ball(W_XY, 4096, 0.1, eta4), 0.02),
         lambda: fan_triangulate(StarSet.ball(Cone.plane(), 1024, r=0.8, center=(0.2, -0.1)),
                                 0.02),
         lambda: triangulate_polygon(np.column_stack([np.cos(np.arange(6) * np.pi / 3),
@@ -228,7 +228,7 @@ class TestMeshQuality:
         assert pde._min_angle_deg(e, sq) == _loop_min_angle_deg(mesh)
 
     def test_rejected_star_names_its_min_angle(self, monkeypatch):
-        star = StarSet.perturbed_ball(QUADRANT, W_XY, 4096, 0.2,
+        star = StarSet.perturbed_ball(W_XY, 4096, 0.2,
                                       lambda th: np.cos(6.0 * np.asarray(th)))
         with pytest.raises(MeshQualityError) as info:
             fan_triangulate(star, 0.02)
@@ -414,7 +414,7 @@ class TestWeightedSolve:
         assert errs[1] / errs[2] >= 1.8
 
     def test_compatibility_audit(self):
-        star = StarSet.perturbed_ball(QUADRANT, W_XY, 2048, 0.1, eta4)
+        star = StarSet.perturbed_ball(W_XY, 2048, 0.1, eta4)
         mesh = fan_triangulate(star, 0.03)
         # reassemble the right-hand side exactly as the solver does
         field = solve_neumann(mesh, WeightedMode(W_XY))
