@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .cone_weight import Cone, HomWeight
-from .envelope import _BLOCK
 from .geometry import (
+    _BLOCK,
     StarSet,
     boundary_element,
     boundary_weighted_integral,

@@ -32,12 +32,9 @@ import math
 import numpy as np
 
 from .cone_weight import Cone, unit
-from .geometry import emit_csv
+from .geometry import _BLOCK, emit_csv
 from .pde import fan_lattice
 
-# float64 entries of the block _dense_min scores in (2^18, 2 MB): its passes
-# then stay in a core's L2 cache, not in main memory as tens of MB would.
-_BLOCK = 1 << 18
 _TILE_SPLIT = 4  # cells along the longest side of a tile of _dense_min it splits into
 _TILE_MIN_SITES = 1024  # _dense_min scans fewer sites than this untiled
 _TILE_SLACK = 1e-11  # rounding slack of _dense_min's tile bound, per unit of score scale
@@ -46,6 +43,7 @@ _BOUND_KNOTS = 64  # knots of the chord bound of one block
 _HESS_WINDOW = 5  # grid nodes per side of the Hessian's least-squares window
 _NORMAL_CONE_TOL = 1e-9  # distance within which a slope lies on a face of K
 _NEAREST_SEED = 64  # queries of largest bound that _farthest_nearest resolves first
+_NEAREST_QUERIES = 1 << 14  # queries per block of _farthest_nearest's passes
 _NEAREST_MARGIN = 1e-9  # relative reach of _farthest_nearest's windows past a bound
 
 
@@ -109,8 +107,9 @@ class SlopeBody:
         """
         thetas = cone.arc_grid(n_angular)
         radii = np.linspace(0.0, rho, n_radial)
-        pts = (radii[None, 1:, None] * unit(thetas)[:, None, :]).reshape(-1, 2)
-        samples = np.vstack([[[0.0, 0.0]], pts])
+        samples = np.zeros((1 + n_angular * (n_radial - 1), 2))  # the origin, then r * u
+        np.multiply(radii[None, 1:, None], unit(thetas)[:, None, :],
+                    out=samples[1:].reshape(n_angular, n_radial - 1, 2))
         dr = radii[1] - radii[0]
         darc = rho * cone.arc_step(n_angular)
         return SlopeBody(None, cone, float(rho), samples,
@@ -312,11 +311,15 @@ def _tile_members(queries):
     side = np.max(queries.max(axis=1) - lo) / _TILE_SPLIT
     if not side > 0:
         return [np.arange(queries.shape[1])]
-    # the cast truncates, which floors: queries - lo >= 0
-    cell = np.minimum((queries - lo[:, None]) / side, _TILE_SPLIT - 1).astype(np.uint8)
-    tile = cell[0]
-    for c in cell[1:]:
-        tile = tile * np.uint8(_TILE_SPLIT) + c  # _TILE_SPLIT^d cells fit a byte
+    # one coordinate at a time through one float row: no (d, m) temporary
+    tile = np.zeros(queries.shape[1], dtype=np.uint8)  # _TILE_SPLIT^d cells fit a byte
+    cell = np.empty(queries.shape[1])
+    for row, row_lo in zip(queries, lo):
+        np.subtract(row, row_lo, out=cell)
+        cell /= side
+        np.minimum(cell, _TILE_SPLIT - 1, out=cell)
+        tile *= _TILE_SPLIT
+        tile += cell.astype(np.uint8)  # the cast truncates, which floors: cell >= 0
     # one-byte keys take NumPy's radix sort, several times faster on 10^5 keys
     order = np.argsort(tile, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(tile[order])) + 1)
@@ -363,7 +366,9 @@ def _sector_argmax(conj: "RestrictedConjugate", pts):
     cols = np.empty((n_ang, n_r))
     cols[:, 0] = a0
     cols[:, 1:] = conj.intercepts[1:].reshape(n_ang, n_r - 1)
-    gains = np.maximum.accumulate((cols[:, :-1] - cols[:, 1:]) / dr, axis=1)
+    gains = np.subtract(cols[:, :-1], cols[:, 1:])
+    gains /= dr
+    np.maximum.accumulate(gains, axis=1, out=gains)
     n = len(pts)
     blocks = [slice(b0, b0 + _ANGLE_BLOCK) for b0 in range(0, n_ang, _ANGLE_BLOCK)]
     bound = np.empty((len(blocks), n))
@@ -372,7 +377,10 @@ def _sector_argmax(conj: "RestrictedConjugate", pts):
         bound[b] = _block_bound(cols[block, 1:].max(axis=0), radii[1:], c)
     best_val = np.full(n, a0)
     best_idx = np.zeros(n, dtype=np.int64)  # the origin, which wins every tie
-    top = np.argmax(bound, axis=0)
+    # argmax over axis 0 copies what it reduces, so it takes 2^15 bounds at a time
+    top, step = np.empty(n, dtype=np.intp), max(1, (_BLOCK >> 3) // len(blocks))
+    for p0 in range(0, n, step):
+        top[p0:p0 + step] = np.argmax(bound[:, p0:p0 + step], axis=0)
     # each point's most promising block first, then its other blocks in order
     for first in (True, False):
         for b, block in enumerate(blocks):
@@ -442,14 +450,29 @@ def _block_best(cols, gains, radii, c):
     gains equal to c puts the crossing at the run's end, so where three or
     more radii tie, the lower ones are not scored.
     """
-    pos = np.array([np.searchsorted(g, c_ray, side="right") for g, c_ray in zip(gains, c)])
+    n_rays, n_r = cols.shape
+    pos = np.empty(c.shape, dtype=np.intp)
+    for i, (g, c_ray) in enumerate(zip(gains, c)):
+        pos[i] = np.searchsorted(g, c_ray, side="right")
+    flat = cols.ravel()
+    row = np.arange(0, n_rays * n_r, n_r)[:, None]  # each ray's offset in ``flat``
+
+    def score(k):
+        """col[k] + radii[k] * c, with one flat take per term."""
+        s = np.take(radii, k)
+        s *= c
+        s += np.take(flat, k + row)
+        return s
+
     k_best = np.maximum(pos - 1, 0)  # pos <= len(gain), one less than the radii
-    best = np.take_along_axis(cols, k_best, axis=1) + radii[k_best] * c
+    best = score(k_best)
+    k = pos
     for step in (0, 1):  # ascending radii: a later one wins only if strictly better
-        k = np.minimum(pos + step, cols.shape[1] - 1)
-        score = np.take_along_axis(cols, k, axis=1) + radii[k] * c
-        better = score > best
-        best, k_best = np.where(better, score, best), np.where(better, k, k_best)
+        k = np.minimum(k + step, n_r - 1, out=k)
+        s = score(k)
+        better = s > best
+        np.copyto(best, s, where=better)
+        np.copyto(k_best, k, where=better)
     ray = np.argmax(best, axis=0)
     at = np.arange(c.shape[1])
     return best[ray, at], k_best[ray, at], ray
@@ -518,12 +541,14 @@ def _farthest_nearest(sites, queries) -> float:
     squared distance to six sites: in its row and in the rows above and below,
     the last site before its cell and the first at or after it.  Queries are
     then resolved in order of decreasing bound, over the cells within their
-    bound, ``_NEAREST_SEED`` first, then in batches of at most ``_BLOCK``
-    (query, site) pairs; the largest squared distance resolved so far prunes
-    every query whose bound does not exceed it.  A window reaches past the
-    bound by ``_NEAREST_MARGIN`` (relative, plus that fraction of the
-    coordinate scale), far more than the rounding of its edges, so a site
-    outside it is farther than the bound's site inside.
+    bound, ``_NEAREST_SEED`` first, then in batches of at most
+    ``_NEAREST_QUERIES`` queries and ``_BLOCK`` (query, site) pairs; the
+    largest squared distance resolved so far prunes every query whose bound
+    does not exceed it.  The bound pass, too, takes ``_NEAREST_QUERIES``
+    queries at a time, so its scratch does not grow with the queries.  A window
+    reaches past the bound by ``_NEAREST_MARGIN`` (relative, plus that
+    fraction of the coordinate scale), far more than the rounding of its
+    edges, so a site outside it is farther than the bound's site inside.
     Bounds and exact distances alike are ``_sq_dist`` of a query and a site,
     so the result is the float a k-d tree query gives, bit for bit.
     """
@@ -531,9 +556,10 @@ def _farthest_nearest(sites, queries) -> float:
         return 0.0
     if len(sites) == 0:
         return math.inf
-    # by coordinate: reductions over (n, 2) columns are several times slower
-    qx, qy = queries[:, 0].copy(), queries[:, 1].copy()
-    sx, sy = sites[:, 0].copy(), sites[:, 1].copy()
+    # by coordinate, as views: each pass reads them in blocks or gathers from
+    # them, and a copy of the queries would double the caller's array
+    qx, qy = queries[:, 0], queries[:, 1]
+    sx, sy = sites[:, 0], sites[:, 1]
     x0, y0 = min(qx.min(), sx.min()), min(qy.min(), sy.min())
     wx, wy = max(qx.max(), sx.max()) - x0, max(qy.max(), sy.max()) - y0
     m = len(sx)
@@ -553,13 +579,16 @@ def _farthest_nearest(sites, queries) -> float:
     start = np.zeros(nx * ny + 1, dtype=np.intp)  # sites before each cell
     np.cumsum(np.bincount(key, minlength=nx * ny), out=start[1:])
 
-    qcol, qrow = cell(qx, x0, nx), cell(qy, y0, ny)
     bound = np.full(len(qx), np.inf)
-    for step in (-1, 0, 1):
-        after = start[np.clip(qrow + step, 0, ny - 1) * nx + qcol]
-        for k in (after - 1, after):
-            np.clip(k, 0, m - 1, out=k)
-            np.minimum(bound, _sq_dist(qx, qy, sx[k], sy[k]), out=bound)
+    for q0 in range(0, len(qx), _NEAREST_QUERIES):
+        part = slice(q0, q0 + _NEAREST_QUERIES)
+        x, y, b = qx[part], qy[part], bound[part]
+        qcol, qrow = cell(x, x0, nx), cell(y, y0, ny)
+        for step in (-1, 0, 1):
+            after = start[np.clip(qrow + step, 0, ny - 1) * nx + qcol]
+            for k in (after - 1, after):
+                np.clip(k, 0, m - 1, out=k)
+                np.minimum(b, _sq_dist(x, y, sx[k], sy[k]), out=b)
 
     slack = _NEAREST_MARGIN * (side + max(abs(x0), abs(y0), abs(x0 + wx), abs(y0 + wy)))
 
@@ -591,7 +620,7 @@ def _farthest_nearest(sites, queries) -> float:
             if len(todo):
                 n = resolve(todo[:size])
                 best = max(best, float(bound[todo[:n]].max()))
-                todo, size = todo[n:], 4 * size
+                todo, size = todo[n:], min(4 * size, _NEAREST_QUERIES)
         return best
 
     seed = np.argpartition(bound, -min(len(bound), _NEAREST_SEED))[-_NEAREST_SEED:]

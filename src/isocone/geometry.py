@@ -32,6 +32,13 @@ class UnsupportedTranslationError(ValueError):
 
 
 _RADIUS_CAP = 64.0  # the largest radius a star set may carry
+# float64 entries of a kernel's scratch block (2^18, 2 MB): a kernel's passes
+# then stay in a core's L2 cache, not in main memory as tens of MB would, and
+# its scratch does not grow with its input.
+_BLOCK = 1 << 18
+# emit_csv writes _BLOCK / _CELL_FLOATS cells per block: a cell's text and its
+# formatting passes take about 12 float64s (96 B), so a block stays under 2 MB
+_CELL_FLOATS = 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -200,16 +207,23 @@ def deficit_value(per: float, vol: float, unit_volume: float, D: float) -> float
 
 def emit_csv(path, columns, rows) -> None:
     """Header line, then one line per row of ``rows``, a 2-D float array or a
-    sequence of tuples.  A column of strings is written as it is; the
-    columns of numbers go through ``_number_cells`` together, to 12
-    significant digits as ``np.savetxt(fmt="%.12g")`` writes them and NaN as
-    an empty cell."""
+    sequence of tuples.  A column of strings (every row's entry a str) is
+    written as it is; the columns of numbers go through ``_number_cells``
+    together, to 12 significant digits as ``np.savetxt(fmt="%.12g")`` writes
+    them and NaN as an empty cell.  The column kinds are decided once for
+    the whole table; the rows are then formatted and written in blocks of
+    about ``_BLOCK / _CELL_FLOATS`` cells, so the scratch text stays near one
+    block whatever the table's length."""
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        if len(rows):
-            cols = list(rows.T) if isinstance(rows, np.ndarray) else list(zip(*rows))
-            numeric = [j for j, col in enumerate(cols)
-                       if not all(isinstance(v, str) for v in col)]
+        if not len(rows):
+            return
+        width = len(rows[0])
+        numeric = [j for j in range(width) if not all(isinstance(row[j], str) for row in rows)]
+        step = max(1, _BLOCK // (_CELL_FLOATS * width))
+        for r0 in range(0, len(rows), step):
+            block = rows[r0:r0 + step]
+            cols = list(block.T) if isinstance(block, np.ndarray) else list(zip(*block))
             cells = _number_cells(np.array([cols[j] for j in numeric], dtype=float))
             for j, col in zip(numeric, cells):
                 cols[j] = col

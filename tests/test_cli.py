@@ -1,6 +1,7 @@
 """CLI dispatch, exit codes, output schemas, determinism."""
 
 import ast
+import functools
 import json
 import math
 import os
@@ -225,6 +226,77 @@ class TestEmitColumns:
     def test_empty_rows_and_cells(self, tmp_path, rows):
         array_bytes, scan_bytes = self.both_inputs(tmp_path, rows)
         assert array_bytes == scan_bytes
+
+
+def _whole_table_csv(path, columns, rows):
+    """``emit_csv`` in one pass over the whole table, the writer its row
+    blocks must equal byte for byte."""
+    from isocone.geometry import _number_cells
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        if len(rows):
+            cols = list(rows.T) if isinstance(rows, np.ndarray) else list(zip(*rows))
+            numeric = [j for j, col in enumerate(cols)
+                       if not all(isinstance(v, str) for v in col)]
+            cells = _number_cells(np.array([cols[j] for j in numeric], dtype=float))
+            for j, col in zip(numeric, cells):
+                cols[j] = col
+            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+
+
+@functools.lru_cache(maxsize=None)
+def _mixed_tables():
+    """Named (columns, rows) tables: arrays and tuple rows with -0.0, NaN,
+    infinities, repeats and string columns, and an envelope field dump."""
+    from isocone.cone_weight import Cone
+    from isocone.envelope import SlopeBody
+    rng = np.random.default_rng(8)
+    grid = rng.choice([-0.0, 0.0, np.nan, np.inf, -1e14, 1.0 / 3.0, 2.5, 5e-324], (11, 5))
+    grid[:, 0] = np.repeat([-0.0, 0.5, 1e-5, np.nan], 3)[:11]
+    tuples = [("weighted" if i % 3 else "anisotropic", float(v), -0.0 if i % 2 else 0.0,
+               "1" if i % 4 else "0", i, bool(i % 2), float("nan") if i == 5 else i / 7.0)
+              for i, v in enumerate(rng.normal(size=10))]
+    return {
+        "array": (tuple(f"c{j}" for j in range(5)), grid),
+        "rows": (("mode", "x", "z", "holds", "i", "b", "r"), tuples),
+        "nan-column": (("s", "n"), [("a", float("nan")), ("b", float("nan")), ("c", 1.0)]),
+        "envelope": (("x", "y", "phi", "xi1", "xi2"),
+                     _envelope_rows(SlopeBody.sector_disk(Cone.plane(), 1.0, 32, 24))),
+    }
+
+
+class TestEmitBlocks:
+    """``emit_csv`` writes row blocks of about ``_BLOCK / _CELL_FLOATS``
+    cells; every block size gives the bytes of the whole-table writer."""
+
+    @pytest.mark.parametrize("table", sorted(_mixed_tables()))
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 3, 4, 97, 1000])
+    def test_blocks_write_the_whole_table_bytes(self, tmp_path, monkeypatch, table,
+                                                 rows_per_block):
+        from isocone import geometry
+        columns, rows = _mixed_tables()[table]
+        width = len(columns)
+        monkeypatch.setattr(geometry, "_BLOCK", geometry._CELL_FLOATS * width * rows_per_block)
+        geometry.emit_csv(tmp_path / "blocks.csv", columns, rows)
+        _whole_table_csv(tmp_path / "whole.csv", columns, rows)
+        got = (tmp_path / "blocks.csv").read_bytes()
+        assert got == (tmp_path / "whole.csv").read_bytes()
+        assert got.count(b"\n") == 1 + len(rows)
+
+    def test_scratch_memory_stays_near_one_block(self, tmp_path):
+        import tracemalloc
+
+        from isocone.geometry import emit_csv
+        rows = np.random.default_rng(2).normal(size=(60_000, 5))  # every cell distinct
+        tracemalloc.start()
+        try:
+            emit_csv(tmp_path / "big.csv", ("a", "b", "c", "d", "e"), rows)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a block of 3,276 rows is about 1.6 MB of cells and text; the whole
+        # table's cells at once took over 20 MB
+        assert peak < 4 * 2 ** 20
 
 
 class TestCoupleVerb:
